@@ -24,6 +24,7 @@ from .augment import (
     AugmentSpec,
     apply_inverted_dropout,
     apply_mean_ablation,
+    augmented_chunks,
     batch_masks,
     build_augmented,
     make_mask,

@@ -1,6 +1,7 @@
 """Ablated data augmentation: per-feature Bernoulli masks, the two ablation
 modes (mean substitution and inverted input dropout), bootstrap-then-ablate
-synthetic datasets, and fresh per-batch masks for SGD training.
+synthetic datasets (streamed block by block, or materialized whole), and
+fresh per-batch masks for SGD training.
 """
 
 from __future__ import annotations
@@ -95,24 +96,45 @@ def apply_inverted_dropout(x_row, mask_row, lam: float) -> np.ndarray:
     return np.where(mask_row, 0.0, x_row / (1.0 - lam))
 
 
-def build_augmented(d: Dataset, spec: AugmentSpec) -> Dataset:
-    """Materialize the synthetic set: N bootstrap rows of d, each ablated
-    with a fresh mask; responses are copied unablated.
+BLOCK_ROWS = 1 << 16
+
+
+def augmented_chunks(d: Dataset, spec: AugmentSpec, block_rows: int = BLOCK_ROWS):
+    """Yield the synthetic set as consecutive ``(features, response)`` blocks
+    of at most ``block_rows`` rows: bootstrap rows of d, each ablated with a
+    fresh mask; responses are copied unablated.
+
+    Blocks are drawn in order from the spec's own BOOTSTRAP and MASK streams.
+    A numpy Generator hands out the same numbers whether asked for all rows
+    at once or block by block, so the concatenated blocks are the same sample
+    for any ``block_rows``, while only one block is held in memory at a time.
 
     Mean-ablation means are frozen from d itself (not from the synthetic
     rows); the convergence of the bootstrap moments depends on that.
     """
     if d.n == 0:
         raise AugmentError("cannot augment an empty dataset")
-    idx = _streams.stream(spec.seed, _streams.BOOTSTRAP).integers(0, d.n, size=spec.n_synthetic)
-    mask = make_mask(spec.n_synthetic, d.k, spec.lam, spec.seed).bits
-    source = d.features[idx]
-    if spec.mode == MEAN_ABLATION:
-        means = d.features.mean(axis=0)
-        features = np.where(mask, means, source)
-    else:
-        features = np.where(mask, 0.0, source / (1.0 - spec.lam))
-    return replace(d, features=features, response=d.response[idx], n_dropped=0)
+    bootstrap = _streams.stream(spec.seed, _streams.BOOTSTRAP)
+    masks = _streams.stream(spec.seed, _streams.MASK)
+    means = d.features.mean(axis=0) if spec.mode == MEAN_ABLATION else None
+    for start in range(0, spec.n_synthetic, block_rows):
+        rows = min(block_rows, spec.n_synthetic - start)
+        idx = bootstrap.integers(0, d.n, size=rows)
+        mask = masks.random((rows, d.k)) < spec.lam
+        source = d.features.take(idx, axis=0)
+        if means is not None:
+            features = np.where(mask, means, source)
+        else:
+            features = np.where(mask, 0.0, source / (1.0 - spec.lam))
+        yield features, d.response.take(idx)
+
+
+def build_augmented(d: Dataset, spec: AugmentSpec) -> Dataset:
+    """Materialize the synthetic set of :func:`augmented_chunks` as one
+    block of N rows: the same draws as the streamed blocks, all in memory.
+    The Monte-Carlo checks in :mod:`ablatereg.harness` stream instead."""
+    features, response = next(augmented_chunks(d, spec, block_rows=spec.n_synthetic))
+    return replace(d, features=features, response=response, n_dropped=0)
 
 
 def ablated_copy(d: Dataset, spec: AugmentSpec, means=None, replicas: int = 1) -> Dataset:

@@ -3,7 +3,9 @@
 Subcommands mirror the library surface: ``fit``, ``augment``, ``penalty``,
 ``train``, ``attribute``, ``converge``, ``sweep`` and ``cross-check``.  Every
 command accepts ``--config file.json`` whose keys are the long flag names
-with dashes replaced by underscores; explicit flags override config values.
+with dashes replaced by underscores; explicit flags override config values,
+and a key that names no option of the command is rejected.  A numerically
+singular model is reported as one ``error:`` line and exit status 1.
 All outputs are deterministic given a seed: rerunning a command reproduces
 the emitted file byte for byte.
 """
@@ -31,7 +33,7 @@ from .dataset import (
     standardize,
     synth_correlated,
 )
-from .linear import LinearModel, fit_ccp, fit_ml2p, fit_ols
+from .linear import LinearModel, SingularModelError, fit_ccp, fit_ml2p, fit_ols
 from .nn import TrainConfig, evaluate, forward, init, linear_as_mlp, train
 
 logger = logging.getLogger("ablatereg")
@@ -53,17 +55,21 @@ def _add_data_flags(sub: argparse.ArgumentParser) -> None:
 _CONFIG_ALIASES = {"lambda": "lam", "class": "class_index", "format": "fmt"}
 
 
-def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill unset (None) options from the JSON config file, if any."""
+def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> argparse.Namespace:
+    """Fill unset (None) options from the JSON config file, if any; a key
+    that names no option of the command is an error."""
     path = getattr(args, "config", None)
     if not path:
         return args
     with open(path, encoding="utf-8") as fh:
         config = json.load(fh)
+    known = set(vars(args)) - {"command", "func", "config"}
     for key, value in config.items():
         attr = key.replace("-", "_")
         attr = _CONFIG_ALIASES.get(attr, attr)
-        if hasattr(args, attr) and getattr(args, attr) is None:
+        if attr not in known:
+            parser.error(f"unknown key {key!r} in config file {path}")
+        if getattr(args, attr) is None:
             setattr(args, attr, value)
     return args
 
@@ -453,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", help="count or comma list")
     p.add_argument("--format", dest="fmt", choices=["csv", "json"])
     p.add_argument("--tolerance", type=float)
-    p.add_argument("--check", action="store_true")
+    p.add_argument("--check", action="store_true", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_converge)
 
@@ -469,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int)
     p.add_argument("--format", dest="fmt", choices=["csv", "json"])
     p.add_argument("--spearman-threshold", type=float, dest="spearman_threshold")
-    p.add_argument("--check", action="store_true")
+    p.add_argument("--check", action="store_true", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
 
@@ -478,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mada", required=True, help="JSON sweep report for mean ablation")
     p.add_argument("--iid", required=True, help="JSON sweep report for inverted dropout")
     p.add_argument("--format", dest="fmt", choices=["csv", "json"])
-    p.add_argument("--check", action="store_true")
+    p.add_argument("--check", action="store_true", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_cross_check)
 
@@ -487,9 +493,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
-    args = build_parser().parse_args(argv)
-    args = _apply_config(args)
-    return args.func(args)
+    parser = build_parser()
+    args = _apply_config(parser.parse_args(argv), parser)
+    try:
+        return args.func(args)
+    except SingularModelError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

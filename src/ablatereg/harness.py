@@ -2,6 +2,11 @@
 ablated datasets converges to the closed-form penalized solutions, lambda
 sweeps that trace how the two penalties respond to each augmentation mode,
 and deterministic CSV/JSON report emission.
+
+The Monte-Carlo checks never hold a synthetic set in memory.  They stream it
+block by block from :func:`~ablatereg.augment.augmented_chunks` into centered
+sufficient statistics of ``[X | y]``, and solve OLS from those; the random
+draws are the ones :func:`~ablatereg.augment.build_augmented` makes.
 """
 
 from __future__ import annotations
@@ -11,10 +16,9 @@ import math
 from dataclasses import dataclass, field, replace as dc_replace
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from .attribution import AttributionConfig, as_contributions, integrated_gradients
-from .augment import INVERTED_DROPOUT, MEAN_ABLATION, AugmentSpec, build_augmented
+from .augment import INVERTED_DROPOUT, MEAN_ABLATION, AugmentSpec, augmented_chunks
 from .dataset import (
     CLASSIFICATION,
     REGRESSION,
@@ -24,7 +28,7 @@ from .dataset import (
     split,
     standardize,
 )
-from .linear import SingularModelError, fit_ccp, fit_ml2p, fit_ols
+from .linear import SingularModelError, _solve_system, fit_ccp, fit_ml2p, fit_ols
 from .nn import (
     MlpModel,
     TrainConfig,
@@ -114,13 +118,47 @@ def _moment_limits(d: Dataset, mode: str, lam: float) -> tuple[np.ndarray, np.nd
     return gram_limit, cross_limit
 
 
-def _empirical_moments(aug: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    Xc = aug.features - aug.features.mean(axis=0)
-    yc = aug.response - aug.response.mean()
-    return Xc.T @ Xc / aug.n, Xc.T @ yc / aug.n
+def _augmented_blocks(d: Dataset, spec: AugmentSpec):
+    """The synthetic set as ``[X | y]`` blocks, in draw order.  Blocks are
+    column-major, so column means are summed pairwise (accurately)."""
+    for features, response in augmented_chunks(d, spec):
+        z = np.empty((response.shape[0], d.k + 1), order="F")
+        z[:, :-1] = features
+        z[:, -1] = response
+        yield z
+
+
+def _streamed_moments(d: Dataset, spec: AugmentSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and centered second moments (cross-products over N) of
+    ``[X | y]`` on the synthetic set, one block at a time.
+
+    Each block is centered on its own mean, and blocks are merged with the
+    pairwise update of Chan, Golub & LeVeque (1979), never through raw sums,
+    so large feature means cost no precision.
+    """
+    n = 0
+    for z in _augmented_blocks(d, spec):
+        rows = z.shape[0]
+        block_mean = z.mean(axis=0)
+        zc = z - block_mean
+        block_cross = zc.T @ zc
+        if n == 0:
+            mean, cross = block_mean, block_cross
+        else:
+            delta = block_mean - mean
+            total = n + rows
+            mean = mean + delta * (rows / total)
+            cross += block_cross + np.outer(delta, delta) * (n * rows / total)
+        n += rows
+    return mean, cross / n
 
 
 def _converge(d: Dataset, theorem: int, lam: float, n_schedule, seeds) -> ConvergenceRun:
+    """Streams each (seed, N) synthetic set through :func:`_streamed_moments`
+    and solves OLS from its centered Gram system, behind the same 1e12
+    condition gate as :func:`~ablatereg.linear.fit_ols`.  The draws are those
+    of :func:`~ablatereg.augment.build_augmented`; only the summation order
+    differs from fitting the materialized set."""
     n_schedule = tuple(int(v) for v in n_schedule)
     if any(b <= a for a, b in zip(n_schedule, n_schedule[1:])):
         raise ValueError("N schedule must be strictly increasing")
@@ -134,6 +172,7 @@ def _converge(d: Dataset, theorem: int, lam: float, n_schedule, seeds) -> Conver
     else:
         raise ValueError("theorem must be 1 or 2")
     gram_limit, cross_limit = _moment_limits(d, mode, lam)
+    k = d.k
 
     shape = (len(seeds), len(n_schedule))
     dist_l2 = np.full(shape, np.nan)
@@ -143,12 +182,12 @@ def _converge(d: Dataset, theorem: int, lam: float, n_schedule, seeds) -> Conver
     failures = []
     for i, seed in enumerate(seeds):
         for j, n_syn in enumerate(n_schedule):
-            aug = build_augmented(d, AugmentSpec(mode, lam, n_syn, seed))
-            gram, cross = _empirical_moments(aug)
+            _, moments = _streamed_moments(d, AugmentSpec(mode, lam, n_syn, seed))
+            gram, cross = moments[:k, :k], moments[:k, k]
             gram_resid[i, j] = np.abs(gram - gram_limit).max()
             cross_resid[i, j] = np.abs(cross - cross_limit).max()
             try:
-                beta = fit_ols(aug).beta
+                beta = _solve_system(gram, cross, d.column_names, "OLS on the synthetic set")
             except SingularModelError as err:
                 failures.append({"seed": seed, "N": n_syn, "error": str(err)})
                 continue
@@ -210,33 +249,39 @@ def check_moment_limits(
     d: Dataset, mode: str, lam: float, n_synthetic: int, seed: int, n_sigma: float = 3.0
 ) -> MomentCheck:
     """Verify the augmented Gram and cross moments against their limits,
-    elementwise, within ``n_sigma`` empirical standard errors."""
-    aug = build_augmented(d, AugmentSpec(mode, lam, n_synthetic, seed))
-    gram_limit, cross_limit = _moment_limits(d, mode, lam)
-    Xc = aug.features - aug.features.mean(axis=0)
-    yc = aug.response - aug.response.mean()
-    n_syn = aug.n
-    k = aug.k
+    elementwise, within ``n_sigma`` empirical standard errors.
 
-    gram_sigmas = np.zeros((k, k))
-    for a in range(k):
-        for b in range(a, k):
-            products = Xc[:, a] * Xc[:, b]
-            se = products.std() / math.sqrt(n_syn)
-            err = abs(products.mean() - gram_limit[a, b])
-            gram_sigmas[a, b] = gram_sigmas[b, a] = err / se if se > 0 else 0.0
-    cross_sigmas = np.zeros(k)
-    for a in range(k):
-        products = Xc[:, a] * yc
-        se = products.std() / math.sqrt(n_syn)
-        err = abs(products.mean() - cross_limit[a])
-        cross_sigmas[a] = err / se if se > 0 else 0.0
+    The synthetic set is streamed twice from the same seeded draws (those
+    of :func:`~ablatereg.augment.build_augmented`): the first pass gives the
+    moments, the second the spread of each centered product around its
+    moment, whose standard deviation over sqrt(N) is the standard error.
+    """
+    spec = AugmentSpec(mode, lam, n_synthetic, seed)
+    gram_limit, cross_limit = _moment_limits(d, mode, lam)
+    k = d.k
+    mean, moments = _streamed_moments(d, spec)
+    # upper triangle of [X | y] pairs, without the (y, y) entry
+    rows, cols = (idx[:-1] for idx in np.triu_indices(k + 1))
+    observed = moments[rows, cols]
+    sq_dev = np.zeros(rows.size)
+    for z in _augmented_blocks(d, spec):
+        zc = z - mean
+        sq_dev += ((zc[:, rows] * zc[:, cols] - observed) ** 2).sum(axis=0)
+    se = np.sqrt(sq_dev / n_synthetic) / math.sqrt(n_synthetic)
+
+    limits = np.zeros((k + 1, k + 1))
+    limits[:k, :k] = gram_limit
+    limits[:k, k] = cross_limit
+    err = np.abs(observed - limits[rows, cols])
+    sigmas = np.zeros((k + 1, k + 1))
+    sigmas[rows, cols] = sigmas[cols, rows] = np.divide(
+        err, se, out=np.zeros_like(err), where=se > 0)
     return MomentCheck(
         mode=mode,
         lam=lam,
         n_synthetic=n_synthetic,
-        gram_sigmas=gram_sigmas,
-        cross_sigmas=cross_sigmas,
+        gram_sigmas=sigmas[:k, :k],
+        cross_sigmas=sigmas[:k, k],
         n_sigma=n_sigma,
     )
 
@@ -404,6 +449,8 @@ class TrendEntry:
 def penalty_trend(sweep: SweepResult, penalty_field: str) -> dict:
     """Spearman rank correlation between lambda and the seed-averaged
     penalty, per (depth, output) and pooled over depths."""
+    from scipy.stats import spearmanr  # imported here: scipy.stats is slow to load
+
     if penalty_field not in ("ccp", "ml2p"):
         raise ValueError("penalty_field must be 'ccp' or 'ml2p'")
     entries = []

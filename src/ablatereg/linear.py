@@ -90,12 +90,17 @@ def _solve_system(A: np.ndarray, rhs: np.ndarray, names, context: str) -> np.nda
     """Solve the symmetric k x k system via SVD with an explicit condition gate."""
     A = 0.5 * (A + A.T)
     s = np.linalg.svd(A, compute_uv=False)
-    if s[-1] <= 0 or s[0] / s[-1] > _MAX_CONDITION:
+    if s[-1] > 0:
+        with np.errstate(over="ignore"):  # a huge ratio reads as inf
+            condition = s[0] / s[-1]
+    else:
+        condition = np.inf
+    if condition > _MAX_CONDITION:
         zero_diag = tuple(names[j] for j in np.flatnonzero(np.abs(np.diag(A)) <= s[0] * 1e-15))
         detail = f" (suspect columns: {', '.join(zero_diag)})" if zero_diag else ""
         raise SingularModelError(
             f"{context}: system matrix is singular or ill-conditioned "
-            f"(condition estimate {s[0] / max(s[-1], np.finfo(float).tiny):.2e}){detail}",
+            f"(condition estimate {condition:.2e}){detail}",
             columns=zero_diag,
         )
     beta, *_ = np.linalg.lstsq(A, rhs, rcond=None)

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+from ablatereg import _streams
 from ablatereg.augment import (
+    BLOCK_ROWS,
     AugmentError,
     AugmentSpec,
     ablated_copy,
     apply_inverted_dropout,
     apply_mean_ablation,
+    augmented_chunks,
     batch_masks,
     build_augmented,
     make_mask,
@@ -120,6 +123,36 @@ class TestBuildAugmented:
             AugmentSpec("mean", 0.5, 0, seed=0)
         with pytest.raises(AugmentError):
             AugmentSpec("cutout", 0.5, 10, seed=0)
+
+
+class TestAugmentedChunks:
+    @pytest.mark.parametrize("mode", ["mean", "iid"])
+    @pytest.mark.parametrize("n_synthetic", [1000, 3 * BLOCK_ROWS + 17])
+    def test_blocks_concatenate_to_build_augmented(self, mode, n_synthetic):
+        d = synth_correlated(40, 3, 0.4, (1, -1, 2), 1.0, seed=11)
+        spec = AugmentSpec(mode, 0.35, n_synthetic, seed=12)
+        blocks = list(augmented_chunks(d, spec))
+        assert len(blocks) == -(-n_synthetic // BLOCK_ROWS)
+        assert all(f.shape[0] == BLOCK_ROWS for f, _ in blocks[:-1])
+        aug = build_augmented(d, spec)
+        np.testing.assert_array_equal(np.concatenate([f for f, _ in blocks]), aug.features)
+        np.testing.assert_array_equal(np.concatenate([r for _, r in blocks]), aug.response)
+
+    @pytest.mark.parametrize("mode", ["mean", "iid"])
+    @pytest.mark.parametrize("block_rows", [1, 7, 64, 1000])
+    def test_block_size_does_not_change_the_draws(self, mode, block_rows):
+        # reference: the whole sample drawn at once from the same two streams
+        d = synth_correlated(23, 3, 0.4, (1, -1, 2), 1.0, seed=13)
+        spec = AugmentSpec(mode, 0.4, 301, seed=14)
+        idx = _streams.stream(14, _streams.BOOTSTRAP).integers(0, d.n, size=301)
+        mask = make_mask(301, d.k, 0.4, seed=14).bits
+        if mode == "mean":
+            expected = np.where(mask, d.features.mean(axis=0), d.features[idx])
+        else:
+            expected = np.where(mask, 0.0, d.features[idx] / 0.6)
+        blocks = list(augmented_chunks(d, spec, block_rows=block_rows))
+        np.testing.assert_array_equal(np.concatenate([f for f, _ in blocks]), expected)
+        np.testing.assert_array_equal(np.concatenate([r for _, r in blocks]), d.response[idx])
 
 
 class TestBatchMasks:

@@ -215,3 +215,41 @@ class TestConfigFile:
         out2 = tmp_path / "override.json"
         run(["fit", "--config", config, "--lambda", "0.2", "--out", out2])
         assert json.loads(out2.read_text())["lambda"] == 0.2
+
+
+class TestConfigStrictness:
+    CONVERGE = ["converge", "--theorem", "1", "--lambda", "0.3",
+                "--n-schedule", "1000,10000", "--seeds", "2", "--response", "y"]
+
+    def test_config_check_takes_effect(self, csv_path, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"check": True, "tolerance": 1e-9}))
+        base = self.CONVERGE + ["--data", csv_path]
+        assert run(base + ["--check", "--tolerance", "1e-9", "--out", tmp_path / "a.csv"]) == 1
+        assert run(base + ["--config", config, "--out", tmp_path / "b.csv"]) == 1
+        assert run(base + ["--out", tmp_path / "c.csv"]) == 0
+
+    def test_unknown_config_key_is_rejected_by_name(self, csv_path, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"tolerance": 0.1, "lamda": 0.3}))
+        with pytest.raises(SystemExit) as exc:
+            run(self.CONVERGE + ["--data", csv_path, "--config", config,
+                                 "--out", tmp_path / "out.csv"])
+        assert exc.value.code == 2
+        assert "'lamda'" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+
+class TestErrorReporting:
+    def test_singular_fit_is_one_error_line(self, tmp_path, capsys):
+        # every level of a categorical column gets a dummy, so the dummies
+        # sum to one and the centered Gram matrix is singular
+        path = tmp_path / "cat.csv"
+        rows = ["x,grp,y"] + [f"{i * 0.5},{'ab'[i % 2]},{i * 0.3 + i % 2}" for i in range(20)]
+        path.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "model.json"
+        code = run(["fit", "--method", "ols", "--data", path, "--response", "y", "--out", out])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: fit_ols:")
+        assert not out.exists()

@@ -1,8 +1,10 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from ablatereg.augment import BLOCK_ROWS, AugmentSpec, build_augmented
 from ablatereg.dataset import synth_correlated
 from ablatereg.harness import (
     SweepCell,
@@ -16,8 +18,10 @@ from ablatereg.harness import (
     penalty_trend,
     render_report,
     sweep_from_payload,
+    _moment_limits,
+    _streamed_moments,
 )
-from ablatereg.linear import fit_ccp, fit_ols
+from ablatereg.linear import _solve_system, fit_ccp, fit_ols
 from ablatereg.nn import TrainConfig
 from ablatereg.penalty import ccp_pairwise, contributions_linear
 
@@ -67,12 +71,54 @@ class TestMomentLimits:
     def test_detects_wrong_limit(self, small_data):
         # sanity: the sigma scale is meaningful, a corrupted lambda fails
         from ablatereg import harness as h
-        from ablatereg.augment import AugmentSpec, build_augmented
 
-        aug = build_augmented(small_data, AugmentSpec("mean", 0.5, 200_000, seed=5))
+        spec = AugmentSpec("mean", 0.5, 200_000, seed=5)
         gram_limit, _ = h._moment_limits(small_data, "mean", 0.1)  # wrong lambda
-        emp_gram, _ = h._empirical_moments(aug)
+        _, moments = h._streamed_moments(small_data, spec)
+        emp_gram = moments[:-1, :-1]
         assert np.abs(emp_gram - gram_limit).max() > 0.01
+
+    @pytest.mark.parametrize("mode", ["mean", "iid"])
+    def test_sigmas_match_elementwise_reference(self, small_data, mode):
+        # reference: the per-entry loop over the materialized synthetic set
+        check = check_moment_limits(small_data, mode, 0.3, 150_000, seed=6)
+        aug = build_augmented(small_data, AugmentSpec(mode, 0.3, 150_000, seed=6))
+        gram_limit, cross_limit = _moment_limits(small_data, mode, 0.3)
+        Xc = aug.features - aug.features.mean(axis=0)
+        yc = aug.response - aug.response.mean()
+        k = aug.k
+
+        def sigma(products, limit):
+            return abs(products.mean() - limit) / (products.std() / np.sqrt(aug.n))
+
+        gram_ref = np.array([[sigma(Xc[:, a] * Xc[:, b], gram_limit[a, b]) for b in range(k)]
+                             for a in range(k)])
+        cross_ref = np.array([sigma(Xc[:, a] * yc, cross_limit[a]) for a in range(k)])
+        np.testing.assert_allclose(check.gram_sigmas, gram_ref, rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(check.cross_sigmas, cross_ref, rtol=1e-9, atol=1e-9)
+
+
+class TestStreamedMoments:
+    N = 3 * BLOCK_ROWS + 17
+
+    @pytest.mark.parametrize("mode", ["mean", "iid"])
+    def test_streamed_beta_matches_materialized_ols(self, small_data, mode):
+        spec = AugmentSpec(mode, 0.4, self.N, seed=7)
+        _, moments = _streamed_moments(small_data, spec)
+        beta = _solve_system(moments[:-1, :-1], moments[:-1, -1], small_data.column_names, "t")
+        reference = fit_ols(build_augmented(small_data, spec)).beta
+        np.testing.assert_allclose(beta, reference, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("mode", ["mean", "iid"])
+    def test_stable_under_large_feature_means(self, small_data, mode):
+        shifted = replace(small_data, features=small_data.features + 1e6)
+        spec = AugmentSpec(mode, 0.4, self.N, seed=8)
+        _, moments = _streamed_moments(shifted, spec)
+        aug = build_augmented(shifted, spec)
+        Xc = aug.features - aug.features.mean(axis=0)  # two-pass reference
+        reference = Xc.T @ Xc / aug.n
+        gram = moments[:-1, :-1]
+        assert np.abs(gram - reference).max() <= 1e-9 * np.abs(reference).max()
 
 
 class TestLambdaSweep:

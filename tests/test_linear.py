@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -209,3 +211,11 @@ class TestSolverInvariants:
         d = make_dataset(X, np.arange(10.0))
         with pytest.raises(SingularModelError):
             fit_ccp(d, 0.5)
+
+    def test_exactly_singular_system_reports_infinite_condition_without_warning(self):
+        X = np.column_stack([np.ones(10), np.arange(10.0)])
+        d = make_dataset(X, np.arange(10.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularModelError, match=r"condition estimate inf\)"):
+                fit_ccp(d, 0.5)
