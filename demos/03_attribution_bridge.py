@@ -53,7 +53,7 @@ print()
 # the two penalties evaluated on attribution output
 res = integrated_gradients(net, test.features, AttributionConfig(steps=100))
 test_stats = ar.feature_stats(test.features)
-ccp = ar.ccp_from_attributions(as_contributions(res))
+ccp = ar.ccp_variance_form(as_contributions(res))
 ml2p = ar.ml2p_from_avg_gradients(res.avg_gradients, test_stats)
 print(f"penalties of the trained net on the test split: CCP={ccp:.1f}  ML2P={ml2p:.3f}")
 

@@ -19,15 +19,12 @@ from .dataset import (
 from .augment import (
     INVERTED_DROPOUT,
     MEAN_ABLATION,
-    AblationMask,
     AugmentError,
     AugmentSpec,
-    apply_inverted_dropout,
-    apply_mean_ablation,
+    ablate,
     augmented_chunks,
     batch_masks,
     build_augmented,
-    make_mask,
 )
 from .linear import (
     CCP,
@@ -42,8 +39,6 @@ from .linear import (
 )
 from .penalty import (
     ContributionMatrix,
-    PenaltyReport,
-    ccp_from_attributions,
     ccp_pairwise,
     ccp_variance_form,
     contribution_covariances,
@@ -72,7 +67,6 @@ from .attribution import (
     AttributionResult,
     CompletenessSummary,
     as_contributions,
-    average_gradients,
     completeness_report,
     integrated_gradients,
 )

@@ -1,6 +1,11 @@
-"""Integrated gradients along the straight-line path from a baseline, with
-the path-averaged gradients kept as first-class output (they are the
-network analogue of coefficients) and per-row completeness diagnostics.
+"""Integrated gradients along the straight-line path from a baseline.
+
+:class:`AttributionResult` holds everything one evaluation yields: the
+attributions, the path-averaged gradients (the network analogue of
+coefficients, read as ``result.avg_gradients``), the model outputs at the
+inputs and at the baseline, and each row's completeness gap.
+:func:`completeness_report` summarizes those gaps without recomputing them,
+and :func:`as_contributions` hands the attributions to :mod:`ablatereg.penalty`.
 
 The average gradients are accumulated directly from path evaluations, never
 recovered by dividing attributions by (x - baseline), so they stay
@@ -108,11 +113,6 @@ def integrated_gradients(m: MlpModel, X, cfg: AttributionConfig | None = None) -
     )
 
 
-def average_gradients(result: AttributionResult) -> np.ndarray:
-    """The stored path-averaged gradients (the coefficient analogue)."""
-    return result.avg_gradients
-
-
 @dataclass(frozen=True)
 class CompletenessSummary:
     gaps: np.ndarray
@@ -122,20 +122,12 @@ class CompletenessSummary:
 
 
 def completeness_report(
-    result: AttributionResult,
-    outputs_at_x,
-    outputs_at_baseline,
-    rel_tol: float = 1e-3,
-    abs_tol: float = 1e-6,
+    result: AttributionResult, rel_tol: float = 1e-3, abs_tol: float = 1e-6
 ) -> CompletenessSummary:
-    """Per-row |sum_j attrib_j - (F(x) - F(baseline))| with rows exceeding
-    rel_tol * |F(x) - F(baseline)| + abs_tol flagged."""
-    outputs_at_x = np.asarray(outputs_at_x, dtype=np.float64).ravel()
-    delta = outputs_at_x - np.asarray(outputs_at_baseline, dtype=np.float64).ravel()
-    if delta.shape[0] != result.attributions.shape[0]:
-        raise ValueError("outputs must have one entry per attributed row")
-    gaps = np.abs(result.attributions.sum(axis=1) - delta)
-    threshold = rel_tol * np.abs(delta) + abs_tol
+    """Summarize ``result.completeness_gap``, flagging the rows whose gap
+    exceeds rel_tol * |F(x) - F(baseline)| + abs_tol."""
+    gaps = result.completeness_gap
+    threshold = rel_tol * np.abs(result.outputs - result.baseline_output) + abs_tol
     return CompletenessSummary(
         gaps=gaps,
         max_gap=float(gaps.max()) if gaps.size else 0.0,

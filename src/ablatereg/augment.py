@@ -1,7 +1,13 @@
-"""Ablated data augmentation: per-feature Bernoulli masks, the two ablation
-modes (mean substitution and inverted input dropout), bootstrap-then-ablate
-synthetic datasets (streamed block by block, or materialized whole), and
-fresh per-batch masks for SGD training.
+"""Ablated data augmentation.
+
+:func:`ablate` is the one ablation kernel: given a boolean mask (True =
+ablated) it applies either mode, mean substitution or inverted input
+dropout.  Everything else here draws a mask of i.i.d. Bernoulli(lambda)
+entries from its own seeded stream and hands it to :func:`ablate`:
+bootstrap-then-ablate synthetic datasets (:func:`augmented_chunks`, streamed
+block by block, or :func:`build_augmented`, materialized whole), fixed-mask
+validation copies (:func:`ablated_copy`) and fresh per-batch masks for SGD
+training (:func:`batch_masks`).
 """
 
 from __future__ import annotations
@@ -47,53 +53,27 @@ class AugmentSpec:
             raise AugmentError("seed must be non-negative")
 
 
-@dataclass(frozen=True)
-class AblationMask:
-    """Boolean matrix of i.i.d. Bernoulli(lambda) draws; True = ablated."""
+def ablate(X, mask, spec: AugmentSpec, means=None) -> np.ndarray:
+    """The one ablation kernel: ablate the entries of X where ``mask`` is True.
 
-    bits: np.ndarray
-
-    def __post_init__(self):
-        bits = np.asarray(self.bits, dtype=bool)
-        object.__setattr__(self, "bits", bits)
-
-    @property
-    def rate(self) -> float:
-        return float(self.bits.mean())
-
-
-def make_mask(rows: int, k: int, lam: float, seed: int, step: int | None = None) -> AblationMask:
-    """Seeded, reproducible Bernoulli(lam) mask of shape (rows, k)."""
-    if not 0.0 <= lam < 1.0:
-        raise AugmentError(f"lambda must be in [0, 1), got {lam}")
-    rng = _streams.stream(seed, _streams.MASK, step)
-    return AblationMask(bits=rng.random((rows, k)) < lam)
-
-
-def apply_mean_ablation(x_row, mask_row, means) -> np.ndarray:
-    """Replace masked entries with the (frozen) per-feature means.
-
-    Works elementwise on a single row or a whole (rows, k) batch; the
+    Mean ablation puts the (frozen) per-feature ``means`` in their place, and
+    is an error without them; inverted dropout zeroes them and rescales the
+    survivors by 1/(1-lam), so each feature keeps its expectation under the
+    mask distribution.  Works on a single row or a whole (rows, k) batch; the
     response is never touched because it is never passed in.
     """
-    x_row = np.asarray(x_row, dtype=np.float64)
-    mask_row = np.asarray(mask_row, dtype=bool)
-    means = np.asarray(means, dtype=np.float64)
-    if x_row.shape[-1] != mask_row.shape[-1] or x_row.shape[-1] != means.shape[-1]:
-        raise AugmentError("x, mask and means must agree on feature count")
-    return np.where(mask_row, means, x_row)
-
-
-def apply_inverted_dropout(x_row, mask_row, lam: float) -> np.ndarray:
-    """Zero masked entries and rescale survivors by 1/(1-lam), so each
-    feature keeps its expectation under the mask distribution."""
-    if not 0.0 <= lam < 1.0:
-        raise AugmentError(f"lambda must be in [0, 1), got {lam}")
-    x_row = np.asarray(x_row, dtype=np.float64)
-    mask_row = np.asarray(mask_row, dtype=bool)
-    if x_row.shape[-1] != mask_row.shape[-1]:
-        raise AugmentError("x and mask must agree on feature count")
-    return np.where(mask_row, 0.0, x_row / (1.0 - lam))
+    X = np.asarray(X, dtype=np.float64)
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != X.shape:
+        raise AugmentError("X and mask must have the same shape")
+    if spec.mode == MEAN_ABLATION:
+        if means is None:
+            raise AugmentError("mean ablation needs the training-set feature means")
+        means = np.asarray(means, dtype=np.float64)
+        if means.shape != X.shape[-1:]:
+            raise AugmentError("means must have one entry per feature")
+        return np.where(mask, means, X)
+    return np.where(mask, 0.0, X / (1.0 - spec.lam))
 
 
 BLOCK_ROWS = 1 << 16
@@ -121,12 +101,7 @@ def augmented_chunks(d: Dataset, spec: AugmentSpec, block_rows: int = BLOCK_ROWS
         rows = min(block_rows, spec.n_synthetic - start)
         idx = bootstrap.integers(0, d.n, size=rows)
         mask = masks.random((rows, d.k)) < spec.lam
-        source = d.features.take(idx, axis=0)
-        if means is not None:
-            features = np.where(mask, means, source)
-        else:
-            features = np.where(mask, 0.0, source / (1.0 - spec.lam))
-        yield features, d.response.take(idx)
+        yield ablate(d.features.take(idx, axis=0), mask, spec, means), d.response.take(idx)
 
 
 def build_augmented(d: Dataset, spec: AugmentSpec) -> Dataset:
@@ -143,18 +118,13 @@ def ablated_copy(d: Dataset, spec: AugmentSpec, means=None, replicas: int = 1) -
     Estimates the augmented-population risk of a model on d: every row is
     repeated ``replicas`` times and ablated once with a mask drawn from the
     spec's validation stream, so repeated evaluations are stable.  Used for
-    early stopping when training on augmented batches.
+    early stopping when training on augmented batches.  ``means`` (frozen
+    from the training set) is required in mean-ablation mode.
     """
     X = np.tile(d.features, (replicas, 1))
-    y = np.tile(d.response, replicas)
     mask = _streams.stream(spec.seed, _streams.VALMASK).random(X.shape) < spec.lam
-    if spec.mode == MEAN_ABLATION:
-        if means is None:
-            means = d.features.mean(axis=0)
-        features = np.where(mask, np.asarray(means, dtype=np.float64), X)
-    else:
-        features = np.where(mask, 0.0, X / (1.0 - spec.lam))
-    return replace(d, features=features, response=y, n_dropped=0)
+    return replace(d, features=ablate(X, mask, spec, means),
+                   response=np.tile(d.response, replicas), n_dropped=0)
 
 
 def batch_masks(batch: np.ndarray, spec: AugmentSpec, step: int, means=None) -> np.ndarray:
@@ -164,10 +134,5 @@ def batch_masks(batch: np.ndarray, spec: AugmentSpec, step: int, means=None) -> 
     reproduces the same output.  ``means`` (frozen from the training set)
     is required in mean-ablation mode.
     """
-    batch = np.asarray(batch, dtype=np.float64)
-    mask = make_mask(batch.shape[0], batch.shape[1], spec.lam, spec.seed, step=step).bits
-    if spec.mode == MEAN_ABLATION:
-        if means is None:
-            raise AugmentError("mean ablation needs the training-set feature means")
-        return apply_mean_ablation(batch, mask, means)
-    return apply_inverted_dropout(batch, mask, spec.lam)
+    mask = _streams.stream(spec.seed, _streams.MASK, step).random(np.shape(batch)) < spec.lam
+    return ablate(batch, mask, spec, means)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 
 import numpy as np
@@ -118,17 +119,15 @@ def _default_sweep_data(seed: int) -> Dataset:
 
 
 def _write_json(obj, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    harness.write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def _write_csv(header, rows, path) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(float(v)) if isinstance(v, float) else str(v)
-                              for v in row))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _check_exit(outcome: tuple[bool, list[str]]) -> int:
+    """Print a ``--check`` gate's problems to stderr; the exit status."""
+    ok, problems = outcome
+    for problem in problems:
+        print(f"CHECK FAILED: {problem}", file=sys.stderr)
+    return 0 if ok else 1
 
 
 def _model_from_json(payload: dict) -> nn.MlpModel:
@@ -189,9 +188,8 @@ def cmd_augment(args) -> int:
     aug = build_augmented(d, spec)
     response_name = args.response or "y"
     header = list(aug.column_names) + [response_name]
-    rows = [list(map(float, row)) + [float(y)]
-            for row, y in zip(aug.features, aug.response)]
-    _write_csv(header, rows, args.out)
+    rows = np.column_stack([aug.features, aug.response]).tolist()
+    harness.write_text(args.out, harness._csv_lines(header, rows))
     logger.info("wrote %d augmented rows to %s", aug.n, args.out)
     return 0
 
@@ -223,7 +221,7 @@ def cmd_penalty(args) -> int:
             AttributionConfig(steps=args.steps, output_index=args.class_index or 0),
         )
         if args.kind in ("ccp", "both"):
-            ccp_value = penalty_mod.ccp_from_attributions(as_contributions(attr))
+            ccp_value = penalty_mod.ccp_variance_form(as_contributions(attr))
         if args.kind in ("ml2p", "both"):
             ml2p_value = penalty_mod.ml2p_from_avg_gradients(attr.avg_gradients, stats)
 
@@ -306,10 +304,9 @@ def cmd_attribute(args) -> int:
 
     header = ([f"attr_{c}" for c in d.column_names]
               + [f"avggrad_{c}" for c in d.column_names] + ["completeness_gap"])
-    rows = [list(map(float, a)) + list(map(float, g)) + [float(gap)]
-            for a, g, gap in zip(result.attributions, result.avg_gradients,
-                                 result.completeness_gap)]
-    _write_csv(header, rows, args.out)
+    rows = np.column_stack([result.attributions, result.avg_gradients,
+                            result.completeness_gap]).tolist()
+    harness.write_text(args.out, harness._csv_lines(header, rows))
     logger.info("wrote attributions for %d rows to %s", d.n, args.out)
     return 0
 
@@ -324,12 +321,7 @@ def cmd_converge(args) -> int:
     run = run_fn(d, args.lam, schedule, seeds)
     harness.emit_report(run, args.fmt, args.out)
     logger.info("wrote convergence report to %s", args.out)
-    if args.check:
-        ok, problems = run.check(args.tolerance)
-        for problem in problems:
-            print(f"CHECK FAILED: {problem}", file=sys.stderr)
-        return 0 if ok else 1
-    return 0
+    return _check_exit(run.check(args.tolerance)) if args.check else 0
 
 
 def cmd_sweep(args) -> int:
@@ -345,24 +337,13 @@ def cmd_sweep(args) -> int:
         lambda_grid=_parse_lambdas(args.lambdas),
         seeds=_parse_seeds(args.seeds),
         cfg=cfg,
-        dataset_id=args.data or "synthetic",
+        dataset_id=os.path.basename(args.data) if args.data else "synthetic",
         hidden_width=args.hidden_width,
         attribution_steps=args.steps,
     )
     harness.emit_report(sweep, args.fmt, args.out)
     logger.info("wrote sweep report to %s", args.out)
-    if args.check:
-        own_penalty = "ccp" if args.mode == "mean" else "ml2p"
-        trend = harness.penalty_trend(sweep, own_penalty)
-        bad = [e for e in trend["per_depth"] if not e.spearman <= args.spearman_threshold]
-        for entry in bad:
-            print(
-                f"CHECK FAILED: Spearman(lambda, {own_penalty}) = {entry.spearman:.3f} "
-                f"at depth {entry.depth} (threshold {args.spearman_threshold})",
-                file=sys.stderr,
-            )
-        return 0 if not bad else 1
-    return 0
+    return _check_exit(sweep.check(args.spearman_threshold)) if args.check else 0
 
 
 def cmd_cross_check(args) -> int:
@@ -374,18 +355,7 @@ def cmd_cross_check(args) -> int:
     report = harness.cross_trend_check(sweep_mada, sweep_iid)
     harness.emit_report(report, args.fmt, args.out)
     logger.info("wrote cross-trend report to %s", args.out)
-    if args.check:
-        problems = []
-        if report.zero_contrast:
-            problems.append("zero contrast: the two sweeps are identical")
-        if not report.ml2p_rises():
-            problems.append("ML2P does not rise with lambda under mean ablation")
-        if not report.ccp_contracts():
-            problems.append("|CCP| does not contract under inverted dropout")
-        for problem in problems:
-            print(f"CHECK FAILED: {problem}", file=sys.stderr)
-        return 0 if not problems else 1
-    return 0
+    return _check_exit(report.check()) if args.check else 0
 
 
 # --------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from .nn import (
     linear_as_mlp,
     train,
 )
-from .penalty import ccp_from_attributions, ml2p_from_avg_gradients
+from .penalty import ccp_variance_form, ml2p_from_avg_gradients
 from ._streams import child_seed
 
 
@@ -330,6 +330,19 @@ class SweepResult:
         vals = self.seed_values(fld, depth, lam, output_index)
         return float(vals.mean()) if vals.size else float("nan")
 
+    def check(self, spearman_threshold: float = -0.8) -> tuple[bool, list[str]]:
+        """The mode's own penalty (CCP under mean ablation, ML2P under
+        inverted dropout) must fall with lambda: Spearman(lambda, penalty)
+        at or below the threshold at every depth, a NaN correlation failing."""
+        own_penalty = "ccp" if self.mode == MEAN_ABLATION else "ml2p"
+        problems = [
+            f"Spearman(lambda, {own_penalty}) = {entry.spearman:.3f} "
+            f"at depth {entry.depth} (threshold {spearman_threshold})"
+            for entry in penalty_trend(self, own_penalty)["per_depth"]
+            if not entry.spearman <= spearman_threshold
+        ]
+        return (not problems), problems
+
 
 def lambda_sweep(
     d: Dataset,
@@ -410,7 +423,7 @@ def lambda_sweep(
                     result.cells.append(SweepCell(
                         depth=depth, lam=lam, seed=seed, output_index=oi,
                         metric=float(metric),
-                        ccp=ccp_from_attributions(as_contributions(attr)),
+                        ccp=ccp_variance_form(as_contributions(attr)),
                         ml2p=ml2p_from_avg_gradients(attr.avg_gradients, test_stats),
                     ))
     return result
@@ -488,6 +501,17 @@ class CrossTrendReport:
 
     def ccp_contracts(self) -> bool:
         return all(row["abs_last"] <= row["abs_first"] for row in self.ccp_abs_under_dropout)
+
+    def check(self) -> tuple[bool, list[str]]:
+        """Both reverse trends hold and the two sweeps differ."""
+        problems = []
+        if self.zero_contrast:
+            problems.append("zero contrast: the two sweeps are identical")
+        if not self.ml2p_rises():
+            problems.append("ML2P does not rise with lambda under mean ablation")
+        if not self.ccp_contracts():
+            problems.append("|CCP| does not contract under inverted dropout")
+        return (not problems), problems
 
 
 def cross_trend_check(sweep_mada: SweepResult, sweep_iid: SweepResult) -> CrossTrendReport:
@@ -656,10 +680,15 @@ def emit_report(result, fmt: str = "csv", path=None):
     """Write the rendered report to ``path`` and return the path."""
     if path is None:
         raise ValueError("emit_report needs an output path")
-    text = render_report(result, fmt)
+    write_text(path, render_report(result, fmt))
+    return path
+
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, newlines as given.  Every report,
+    model and checkpoint file the package writes goes through here."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
-    return path
 
 
 def sweep_from_payload(payload: dict) -> SweepResult:

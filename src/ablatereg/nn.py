@@ -8,7 +8,6 @@ fixed seed reproduces training bit-for-bit on one platform.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -304,7 +303,3 @@ def linear_as_mlp(beta, intercept: float, task: str = REGRESSION) -> MlpModel:
     penalty machinery can treat both uniformly."""
     beta = np.asarray(beta, dtype=np.float64).ravel()
     return MlpModel(weights=[beta[:, None].copy()], biases=[np.array([float(intercept)])], task=task)
-
-
-def clone(m: MlpModel) -> MlpModel:
-    return copy.deepcopy(m)

@@ -50,14 +50,6 @@ class ContributionMatrix:
         return self.values.shape[1]
 
 
-@dataclass(frozen=True)
-class PenaltyReport:
-    ccp: float
-    ml2p: float
-    per_pair_cov: np.ndarray | None = None
-    lambda_context: float | None = None
-
-
 def contributions_linear(m: LinearModel, X) -> ContributionMatrix:
     """Contribution of feature j on row i is beta_j * x_ij; the row sums plus
     the intercept reproduce the model predictions exactly."""
@@ -88,7 +80,8 @@ def ccp_variance_form(c: ContributionMatrix) -> float:
     """The O(k) form n*(sum_j var(contribution_j)) - n*var(score).
 
     The constant term drops out of var(score) automatically, so this equals
-    :func:`ccp_pairwise` up to rounding.
+    :func:`ccp_pairwise` up to rounding.  Attributions stand in for
+    contributions through :func:`ablatereg.attribution.as_contributions`.
     """
     if c.n < 2:
         raise ValueError("need at least 2 rows to estimate variances")
@@ -102,13 +95,6 @@ def ml2p(beta_like, stats: FeatureStats) -> float:
     if beta.shape[0] != stats.k:
         raise ValueError(f"beta has length {beta.shape[0]}, stats have {stats.k}")
     return float(np.sum(stats.second_moments * beta**2))
-
-
-def ccp_from_attributions(attr: ContributionMatrix) -> float:
-    """Contribution-covariance penalty with attributions standing in for
-    contributions; identical arithmetic to :func:`ccp_variance_form` on the
-    attribution-decomposed scores."""
-    return ccp_variance_form(attr)
 
 
 def ml2p_from_avg_gradients(avg_grads, stats: FeatureStats) -> float:

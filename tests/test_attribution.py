@@ -4,11 +4,10 @@ import pytest
 from ablatereg.attribution import (
     AttributionConfig,
     as_contributions,
-    average_gradients,
     completeness_report,
     integrated_gradients,
 )
-from ablatereg.nn import MlpModel, forward, init, input_gradients, linear_as_mlp
+from ablatereg.nn import MlpModel, init, input_gradients, linear_as_mlp
 
 
 def bumpy_net(dims, seed):
@@ -93,14 +92,14 @@ class TestAverageGradients:
         model = linear_as_mlp(beta, 0.0)
         X = np.random.default_rng(8).normal(size=(7, 3))
         res = integrated_gradients(model, X, AttributionConfig(steps=11))
-        np.testing.assert_allclose(average_gradients(res),
+        np.testing.assert_allclose(res.avg_gradients,
                                    np.broadcast_to(beta, (7, 3)), atol=1e-6)
 
     def test_depth0_equals_input_gradients(self):
         model = init([4, 1], seed=9)
         X = np.random.default_rng(10).normal(size=(6, 4))
         res = integrated_gradients(model, X, AttributionConfig(steps=2))
-        np.testing.assert_allclose(average_gradients(res), input_gradients(model, X, 0),
+        np.testing.assert_allclose(res.avg_gradients, input_gradients(model, X, 0),
                                    atol=1e-12)
 
     def test_division_identity_away_from_baseline(self):
@@ -119,11 +118,24 @@ class TestCompletenessReport:
         model = linear_as_mlp(beta, 0.3)
         X = np.random.default_rng(13).normal(size=(9, 2))
         res = integrated_gradients(model, X, AttributionConfig(steps=4))
-        out_x = forward(model, X)[0][:, 0]
-        out_b = forward(model, np.zeros((1, 2)))[0][0, 0]
-        report = completeness_report(res, out_x, np.full(9, out_b))
+        report = completeness_report(res)
         assert report.max_gap <= 1e-10
         assert report.flagged_rows.size == 0
+
+    def test_one_step_on_bumpy_net_flags_rows_at_tight_tolerance(self):
+        model = bumpy_net([4, 12, 12, 1], seed=300)
+        X = np.random.default_rng(18).normal(size=(25, 4))
+        res = integrated_gradients(model, X, AttributionConfig(steps=1))
+        tight = completeness_report(res, rel_tol=1e-6, abs_tol=1e-9)
+        assert tight.flagged_rows.size > 0
+        np.testing.assert_array_equal(tight.gaps, res.completeness_gap)
+        delta = np.abs(res.outputs - res.baseline_output)
+        flagged = np.zeros(25, dtype=bool)
+        flagged[tight.flagged_rows] = True
+        np.testing.assert_array_equal(flagged, res.completeness_gap > 1e-6 * delta + 1e-9)
+        loose = completeness_report(res, rel_tol=1e6, abs_tol=1e6)
+        assert loose.flagged_rows.size == 0
+        assert loose.max_gap == tight.max_gap > 0
 
     def test_coarser_quadrature_has_larger_gap(self):
         rng = np.random.default_rng(14)

@@ -6,79 +6,91 @@ from ablatereg.augment import (
     BLOCK_ROWS,
     AugmentError,
     AugmentSpec,
+    ablate,
     ablated_copy,
-    apply_inverted_dropout,
-    apply_mean_ablation,
     augmented_chunks,
     batch_masks,
     build_augmented,
-    make_mask,
 )
 from ablatereg.dataset import synth_correlated
 
 
+def draw_mask(rows, k, lam, seed):
+    """The unstepped mask draw of a spec with this seed: Bernoulli(lam) bits."""
+    return _streams.stream(seed, _streams.MASK).random((rows, k)) < lam
+
+
+MEAN = AugmentSpec("mean", 0.5, 1, seed=0)
+
+
+def dropout(lam):
+    return AugmentSpec("iid", lam, 1, seed=0)
+
+
 class TestMakeMask:
     def test_zero_rate_all_false(self):
-        mask = make_mask(100, 5, 0.0, seed=1)
-        assert not mask.bits.any()
+        mask = draw_mask(100, 5, 0.0, seed=1)
+        assert not mask.any()
 
     def test_empirical_rate_three_sigma(self):
         # binomial 3 sigma band around 0.5 for 10^6 draws: +-0.0015
-        mask = make_mask(200_000, 5, 0.5, seed=2)
-        assert 0.4985 <= mask.rate <= 0.5015
+        mask = draw_mask(200_000, 5, 0.5, seed=2)
+        assert 0.4985 <= mask.mean() <= 0.5015
 
     def test_deterministic(self):
-        a = make_mask(50, 4, 0.3, seed=3)
-        b = make_mask(50, 4, 0.3, seed=3)
-        np.testing.assert_array_equal(a.bits, b.bits)
+        a = draw_mask(50, 4, 0.3, seed=3)
+        b = draw_mask(50, 4, 0.3, seed=3)
+        np.testing.assert_array_equal(a, b)
 
     def test_rejects_lambda_one(self):
         with pytest.raises(AugmentError):
-            make_mask(10, 2, 1.0, seed=0)
+            AugmentSpec("iid", 1.0, 10, seed=0)
 
 
 class TestApplyMeanAblation:
     def test_definition(self):
-        out = apply_mean_ablation([3.0, 4.0], [True, False], [1.0, 2.0])
+        out = ablate([3.0, 4.0], [True, False], MEAN, means=[1.0, 2.0])
         np.testing.assert_allclose(out, [1.0, 4.0])
 
     def test_all_false_identity(self):
         x = np.array([3.0, 4.0, 5.0])
-        out = apply_mean_ablation(x, [False, False, False], [0.0, 0.0, 0.0])
+        out = ablate(x, [False, False, False], MEAN, means=[0.0, 0.0, 0.0])
         np.testing.assert_array_equal(out, x)
 
     def test_fixed_point_at_means(self):
         x = np.array([1.0, 2.0])
-        out = apply_mean_ablation(x, [True, True], x)
+        out = ablate(x, [True, True], MEAN, means=x)
         np.testing.assert_array_equal(out, x)
 
     def test_length_mismatch(self):
         with pytest.raises(AugmentError):
-            apply_mean_ablation([1.0, 2.0], [True], [0.0, 0.0])
+            ablate([1.0, 2.0], [True], MEAN, means=[0.0, 0.0])
+        with pytest.raises(AugmentError):
+            ablate([1.0, 2.0], [True, False], MEAN, means=[0.0])
 
 
 class TestApplyInvertedDropout:
     def test_definition(self):
-        out = apply_inverted_dropout([3.0, 4.0], [True, False], 0.5)
+        out = ablate([3.0, 4.0], [True, False], dropout(0.5))
         np.testing.assert_allclose(out, [0.0, 8.0])
 
     def test_lambda_zero_identity(self):
         x = np.array([3.0, 4.0])
-        mask = make_mask(1, 2, 0.0, seed=0).bits[0]
-        np.testing.assert_array_equal(apply_inverted_dropout(x, mask, 0.0), x)
+        mask = draw_mask(1, 2, 0.0, seed=0)[0]
+        np.testing.assert_array_equal(ablate(x, mask, dropout(0.0)), x)
 
     def test_expectation_preserved(self):
         # Monte-Carlo mean over many masks stays within 3 empirical SEs of x
         x = np.array([2.0, -3.0, 0.5, 7.0])
         lam = 0.35
-        mask = make_mask(100_000, 4, lam, seed=11).bits
-        outs = np.where(mask, 0.0, x / (1 - lam))
+        mask = draw_mask(100_000, 4, lam, seed=11)
+        outs = ablate(np.broadcast_to(x, mask.shape), mask, dropout(lam))
         se = outs.std(axis=0) / np.sqrt(outs.shape[0])
         assert np.all(np.abs(outs.mean(axis=0) - x) <= 3 * se)
 
     def test_rejects_lambda_one(self):
         with pytest.raises(AugmentError):
-            apply_inverted_dropout([1.0], [False], 1.0)
+            ablate([1.0], [False], dropout(1.0))
 
 
 class TestBuildAugmented:
@@ -145,7 +157,7 @@ class TestAugmentedChunks:
         d = synth_correlated(23, 3, 0.4, (1, -1, 2), 1.0, seed=13)
         spec = AugmentSpec(mode, 0.4, 301, seed=14)
         idx = _streams.stream(14, _streams.BOOTSTRAP).integers(0, d.n, size=301)
-        mask = make_mask(301, d.k, 0.4, seed=14).bits
+        mask = draw_mask(301, d.k, 0.4, seed=14)
         if mode == "mean":
             expected = np.where(mask, d.features.mean(axis=0), d.features[idx])
         else:
@@ -192,6 +204,12 @@ class TestAblatedCopy:
     def test_stable_across_calls(self):
         d = synth_correlated(10, 2, 0.0, (1, 1), 1.0, seed=1)
         spec = AugmentSpec("mean", 0.5, 1, seed=3)
-        a = ablated_copy(d, spec, replicas=2)
-        b = ablated_copy(d, spec, replicas=2)
+        means = d.features.mean(axis=0)
+        a = ablated_copy(d, spec, means=means, replicas=2)
+        b = ablated_copy(d, spec, means=means, replicas=2)
         np.testing.assert_array_equal(a.features, b.features)
+
+    def test_mean_mode_requires_means(self):
+        d = synth_correlated(10, 2, 0.0, (1, 1), 1.0, seed=1)
+        with pytest.raises(AugmentError, match="means"):
+            ablated_copy(d, AugmentSpec("mean", 0.5, 1, seed=3))

@@ -202,6 +202,20 @@ class TestSweepAndCrossCheck:
                     "--check", "--out", out])
         assert code == 0  # closed-form depth 0 trend is clean
 
+    def test_report_bytes_do_not_depend_on_the_data_path(self, csv_path, tmp_path):
+        outs = []
+        for where in ("a", "b/c"):
+            data = tmp_path / where / "data.csv"
+            data.parent.mkdir(parents=True)
+            data.write_bytes(csv_path.read_bytes())
+            out = tmp_path / where / "sweep.json"
+            assert run(["sweep", "--mode", "iid", "--data", data, "--response", "y",
+                        "--depths", "0", "--lambdas", "0.0,0.5", "--seeds", "1",
+                        "--format", "json", "--out", out]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["meta"]["dataset"] == "data.csv"
+
 
 class TestConfigFile:
     def test_config_supplies_flags_and_cli_overrides(self, csv_path, tmp_path):

@@ -190,6 +190,38 @@ class TestTrends:
         report = cross_trend_check(sweep, sweep)
         assert report.zero_contrast
 
+    def test_sweep_check_uses_the_mode_s_own_penalty(self):
+        # CCP falls and ML2P rises: a pass under mean ablation, a failure
+        # under dropout, whose own penalty is ML2P
+        ok, problems = self._toy_sweep("mean", [5, 3, 1, -2], [1, 2, 3, 4]).check(-0.8)
+        assert ok and problems == []
+        ok, problems = self._toy_sweep("iid", [5, 3, 1, -2], [1, 2, 3, 4]).check(-0.8)
+        assert not ok
+        assert problems == ["Spearman(lambda, ml2p) = 1.000 at depth 0 (threshold -0.8)"]
+
+    def test_sweep_check_nan_spearman_fails(self):
+        nan = float("nan")
+        ok, problems = self._toy_sweep("mean", [nan] * 4, [1, 2, 3, 4]).check(-0.8)
+        assert not ok
+        assert problems == ["Spearman(lambda, ccp) = nan at depth 0 (threshold -0.8)"]
+
+    def test_cross_check_gate(self):
+        mada = self._toy_sweep("mean", [5, 3, 1, -2], [1, 2, 3, 4])
+        iid = self._toy_sweep("iid", [-8, -4, -2, -1], [4, 3, 2, 1])
+        assert cross_trend_check(mada, iid).check() == (True, [])
+        ml2p_falls = self._toy_sweep("mean", [5, 3, 1, -2], [4, 3, 2, 1])
+        ccp_grows = self._toy_sweep("iid", [-1, -2, -4, -8], [4, 3, 2, 1])
+        ok, problems = cross_trend_check(ml2p_falls, ccp_grows).check()
+        assert not ok
+        assert problems == ["ML2P does not rise with lambda under mean ablation",
+                            "|CCP| does not contract under inverted dropout"]
+
+    def test_zero_contrast_pair_fails_the_gate(self):
+        sweep = self._toy_sweep("mean", [5, 3, 1, -2], [1, 2, 3, 4])
+        ok, problems = cross_trend_check(sweep, sweep).check()
+        assert not ok
+        assert problems[0] == "zero contrast: the two sweeps are identical"
+
     def test_mismatched_shapes_rejected(self):
         a = self._toy_sweep("mean", [1, 2, 3], [1, 2, 3])
         b = self._toy_sweep("iid", [1, 2, 3, 4], [1, 2, 3, 4])

@@ -9,7 +9,6 @@ from ablatereg.linear import LinearModel
 from ablatereg.nn import init, linear_as_mlp
 from ablatereg.penalty import (
     ContributionMatrix,
-    ccp_from_attributions,
     ccp_pairwise,
     ccp_variance_form,
     contribution_covariances,
@@ -168,7 +167,7 @@ class TestCcpFromAttributions:
         direct = ccp_pairwise(contributions_linear(m, X))
         attr = integrated_gradients(linear_as_mlp(beta, 0.4), X,
                                     AttributionConfig(steps=25))
-        via_attr = ccp_from_attributions(as_contributions(attr))
+        via_attr = ccp_variance_form(as_contributions(attr))
         assert abs(direct - via_attr) <= 1e-3 * max(1.0, abs(direct))
 
     def test_depth_zero_network_consistent(self):
@@ -177,7 +176,7 @@ class TestCcpFromAttributions:
         X = rng.normal(size=(40, 3))
         attr = integrated_gradients(net, X, AttributionConfig(steps=10))
         cm = as_contributions(attr)
-        assert abs(ccp_from_attributions(cm) - ccp_pairwise(cm)) <= 1e-6
+        assert abs(ccp_variance_form(cm) - ccp_pairwise(cm)) <= 1e-6
 
     def test_deep_net_variance_form_identity(self):
         rng = np.random.default_rng(9)
