@@ -5,9 +5,13 @@ ablated) it applies either mode, mean substitution or inverted input
 dropout.  Everything else here draws a mask of i.i.d. Bernoulli(lambda)
 entries from its own seeded stream and hands it to :func:`ablate`:
 bootstrap-then-ablate synthetic datasets (:func:`augmented_chunks`, streamed
-block by block, or :func:`build_augmented`, materialized whole), fixed-mask
-validation copies (:func:`ablated_copy`) and fresh per-batch masks for SGD
-training (:func:`batch_masks`).
+block by block), fixed-mask validation copies (:func:`ablated_copy`) and
+fresh per-batch masks for SGD training (:func:`batch_masks`).
+
+Nothing in the package holds a whole synthetic set: the Monte-Carlo checks
+and the ``augment`` command consume :func:`augmented_chunks` one block at a
+time.  :func:`build_augmented` materializes the same draws in one block, for
+callers that want the set as a :class:`~ablatereg.dataset.Dataset`.
 """
 
 from __future__ import annotations
@@ -107,7 +111,8 @@ def augmented_chunks(d: Dataset, spec: AugmentSpec, block_rows: int = BLOCK_ROWS
 def build_augmented(d: Dataset, spec: AugmentSpec) -> Dataset:
     """Materialize the synthetic set of :func:`augmented_chunks` as one
     block of N rows: the same draws as the streamed blocks, all in memory.
-    The Monte-Carlo checks in :mod:`ablatereg.harness` stream instead."""
+    The package itself never calls this: the Monte-Carlo checks in
+    :mod:`ablatereg.harness` and the ``augment`` command stream the blocks."""
     features, response = next(augmented_chunks(d, spec, block_rows=spec.n_synthetic))
     return replace(d, features=features, response=response, n_dropped=0)
 

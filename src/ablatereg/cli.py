@@ -13,6 +13,7 @@ the emitted file byte for byte.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import logging
 import os
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import harness, nn, penalty as penalty_mod
 from .attribution import AttributionConfig, as_contributions, integrated_gradients
-from .augment import AugmentSpec, build_augmented
+from .augment import AugmentSpec, augmented_chunks
 from .dataset import (
     Dataset,
     FeatureStats,
@@ -49,8 +50,13 @@ def _add_data_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--data", help="CSV file with a header row (default: built-in synthetic set)")
     sub.add_argument("--response", help="name of the response column")
     sub.add_argument("--task", choices=["regression", "classification"])
-    sub.add_argument("--test-frac", type=float, dest="test_frac")
-    sub.add_argument("--val-frac", type=float, dest="val_frac")
+
+
+def _add_split_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--test-frac", type=float, dest="test_frac",
+                     help="share of rows held out for testing (default 0.2)")
+    sub.add_argument("--val-frac", type=float, dest="val_frac",
+                     help="share of the other rows held out for validation (default 0.25)")
 
 
 _CONFIG_ALIASES = {"lambda": "lam", "class": "class_index", "format": "fmt"}
@@ -185,12 +191,12 @@ def cmd_augment(args) -> int:
     _defaults(args, lam=0.0, n=10000, seed=0)
     d = _load_dataset(args, lambda: _default_theorem_data(args.seed))
     spec = AugmentSpec(mode=args.mode, lam=args.lam, n_synthetic=args.n, seed=args.seed)
-    aug = build_augmented(d, spec)
-    response_name = args.response or "y"
-    header = list(aug.column_names) + [response_name]
-    rows = np.column_stack([aug.features, aug.response]).tolist()
-    harness.write_text(args.out, harness._csv_lines(header, rows))
-    logger.info("wrote %d augmented rows to %s", aug.n, args.out)
+    header = ",".join(list(d.column_names) + [args.response or "y"]) + "\n"
+    # One block of draws in memory at a time, written as it is formatted.
+    blocks = (harness._matrix_lines(np.column_stack(block))
+              for block in augmented_chunks(d, spec))
+    harness.write_text(args.out, itertools.chain([header], blocks))
+    logger.info("wrote %d augmented rows to %s", spec.n_synthetic, args.out)
     return 0
 
 
@@ -304,9 +310,9 @@ def cmd_attribute(args) -> int:
 
     header = ([f"attr_{c}" for c in d.column_names]
               + [f"avggrad_{c}" for c in d.column_names] + ["completeness_gap"])
-    rows = np.column_stack([result.attributions, result.avg_gradients,
-                            result.completeness_gap]).tolist()
-    harness.write_text(args.out, harness._csv_lines(header, rows))
+    matrix = np.column_stack([result.attributions, result.avg_gradients,
+                              result.completeness_gap])
+    harness.write_text(args.out, [",".join(header) + "\n", harness._matrix_lines(matrix)])
     logger.info("wrote attributions for %d rows to %s", d.n, args.out)
     return 0
 
@@ -326,8 +332,8 @@ def cmd_converge(args) -> int:
 
 def cmd_sweep(args) -> int:
     _defaults(args, depths="0,1,3", lambdas="0:0.9:0.1", seeds="5", seed=0, fmt="csv",
-              epochs=200, batch_size=256, hidden_width=100, steps=100,
-              spearman_threshold=-0.8)
+              test_frac=0.2, val_frac=0.25, epochs=200, batch_size=256,
+              hidden_width=100, steps=100, spearman_threshold=-0.8)
     d = _load_dataset(args, lambda: _default_sweep_data(args.seed))
     cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch_size)
     sweep = harness.lambda_sweep(
@@ -340,6 +346,7 @@ def cmd_sweep(args) -> int:
         dataset_id=os.path.basename(args.data) if args.data else "synthetic",
         hidden_width=args.hidden_width,
         attribution_steps=args.steps,
+        split_spec=SplitSpec(args.test_frac, args.val_frac),
     )
     harness.emit_report(sweep, args.fmt, args.out)
     logger.info("wrote sweep report to %s", args.out)
@@ -383,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("augment", help="materialize a bootstrap-ablated synthetic CSV")
+    p = sub.add_parser("augment", help="write a bootstrap-ablated synthetic CSV")
     common(p)
     p.add_argument("--mode", choices=["mean", "iid"], required=True)
     p.add_argument("--lambda", type=float, dest="lam")
@@ -402,6 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a feed-forward network")
     common(p)
+    _add_split_flags(p)
     p.add_argument("--depth", type=int)
     p.add_argument("--mode", choices=["none", "mean", "iid"])
     p.add_argument("--lambda", type=float, dest="lam")
@@ -435,6 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="lambda sweep of penalties on trained models")
     common(p)
+    _add_split_flags(p)
     p.add_argument("--mode", choices=["mean", "iid"], required=True)
     p.add_argument("--depths", help="comma list of hidden-layer counts")
     p.add_argument("--lambdas", help="start:stop:step or comma list")

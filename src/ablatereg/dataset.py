@@ -12,6 +12,7 @@ import csv
 import logging
 import math
 from dataclasses import dataclass, field, replace
+from itertools import compress
 
 import numpy as np
 
@@ -143,22 +144,64 @@ def feature_stats(d: Dataset | np.ndarray) -> FeatureStats:
     return FeatureStats(means=means, variances=variances, response_mean=response_mean)
 
 
-def _parse_float(token: str) -> float | None:
+def _float_or_nan(token: str) -> float:
     try:
-        value = float(token)
+        return float(token)
     except ValueError:
-        return None
-    return value if math.isfinite(value) else None
+        return math.nan
+
+
+def _scan_column(cells) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
+    """Strip, parse and test for a missing token each cell of one column,
+    once: ``(stripped, values, parsed, missing)``.
+
+    ``values`` holds Python ``float()`` of each stripped cell (NaN where it
+    does not parse) and ``parsed`` marks the finite ones, the only usable
+    numbers.  No missing token parses to a finite number, so only the cells
+    that do not parse are tested against the tokens.
+    """
+    stripped = [cell.strip() for cell in cells]
+    values = np.fromiter(map(_float_or_nan, stripped), np.float64, len(stripped))
+    parsed = np.isfinite(values)
+    missing = np.zeros(len(stripped), dtype=bool)
+    unparsed = np.flatnonzero(~parsed)
+    missing[unparsed] = [stripped[i].lower() in _MISSING_TOKENS for i in unparsed.tolist()]
+    return stripped, values, parsed, missing
+
+
+def _category_codes(values: list[str]) -> tuple[tuple[str, ...], list[int]]:
+    """The sorted distinct values, and each value's index among them."""
+    cats = tuple(sorted(set(values)))
+    code = {c: i for i, c in enumerate(cats)}
+    return cats, [code[v] for v in values]
 
 
 def load_csv(path, response_column: str, task: str = REGRESSION) -> Dataset:
     """Load a comma-delimited file with a header row into a :class:`Dataset`.
 
-    Columns whose non-missing values mostly parse as floats become numeric;
-    the rest become categorical (stored as integer codes over the sorted
-    category list; expand with :func:`one_hot_encode`).  Rows with missing
-    values, unparseable numeric cells, or the wrong cell count are dropped,
-    and the drop count is recorded on the returned dataset.
+    Ingestion rules:
+
+    * Header names and cells are stripped of surrounding whitespace.  Rows
+      whose cells are all blank are skipped and not counted as dropped.
+    * A row with a cell count other than the header's is dropped.
+    * A cell is missing when, lower-cased, it is one of ``""``, ``na``,
+      ``n/a``, ``nan``, ``null``, ``none`` or ``?``.
+    * A cell is a number when Python ``float()`` accepts it (so ``1_000`` and
+      ``1e3`` are numbers) and the result is finite; ``inf`` and ``nan`` are
+      not usable numbers.
+    * A feature column is numeric when at least half of its non-missing
+      cells (counted over the rows of the right width) are numbers;
+      otherwise it is categorical, stored as integer codes over the sorted
+      category list (expand with :func:`one_hot_encode`).  A column with no
+      non-missing cell is an error, and so is a categorical column with more
+      than 10,000 categories.
+    * A row is dropped when any feature cell is missing, a numeric column's
+      cell is not a number, or the response is missing; for regression also
+      when the response is not a number.  Classification labels are any
+      non-missing strings, coded over their sorted list.
+
+    The number of dropped rows is logged as a warning and recorded on the
+    returned dataset as ``n_dropped``.
     """
     if task not in (REGRESSION, CLASSIFICATION):
         raise DatasetError(f"unknown task {task!r}")
@@ -168,7 +211,7 @@ def load_csv(path, response_column: str, task: str = REGRESSION) -> Dataset:
             header = [name.strip() for name in next(reader)]
         except StopIteration:
             raise DatasetError("empty file: no header row") from None
-        raw_rows = [row for row in reader if any(cell.strip() for cell in row)]
+        raw_rows = [row for row in reader if "".join(row).strip()]
     if response_column not in header:
         raise DatasetError(f"response column not found: {response_column!r}")
     if not raw_rows:
@@ -178,53 +221,32 @@ def load_csv(path, response_column: str, task: str = REGRESSION) -> Dataset:
     resp_idx = header.index(response_column)
     feat_idx = [j for j in range(width) if j != resp_idx]
 
-    n_dropped = 0
-    rows = []
-    for row in raw_rows:
-        if len(row) != width:
-            n_dropped += 1
-            continue
-        rows.append([cell.strip() for cell in row])
+    rows = [row for row in raw_rows if len(row) == width]
+    n_dropped = len(raw_rows) - len(rows)
     if not rows:
         raise DatasetError("all rows dropped during ingestion")
-
-    def is_missing(token: str) -> bool:
-        return token.lower() in _MISSING_TOKENS
+    columns = [_scan_column(cells) for cells in zip(*rows)]
 
     # Column kind by majority vote over non-missing cells: a column that is
     # numeric apart from stray bad cells stays numeric (bad rows get dropped).
+    keep = np.ones(len(rows), dtype=bool)
     numeric_col: dict[int, bool] = {}
     for j in feat_idx:
-        values = [row[j] for row in rows if not is_missing(row[j])]
-        if not values:
+        _, _, parsed, missing = columns[j]
+        n_present = len(rows) - int(np.count_nonzero(missing))
+        if not n_present:
             raise DatasetError(f"column {header[j]!r} has no usable values")
-        parsed = sum(_parse_float(v) is not None for v in values)
-        numeric_col[j] = parsed >= 0.5 * len(values)
-
-    kept: list[list[str]] = []
-    for row in rows:
-        ok = True
-        for j in feat_idx:
-            if is_missing(row[j]):
-                ok = False
-                break
-            if numeric_col[j] and _parse_float(row[j]) is None:
-                ok = False
-                break
-        if ok and is_missing(row[resp_idx]):
-            ok = False
-        if ok and task == REGRESSION and _parse_float(row[resp_idx]) is None:
-            ok = False
-        if ok:
-            kept.append(row)
-        else:
-            n_dropped += 1
-    if not kept:
+        numeric_col[j] = int(np.count_nonzero(parsed)) >= 0.5 * n_present
+        keep &= parsed if numeric_col[j] else ~missing
+    resp_cells, resp_values, resp_parsed, resp_missing = columns[resp_idx]
+    keep &= resp_parsed if task == REGRESSION else ~resp_missing
+    n = int(np.count_nonzero(keep))
+    n_dropped += len(rows) - n
+    if not n:
         raise DatasetError("all rows dropped during ingestion")
     if n_dropped:
         logger.warning("load_csv(%s): dropped %d unusable row(s)", path, n_dropped)
 
-    n = len(kept)
     features = np.empty((n, len(feat_idx)))
     kinds = []
     names = []
@@ -232,28 +254,26 @@ def load_csv(path, response_column: str, task: str = REGRESSION) -> Dataset:
     for col, j in enumerate(feat_idx):
         name = header[j]
         names.append(name)
+        stripped, values, _, _ = columns[j]
         if numeric_col[j]:
-            features[:, col] = [_parse_float(row[j]) for row in kept]
+            features[:, col] = values[keep]
             kinds.append(NUMERIC)
         else:
-            values = [row[j] for row in kept]
-            cats = tuple(sorted(set(values)))
+            cats, codes = _category_codes(list(compress(stripped, keep.tolist())))
             if len(cats) > _MAX_CATEGORIES:
                 raise DatasetError(
                     f"column {name!r} has {len(cats)} distinct values; "
                     "looks like an identifier, not a categorical feature"
                 )
-            code = {c: i for i, c in enumerate(cats)}
-            features[:, col] = [code[v] for v in values]
+            features[:, col] = codes
             kinds.append(CATEGORICAL)
             categories[name] = cats
 
     if task == REGRESSION:
-        response = np.array([_parse_float(row[resp_idx]) for row in kept])
+        response = resp_values[keep]
     else:
-        labels = sorted({row[resp_idx] for row in kept})
-        code = {c: i for i, c in enumerate(labels)}
-        response = np.array([code[row[resp_idx]] for row in kept], dtype=np.float64)
+        _, codes = _category_codes(list(compress(resp_cells, keep.tolist())))
+        response = np.array(codes, dtype=np.float64)
 
     return Dataset(
         features=features,

@@ -6,13 +6,24 @@ and deterministic CSV/JSON report emission.
 The Monte-Carlo checks never hold a synthetic set in memory.  They stream it
 block by block from :func:`~ablatereg.augment.augmented_chunks` into centered
 sufficient statistics of ``[X | y]``, and solve OLS from those; the random
-draws are the ones :func:`~ablatereg.augment.build_augmented` makes.
+draws are the ones :func:`~ablatereg.augment.build_augmented` makes.  The
+``augment`` command streams the same blocks to disk through
+:func:`_matrix_lines` and :func:`write_text`, so nothing here materializes a
+synthetic set.
+
+Every file the package writes goes through :func:`write_text`, which writes
+atomically.  Numeric CSV bodies are formatted by :func:`_matrix_lines`, which
+formats a repeated value once; the small mixed-type reports use
+:func:`_csv_lines`.  Both write each float as its ``repr``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
+import secrets
 from dataclasses import dataclass, field, replace as dc_replace
 
 import numpy as np
@@ -356,6 +367,7 @@ def lambda_sweep(
     hidden_width: int = 100,
     attribution_steps: int = 100,
     depth0_closed_form: bool = True,
+    split_spec: SplitSpec = SplitSpec(),
 ) -> SweepResult:
     """Train one model per (depth, lambda, seed), then score the test split:
     the task metric, CCP from integrated gradients (zero baseline on the
@@ -366,7 +378,8 @@ def lambda_sweep(
     ``depth0_closed_form=False`` to train them with SGD instead.  Each seed
     drives the split, the initialization, the shuffling and the ablation
     masks; failed cells are recorded with their error instead of aborting
-    the sweep.
+    the sweep.  ``split_spec`` gives the test and validation fractions; its
+    own seed is ignored in favour of each sweep seed.
     """
     cfg = cfg or TrainConfig()
     depths = tuple(int(v) for v in depths)
@@ -391,7 +404,7 @@ def lambda_sweep(
         hidden_width=hidden_width,
     )
     for seed in seeds:
-        d_train, d_val, d_test = split(d, SplitSpec(seed=seed))
+        d_train, d_val, d_test = split(d, dc_replace(split_spec, seed=seed))
         d_train, stats = standardize(d_train)
         d_val, _ = standardize(d_val, stats)
         d_test, _ = standardize(d_test, stats)
@@ -567,6 +580,28 @@ def _csv_lines(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _matrix_lines(matrix: np.ndarray) -> str:
+    """CSV body lines of a float matrix, one per row: the bytes
+    :func:`_csv_lines` writes for ``matrix.tolist()``, without its header.
+
+    When at most half the cells hold distinct float64 bit patterns (a
+    bootstrap resample holds at most n*(k+1)+k), each distinct value is
+    formatted once and its text gathered back into place; keying on bits
+    keeps ``0.0`` and ``-0.0`` apart.  A matrix of mostly distinct values is
+    formatted cell by cell, converting one row to Python floats at a time.
+    """
+    matrix = np.ascontiguousarray(matrix, dtype=np.float64)
+    bits, inverse = np.unique(matrix.view(np.int64).ravel(), return_inverse=True)
+    if 2 * bits.size > matrix.size:
+        return "".join([",".join(map(repr, row.tolist())) + "\n" for row in matrix])
+    text = [repr(v) for v in bits.view(np.float64).tolist()]
+    # each distinct value ending in a comma, and again ending the row
+    cells = np.array([t + "," for t in text] + [t + "\n" for t in text], dtype=object)
+    index = inverse.reshape(matrix.shape)
+    index[:, -1] += len(text)
+    return "".join(cells[index.ravel()].tolist())
+
+
 def _stderr(values: np.ndarray) -> float:
     values = values[np.isfinite(values)]
     if values.size <= 1:
@@ -684,11 +719,35 @@ def emit_report(result, fmt: str = "csv", path=None):
     return path
 
 
-def write_text(path, text: str) -> None:
-    """Write ``text`` to ``path`` as UTF-8, newlines as given.  Every report,
-    model and checkpoint file the package writes goes through here."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+def write_text(path, text) -> None:
+    """Write ``text``, a string or an iterable of string chunks, to ``path``
+    as UTF-8, newlines as given.  Every report, model and checkpoint file the
+    package writes goes through here.
+
+    The write is atomic: the chunks go to a new file in the target's
+    directory, which then replaces ``path``.  If anything fails on the way,
+    the new file is removed and ``path`` is left as it was.  A symbolic link
+    is followed, so the file it names is replaced and the link kept; a
+    target that exists but is no regular file (a pipe or a terminal, such as
+    ``/dev/stdout``) is written in place.
+    """
+    if isinstance(text, str):
+        text = (text,)
+    path = os.path.realpath(path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(text)
+        return
+    directory, name = os.path.split(path)
+    tmp = os.path.join(directory, f".{name}.{secrets.token_hex(6)}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8", newline="") as fh:
+            fh.writelines(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def sweep_from_payload(payload: dict) -> SweepResult:

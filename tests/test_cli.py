@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from ablatereg import harness
+from ablatereg.augment import BLOCK_ROWS, AugmentSpec, build_augmented
 from ablatereg.cli import main
 from ablatereg.dataset import load_csv, synth_correlated
 from ablatereg.linear import fit_ols
@@ -68,6 +70,18 @@ class TestAugmentCommand:
         lines = out1.read_text().strip().split("\n")
         assert len(lines) == 201
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("mode", ["mean", "iid"])
+    def test_streamed_output_equals_materialized_set_across_blocks(
+            self, csv_path, tmp_path, mode):
+        n = 3 * BLOCK_ROWS + 17
+        out = tmp_path / "aug.csv"
+        assert run(["augment", "--mode", mode, "--lambda", "0.4", "--n", n, "--seed", "5",
+                    "--data", csv_path, "--response", "y", "--out", out]) == 0
+        aug = build_augmented(load_csv(csv_path, "y"), AugmentSpec(mode, 0.4, n, 5))
+        rows = np.column_stack([aug.features, aug.response]).tolist()
+        expected = harness._csv_lines(list(aug.column_names) + ["y"], rows)
+        assert out.read_text() == expected
 
     def test_augmented_file_loads_back(self, csv_path, tmp_path):
         out = tmp_path / "aug.csv"
@@ -215,6 +229,35 @@ class TestSweepAndCrossCheck:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
         assert json.loads(outs[0])["meta"]["dataset"] == "data.csv"
+
+
+class TestSplitFlags:
+    def sweep(self, csv_path, out, *extra):
+        assert run(["sweep", "--mode", "mean", "--data", csv_path, "--response", "y",
+                    "--depths", "0", "--lambdas", "0.0,0.5", "--seeds", "2",
+                    *extra, "--out", out]) == 0
+        return out.read_bytes()
+
+    def test_sweep_reads_the_split_fractions(self, csv_path, tmp_path):
+        default = self.sweep(csv_path, tmp_path / "default.csv")
+        explicit = self.sweep(csv_path, tmp_path / "explicit.csv",
+                              "--test-frac", "0.2", "--val-frac", "0.25")
+        changed = self.sweep(csv_path, tmp_path / "changed.csv",
+                             "--test-frac", "0.6", "--val-frac", "0.5")
+        assert explicit == default
+        assert changed != default
+
+    @pytest.mark.parametrize("command", [
+        ["fit"], ["augment", "--mode", "mean"], ["penalty", "--model", "m.json"],
+        ["attribute", "--model", "m.json"], ["converge", "--theorem", "1"],
+    ])
+    def test_commands_without_a_split_reject_the_flags(self, csv_path, tmp_path, command):
+        for flag in ("--test-frac", "--val-frac"):
+            with pytest.raises(SystemExit) as exc:
+                run([*command, "--data", csv_path, "--response", "y", flag, "0.9",
+                     "--out", tmp_path / "out"])
+            assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
 
 
 class TestConfigFile:

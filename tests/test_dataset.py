@@ -1,9 +1,17 @@
+import csv
+import logging
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ablatereg.dataset import (
+    CATEGORICAL,
+    CLASSIFICATION,
+    NUMERIC,
+    REGRESSION,
     Dataset,
     DatasetError,
     SplitSpec,
@@ -83,6 +91,224 @@ class TestLoadCsv:
         path.write_text("a,y\n1,yes\n2,no\n3,yes\n")
         d = load_csv(path, "y", task="classification")
         np.testing.assert_allclose(d.response, [1, 0, 1])  # no < yes
+
+
+class TestIngestionRules:
+    """One case per rule of the load_csv docstring."""
+
+    def load(self, tmp_path, text, response="y", task=REGRESSION):
+        path = tmp_path / "rules.csv"
+        path.write_text(text)
+        return load_csv(path, response, task)
+
+    def test_missing_tokens_are_case_insensitive(self, tmp_path):
+        d = self.load(tmp_path, "a,y\n1,1\nNA,2\nNull,3\nnOnE,4\nN/a,5\nNaN,6\n?,7\n8,8\n")
+        np.testing.assert_array_equal(d.features[:, 0], [1, 8])
+        assert d.n_dropped == 6
+
+    def test_inf_and_nan_cells_are_unusable(self, tmp_path):
+        d = self.load(tmp_path, "a,y\n1,1\ninf,2\n-Infinity,3\n1e400,4\n5,nan\n6,inf\n7,7\n")
+        np.testing.assert_array_equal(d.features[:, 0], [1, 7])
+        assert d.n_dropped == 5
+
+    def test_underscored_digits_parse_as_python_float_does(self, tmp_path):
+        d = self.load(tmp_path, "a,y\n1_000,1\n2,2_5\n")
+        np.testing.assert_array_equal(d.features[:, 0], [1000.0, 2.0])
+        np.testing.assert_array_equal(d.response, [1.0, 25.0])
+        assert d.column_kinds == (NUMERIC,)
+
+    def test_padded_whitespace_is_stripped(self, tmp_path):
+        d = self.load(tmp_path, " a , g ,y \n 1.5 , red ,\t2\n3, blue,4 \n5,red , na \n")
+        assert d.column_names == ("a", "g")
+        np.testing.assert_array_equal(d.features, [[1.5, 1.0], [3.0, 0.0]])
+        np.testing.assert_array_equal(d.response, [2.0, 4.0])
+        assert d.categories == {"g": ("blue", "red")}
+        assert d.n_dropped == 1
+
+    def test_blank_lines_are_skipped_not_dropped(self, tmp_path):
+        d = self.load(tmp_path, "a,y\n1,2\n\n  \n , \t\n3,4\n\n")
+        assert d.n == 2 and d.n_dropped == 0
+
+    def test_short_and_long_rows_are_dropped(self, tmp_path):
+        d = self.load(tmp_path, "a,b,y\n1,2,3\n4,5\n6,7,8,9\n10,11,12\n")
+        np.testing.assert_array_equal(d.features, [[1, 2], [10, 11]])
+        assert d.n_dropped == 2
+
+    def test_column_at_half_unparseable_is_numeric(self, tmp_path):
+        # two numbers, two words and a missing token: 2 >= 0.5 * 4
+        d = self.load(tmp_path, "a,y\n1,1\nx,2\n2,3\ny,4\n?,5\n")
+        assert d.column_kinds == (NUMERIC,)
+        np.testing.assert_array_equal(d.features[:, 0], [1, 2])
+        assert d.n_dropped == 3
+
+    def test_column_above_half_unparseable_is_categorical(self, tmp_path):
+        # one number, two words: 1 < 0.5 * 3, so every present cell is a category
+        d = self.load(tmp_path, "a,y\n1,1\nx,2\ny,3\nNA,4\n")
+        assert d.column_kinds == (CATEGORICAL,)
+        assert d.categories == {"a": ("1", "x", "y")}
+        np.testing.assert_array_equal(d.features[:, 0], [0, 1, 2])
+        assert d.n_dropped == 1
+
+    def test_classification_labels_need_not_parse(self, tmp_path):
+        d = self.load(tmp_path, "a,y\n1,cat\n2,3.5\n3,NA\n4,dog\n5,cat\n",
+                      task=CLASSIFICATION)
+        np.testing.assert_array_equal(d.response, [1, 0, 2, 1])  # "3.5" < "cat" < "dog"
+        assert d.n_dropped == 1
+
+    def test_regression_response_must_parse(self, tmp_path):
+        d = self.load(tmp_path, "a,y\n1,cat\n2,3.5\n")
+        np.testing.assert_array_equal(d.response, [3.5])
+        assert d.n_dropped == 1
+
+    def test_column_with_only_missing_cells_is_an_error(self, tmp_path):
+        with pytest.raises(DatasetError, match="'a' has no usable values"):
+            self.load(tmp_path, "a,y\nNA,1\n,2\n")
+
+    def test_all_rows_dropped_is_an_error(self, tmp_path):
+        with pytest.raises(DatasetError, match="all rows dropped"):
+            self.load(tmp_path, "a,y\n1,2,3\n4\n")
+        with pytest.raises(DatasetError, match="all rows dropped"):
+            self.load(tmp_path, "a,b,y\n1,NA,3\nNA,2,4\n")
+
+    def test_drop_count_is_logged(self, tmp_path, caplog):
+        with caplog.at_level(logging.WARNING, logger="ablatereg.dataset"):
+            self.load(tmp_path, "a,y\n1,2\nx,3\n4,5\n6\n")
+        assert "dropped 2 unusable row(s)" in caplog.text
+
+
+# The three-pass parser load_csv replaced, kept as the reference for the
+# single-pass one: every cell is stripped, tested for a missing token and
+# parsed where each rule needs it.
+_REF_MISSING = {"", "na", "n/a", "nan", "null", "none", "?"}
+
+
+def _ref_parse_float(token):
+    try:
+        value = float(token)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def reference_load_csv(path, response_column, task):
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = [name.strip() for name in next(reader)]
+        except StopIteration:
+            raise DatasetError("empty file: no header row") from None
+        raw_rows = [row for row in reader if any(cell.strip() for cell in row)]
+    if response_column not in header:
+        raise DatasetError(f"response column not found: {response_column!r}")
+    if not raw_rows:
+        raise DatasetError("empty file: no data rows")
+    width = len(header)
+    resp_idx = header.index(response_column)
+    feat_idx = [j for j in range(width) if j != resp_idx]
+    n_dropped = 0
+    rows = []
+    for row in raw_rows:
+        if len(row) != width:
+            n_dropped += 1
+            continue
+        rows.append([cell.strip() for cell in row])
+    if not rows:
+        raise DatasetError("all rows dropped during ingestion")
+
+    def is_missing(token):
+        return token.lower() in _REF_MISSING
+
+    numeric_col = {}
+    for j in feat_idx:
+        values = [row[j] for row in rows if not is_missing(row[j])]
+        if not values:
+            raise DatasetError(f"column {header[j]!r} has no usable values")
+        parsed = sum(_ref_parse_float(v) is not None for v in values)
+        numeric_col[j] = parsed >= 0.5 * len(values)
+    kept = []
+    for row in rows:
+        ok = True
+        for j in feat_idx:
+            if is_missing(row[j]):
+                ok = False
+                break
+            if numeric_col[j] and _ref_parse_float(row[j]) is None:
+                ok = False
+                break
+        if ok and is_missing(row[resp_idx]):
+            ok = False
+        if ok and task == REGRESSION and _ref_parse_float(row[resp_idx]) is None:
+            ok = False
+        if ok:
+            kept.append(row)
+        else:
+            n_dropped += 1
+    if not kept:
+        raise DatasetError("all rows dropped during ingestion")
+    features = np.empty((len(kept), len(feat_idx)))
+    kinds, names, categories = [], [], {}
+    for col, j in enumerate(feat_idx):
+        names.append(header[j])
+        if numeric_col[j]:
+            features[:, col] = [_ref_parse_float(row[j]) for row in kept]
+            kinds.append(NUMERIC)
+        else:
+            values = [row[j] for row in kept]
+            cats = tuple(sorted(set(values)))
+            code = {c: i for i, c in enumerate(cats)}
+            features[:, col] = [code[v] for v in values]
+            kinds.append(CATEGORICAL)
+            categories[header[j]] = cats
+    if task == REGRESSION:
+        response = np.array([_ref_parse_float(row[resp_idx]) for row in kept])
+    else:
+        labels = sorted({row[resp_idx] for row in kept})
+        code = {c: i for i, c in enumerate(labels)}
+        response = np.array([code[row[resp_idx]] for row in kept], dtype=np.float64)
+    return Dataset(features=features, response=response, column_names=tuple(names),
+                   column_kinds=tuple(kinds), task=task, categories=categories,
+                   n_dropped=n_dropped)
+
+
+_CELLS = st.one_of(
+    st.sampled_from(["", " ", "NA", "na", "N/A", "NaN", "nan", "null", "None", "?",
+                     "inf", "-inf", "1e400", "1_000", "red", "blue", "x", " 2 ",
+                     "0", "-0.0", "1e-5", "\t3.25"]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-5, 5).map(str),
+    st.text(alphabet="ab1.-_ e", max_size=4),
+)
+
+
+def _outcome(fn, path, response, task):
+    try:
+        d = fn(path, response, task)
+    except DatasetError as err:
+        return ("error", str(err))
+    return (d.features.tobytes(), d.features.shape, d.response.tobytes(), d.column_names,
+            d.column_kinds, d.categories, d.n_dropped)
+
+
+class TestLoadCsvMatchesThreePassReference:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        width=st.integers(1, 4),
+        rows=st.lists(st.lists(_CELLS, min_size=0, max_size=5), min_size=0, max_size=12),
+        data=st.data(),
+    )
+    def test_messy_files(self, tmp_path, width, rows, data):
+        header = [f"c{j}" for j in range(width - 1)] + ["y"]
+        text = "\n".join(",".join(row) for row in [header] + rows) + "\n"
+        path = tmp_path / "messy.csv"
+        path.write_text(text, encoding="utf-8")
+        task = data.draw(st.sampled_from([REGRESSION, CLASSIFICATION]))
+        logging.disable(logging.WARNING)
+        try:
+            assert _outcome(load_csv, path, "y", task) == _outcome(
+                reference_load_csv, path, "y", task)
+        finally:
+            logging.disable(logging.NOTSET)
 
 
 class TestOneHot:

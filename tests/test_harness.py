@@ -1,11 +1,13 @@
 import json
+import os
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ablatereg.augment import BLOCK_ROWS, AugmentSpec, build_augmented
-from ablatereg.dataset import synth_correlated
+from ablatereg.dataset import SplitSpec, synth_correlated
 from ablatereg.harness import (
     SweepCell,
     SweepResult,
@@ -18,6 +20,9 @@ from ablatereg.harness import (
     penalty_trend,
     render_report,
     sweep_from_payload,
+    write_text,
+    _csv_lines,
+    _matrix_lines,
     _moment_limits,
     _streamed_moments,
 )
@@ -161,6 +166,16 @@ class TestLambdaSweep:
         with pytest.raises(ValueError):
             lambda_sweep(small_data, [0], "mean", [0.0, 1.0], seeds=(0,))
 
+    def test_split_spec_sets_the_fractions(self, small_data):
+        def sweep(**kw):
+            return render_report(lambda_sweep(small_data, [0], "mean", (0.0, 0.4),
+                                              seeds=(0, 1), dataset_id="s", **kw))
+
+        default = sweep()
+        # the seed field is replaced by each sweep seed
+        assert sweep(split_spec=SplitSpec(0.2, 0.25, seed=7)) == default
+        assert sweep(split_spec=SplitSpec(0.5, 0.25)) != default
+
 
 class TestTrends:
     def _toy_sweep(self, mode, ccp_values, ml2p_values):
@@ -275,6 +290,87 @@ class TestEmitReport:
         run = converge_theorem1(small_data, 0.2, (500, 1000), seeds=(0,))
         with pytest.raises(ValueError):
             render_report(run, "yaml")
+
+
+class TestMatrixLines:
+    def reference(self, matrix):
+        header = [f"c{j}" for j in range(matrix.shape[1])]
+        return _csv_lines(header, matrix.tolist()), ",".join(header) + "\n"
+
+    @pytest.mark.parametrize("matrix", [
+        np.array([[0.0, -0.0, 5e-324, 1e16], [1e-5, 1 / 3, -0.0, 0.0],
+                  [1 / 3, 1e16, 5e-324, -1e-5], [0.0, 0.0, 0.0, 0.0]]),
+        np.array([[1.5, -2.25, 1e300, -5e-324, 0.1]]),
+        np.array([[np.nan, np.inf, -np.inf], [-np.nan, 2.0, -0.0]]),
+        np.random.default_rng(3).standard_normal((40, 3))[
+            np.random.default_rng(4).integers(0, 40, 500)],
+        np.random.default_rng(5).standard_normal((7, 6)).T,  # not C-contiguous
+        np.empty((0, 3)),
+    ], ids=["special-values-shared-text", "one-row-cell-by-cell", "nonfinite-cell-by-cell",
+            "bootstrap-shared-text", "transposed-cell-by-cell", "empty"])
+    def test_bytes_equal_csv_lines(self, matrix):
+        expected, header = self.reference(matrix)
+        assert header + _matrix_lines(matrix) == expected
+
+    def test_signed_zeros_stay_apart(self):
+        assert _matrix_lines(np.array([[0.0, -0.0], [-0.0, 0.0]])) == "0.0,-0.0\n-0.0,0.0\n"
+
+
+class TestWriteText:
+    def test_string_and_chunks_write_the_same_bytes(self, tmp_path):
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        write_text(a, "x,y\n1,2\r\n")
+        write_text(b, iter(["x,y\n", "1,", "2\r\n"]))
+        assert a.read_bytes() == b.read_bytes() == b"x,y\n1,2\r\n"
+
+    def test_replaces_an_existing_file(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("old contents that are longer\n")
+        write_text(path, "new\n")
+        assert path.read_text() == "new\n"
+
+    def test_failure_leaves_the_old_file_and_no_partial_file(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("old\n")
+
+        def chunks():
+            yield "partial\n"
+            raise RuntimeError("formatter failed")
+
+        with pytest.raises(RuntimeError, match="formatter failed"):
+            write_text(path, chunks())
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    def test_a_symlink_is_kept_and_its_target_replaced(self, tmp_path):
+        target = tmp_path / "target.csv"
+        target.write_text("old\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        write_text(link, "new\n")
+        assert link.is_symlink() and target.read_text() == "new\n"
+
+    def test_a_pipe_is_written_in_place(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()),
+                                  daemon=True)
+        reader.start()
+        write_text(fifo, iter(["a,b\n", "1,2\n"]))
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert received == [b"a,b\n1,2\n"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pipe"]
+
+    def test_failure_on_a_new_path_creates_nothing(self, tmp_path):
+        def chunks():
+            raise RuntimeError("no data")
+            yield ""
+
+        with pytest.raises(RuntimeError):
+            write_text(tmp_path / "new.csv", chunks())
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestConvergenceOracleAtLambdaZero:
