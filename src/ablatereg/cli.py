@@ -52,13 +52,6 @@ def _add_data_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--task", choices=["regression", "classification"])
 
 
-def _add_split_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--test-frac", type=float, dest="test_frac",
-                     help="share of rows held out for testing (default 0.2)")
-    sub.add_argument("--val-frac", type=float, dest="val_frac",
-                     help="share of the other rows held out for validation (default 0.25)")
-
-
 _CONFIG_ALIASES = {"lambda": "lam", "class": "class_index", "format": "fmt"}
 
 
@@ -243,10 +236,13 @@ def cmd_penalty(args) -> int:
 
 
 def cmd_train(args) -> int:
-    _defaults(args, depth=1, lam=0.0, mode="none", seed=0, test_frac=0.2, val_frac=0.25,
+    _defaults(args, depth=1, lam=0.0, mode="none", seed=0,
               epochs=200, batch_size=256, hidden_width=100, learning_rate=1e-3)
     d = _load_dataset(args, lambda: _default_sweep_data(args.seed))
-    d_train, d_val, d_test = split(d, SplitSpec(args.test_frac, args.val_frac, args.seed))
+    # fractions not given keep SplitSpec's defaults
+    given = {"test_fraction": args.test_frac, "validation_fraction_of_train": args.val_frac}
+    spec = SplitSpec(seed=args.seed, **{k: v for k, v in given.items() if v is not None})
+    d_train, d_val, d_test = split(d, spec)
     d_train, stats = standardize(d_train)
     d_val, _ = standardize(d_val, stats)
     d_test, _ = standardize(d_test, stats)
@@ -332,8 +328,8 @@ def cmd_converge(args) -> int:
 
 def cmd_sweep(args) -> int:
     _defaults(args, depths="0,1,3", lambdas="0:0.9:0.1", seeds="5", seed=0, fmt="csv",
-              test_frac=0.2, val_frac=0.25, epochs=200, batch_size=256,
-              hidden_width=100, steps=100, spearman_threshold=-0.8)
+              epochs=200, batch_size=256, hidden_width=100, steps=100,
+              spearman_threshold=-0.8)
     d = _load_dataset(args, lambda: _default_sweep_data(args.seed))
     cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch_size)
     sweep = harness.lambda_sweep(
@@ -346,7 +342,6 @@ def cmd_sweep(args) -> int:
         dataset_id=os.path.basename(args.data) if args.data else "synthetic",
         hidden_width=args.hidden_width,
         attribution_steps=args.steps,
-        split_spec=SplitSpec(args.test_frac, args.val_frac),
     )
     harness.emit_report(sweep, args.fmt, args.out)
     logger.info("wrote sweep report to %s", args.out)
@@ -409,7 +404,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a feed-forward network")
     common(p)
-    _add_split_flags(p)
+    p.add_argument("--test-frac", type=float, dest="test_frac",
+                   help=f"share of rows held out for testing (default {SplitSpec.test_fraction})")
+    p.add_argument("--val-frac", type=float, dest="val_frac",
+                   help="share of the other rows held out for validation "
+                        f"(default {SplitSpec.validation_fraction_of_train})")
     p.add_argument("--depth", type=int)
     p.add_argument("--mode", choices=["none", "mean", "iid"])
     p.add_argument("--lambda", type=float, dest="lam")
@@ -443,7 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="lambda sweep of penalties on trained models")
     common(p)
-    _add_split_flags(p)
     p.add_argument("--mode", choices=["mean", "iid"], required=True)
     p.add_argument("--depths", help="comma list of hidden-layer counts")
     p.add_argument("--lambdas", help="start:stop:step or comma list")

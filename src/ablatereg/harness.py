@@ -24,6 +24,7 @@ import json
 import math
 import os
 import secrets
+import stat
 from dataclasses import dataclass, field, replace as dc_replace
 
 import numpy as np
@@ -367,7 +368,6 @@ def lambda_sweep(
     hidden_width: int = 100,
     attribution_steps: int = 100,
     depth0_closed_form: bool = True,
-    split_spec: SplitSpec = SplitSpec(),
 ) -> SweepResult:
     """Train one model per (depth, lambda, seed), then score the test split:
     the task metric, CCP from integrated gradients (zero baseline on the
@@ -378,8 +378,7 @@ def lambda_sweep(
     ``depth0_closed_form=False`` to train them with SGD instead.  Each seed
     drives the split, the initialization, the shuffling and the ablation
     masks; failed cells are recorded with their error instead of aborting
-    the sweep.  ``split_spec`` gives the test and validation fractions; its
-    own seed is ignored in favour of each sweep seed.
+    the sweep.
     """
     cfg = cfg or TrainConfig()
     depths = tuple(int(v) for v in depths)
@@ -404,7 +403,7 @@ def lambda_sweep(
         hidden_width=hidden_width,
     )
     for seed in seeds:
-        d_train, d_val, d_test = split(d, dc_replace(split_spec, seed=seed))
+        d_train, d_val, d_test = split(d, SplitSpec(seed=seed))
         d_train, stats = standardize(d_train)
         d_val, _ = standardize(d_val, stats)
         d_test, _ = standardize(d_test, stats)
@@ -589,6 +588,8 @@ def _matrix_lines(matrix: np.ndarray) -> str:
     formatted once and its text gathered back into place; keying on bits
     keeps ``0.0`` and ``-0.0`` apart.  A matrix of mostly distinct values is
     formatted cell by cell, converting one row to Python floats at a time.
+    The sort that decides costs little next to the formatting: on a
+    20000x21 matrix of distinct values ``np.unique`` takes 0.03 s of 0.52 s.
     """
     matrix = np.ascontiguousarray(matrix, dtype=np.float64)
     bits, inverse = np.unique(matrix.view(np.int64).ravel(), return_inverse=True)
@@ -724,25 +725,39 @@ def write_text(path, text) -> None:
     as UTF-8, newlines as given.  Every report, model and checkpoint file the
     package writes goes through here.
 
-    The write is atomic: the chunks go to a new file in the target's
-    directory, which then replaces ``path``.  If anything fails on the way,
-    the new file is removed and ``path`` is left as it was.  A symbolic link
-    is followed, so the file it names is replaced and the link kept; a
-    target that exists but is no regular file (a pipe or a terminal, such as
-    ``/dev/stdout``) is written in place.
+    A regular file is written atomically: the chunks go to a new file in the
+    target's directory, which then replaces ``path`` and takes over the old
+    file's permission bits.  If anything fails on the way, the new file is
+    removed and ``path`` is left as it was.  Replacing makes a new inode, so
+    the old file's owner is not kept and a hard link to it keeps the old
+    contents.  A symbolic link is followed, so the file it names is replaced
+    and the link kept.
+
+    Two kinds of target are opened and written in place instead, as a plain
+    ``open`` would: one that exists and is no regular file (a pipe, a socket
+    or a terminal), and any path under ``/dev`` or ``/proc``, such as
+    ``/dev/stdout``, which names a descriptor the caller already holds even
+    when that is a regular file.
     """
     if isinstance(text, str):
         text = (text,)
-    path = os.path.realpath(path)
-    if os.path.exists(path) and not os.path.isfile(path):
+    try:
+        mode = os.stat(path).st_mode  # follows links, /proc's included
+    except FileNotFoundError:
+        mode = None
+    in_place = os.path.abspath(path).startswith(("/dev/", "/proc/"))
+    if in_place or (mode is not None and not stat.S_ISREG(mode)):
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(text)
         return
+    path = os.path.realpath(path)
     directory, name = os.path.split(path)
     tmp = os.path.join(directory, f".{name}.{secrets.token_hex(6)}.tmp")
     try:
         with open(tmp, "x", encoding="utf-8", newline="") as fh:
             fh.writelines(text)
+            if mode is not None:
+                os.fchmod(fh.fileno(), stat.S_IMODE(mode))
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):

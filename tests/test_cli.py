@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +30,14 @@ def csv_path(tmp_path):
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def run_in_subprocess(args, stdout):
+    """Run the CLI in a fresh interpreter with the given stdout."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    code = "import sys; from ablatereg.cli import main; sys.exit(main(sys.argv[1:]))"
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                          stdout=stdout, stderr=subprocess.PIPE, timeout=120)
 
 
 class TestFitCommand:
@@ -232,24 +244,23 @@ class TestSweepAndCrossCheck:
 
 
 class TestSplitFlags:
-    def sweep(self, csv_path, out, *extra):
-        assert run(["sweep", "--mode", "mean", "--data", csv_path, "--response", "y",
-                    "--depths", "0", "--lambdas", "0.0,0.5", "--seeds", "2",
-                    *extra, "--out", out]) == 0
+    def train(self, csv_path, out, *extra):
+        assert run(["train", "--data", csv_path, "--response", "y", "--epochs", "2",
+                    "--hidden-width", "4", *extra, "--out", out]) == 0
         return out.read_bytes()
 
-    def test_sweep_reads_the_split_fractions(self, csv_path, tmp_path):
-        default = self.sweep(csv_path, tmp_path / "default.csv")
-        explicit = self.sweep(csv_path, tmp_path / "explicit.csv",
+    def test_train_reads_the_split_fractions(self, csv_path, tmp_path):
+        default = self.train(csv_path, tmp_path / "default.json")
+        explicit = self.train(csv_path, tmp_path / "explicit.json",
                               "--test-frac", "0.2", "--val-frac", "0.25")
-        changed = self.sweep(csv_path, tmp_path / "changed.csv",
-                             "--test-frac", "0.6", "--val-frac", "0.5")
         assert explicit == default
-        assert changed != default
+        assert self.train(csv_path, tmp_path / "test.json", "--test-frac", "0.5") != default
+        assert self.train(csv_path, tmp_path / "val.json", "--val-frac", "0.5") != default
 
     @pytest.mark.parametrize("command", [
         ["fit"], ["augment", "--mode", "mean"], ["penalty", "--model", "m.json"],
         ["attribute", "--model", "m.json"], ["converge", "--theorem", "1"],
+        ["sweep", "--mode", "mean"],
     ])
     def test_commands_without_a_split_reject_the_flags(self, csv_path, tmp_path, command):
         for flag in ("--test-frac", "--val-frac"):
@@ -258,6 +269,32 @@ class TestSplitFlags:
                      "--out", tmp_path / "out"])
             assert exc.value.code == 2
         assert not (tmp_path / "out").exists()
+
+
+class TestOutToStdout:
+    def fit(self, csv_path, out):
+        return ["fit", "--method", "ccp", "--lambda", "0.1", "--data", csv_path,
+                "--response", "y", "--out", out]
+
+    def test_a_pipe_receives_the_file_bytes(self, csv_path, tmp_path):
+        assert run(self.fit(csv_path, tmp_path / "model.json")) == 0
+        done = run_in_subprocess(self.fit(csv_path, "/dev/stdout"), subprocess.PIPE)
+        assert done.returncode == 0, done.stderr.decode()
+        assert done.stdout == (tmp_path / "model.json").read_bytes()
+
+    def test_a_redirected_file_is_written_not_replaced(self, csv_path, tmp_path):
+        assert run(self.fit(csv_path, tmp_path / "model.json")) == 0
+        log = tmp_path / "log"
+        log.write_text("earlier\n")
+        inode = log.stat().st_ino
+        with open(log, "ab") as fh:
+            done = run_in_subprocess(self.fit(csv_path, "/dev/stdout"), fh)
+        assert done.returncode == 0, done.stderr.decode()
+        # the descriptor the caller holds still names the file; opening it for
+        # writing truncates it, as a plain open always did
+        assert log.stat().st_ino == inode
+        assert log.read_bytes() == (tmp_path / "model.json").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "log", "model.json"]
 
 
 class TestConfigFile:

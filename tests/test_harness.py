@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ablatereg.augment import BLOCK_ROWS, AugmentSpec, build_augmented
-from ablatereg.dataset import SplitSpec, synth_correlated
+from ablatereg.dataset import synth_correlated
 from ablatereg.harness import (
     SweepCell,
     SweepResult,
@@ -165,16 +165,6 @@ class TestLambdaSweep:
     def test_rejects_bad_grid(self, small_data):
         with pytest.raises(ValueError):
             lambda_sweep(small_data, [0], "mean", [0.0, 1.0], seeds=(0,))
-
-    def test_split_spec_sets_the_fractions(self, small_data):
-        def sweep(**kw):
-            return render_report(lambda_sweep(small_data, [0], "mean", (0.0, 0.4),
-                                              seeds=(0, 1), dataset_id="s", **kw))
-
-        default = sweep()
-        # the seed field is replaced by each sweep seed
-        assert sweep(split_spec=SplitSpec(0.2, 0.25, seed=7)) == default
-        assert sweep(split_spec=SplitSpec(0.5, 0.25)) != default
 
 
 class TestTrends:
@@ -341,6 +331,14 @@ class TestWriteText:
             write_text(path, chunks())
         assert path.read_text() == "old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    def test_a_replaced_file_keeps_its_permission_bits(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("old\n")
+        path.chmod(0o640)
+        write_text(path, "new\n")
+        assert path.read_text() == "new\n"
+        assert path.stat().st_mode & 0o777 == 0o640
 
     def test_a_symlink_is_kept_and_its_target_replaced(self, tmp_path):
         target = tmp_path / "target.csv"
