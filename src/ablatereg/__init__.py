@@ -35,17 +35,14 @@ from .linear import (
     fit_ccp,
     fit_ml2p,
     fit_ols,
-    predict,
 )
 from .penalty import (
     ContributionMatrix,
     ccp_pairwise,
     ccp_variance_form,
-    contribution_covariances,
     contributions_linear,
     ml2p,
     ml2p_from_avg_gradients,
-    ml2p_per_input,
 )
 from .nn import (
     Checkpoint,

@@ -5,7 +5,8 @@ Subcommands mirror the library surface: ``fit``, ``augment``, ``penalty``,
 command accepts ``--config file.json`` whose keys are the long flag names
 with dashes replaced by underscores; explicit flags override config values,
 and a key that names no option of the command is rejected.  A numerically
-singular model is reported as one ``error:`` line and exit status 1.
+singular model, an unusable data file or split, and an invalid augmentation
+are each reported as one ``error:`` line and exit status 1.
 All outputs are deterministic given a seed: rerunning a command reproduces
 the emitted file byte for byte.
 """
@@ -23,9 +24,10 @@ import numpy as np
 
 from . import harness, nn, penalty as penalty_mod
 from .attribution import AttributionConfig, as_contributions, integrated_gradients
-from .augment import AugmentSpec, augmented_chunks
+from .augment import AugmentError, AugmentSpec, augmented_chunks
 from .dataset import (
     Dataset,
+    DatasetError,
     FeatureStats,
     SplitSpec,
     feature_stats,
@@ -474,7 +476,7 @@ def main(argv=None) -> int:
     args = _apply_config(parser.parse_args(argv), parser)
     try:
         return args.func(args)
-    except SingularModelError as err:
+    except (SingularModelError, DatasetError, AugmentError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -87,9 +87,6 @@ class ConvergenceRun:
     def median_l2(self) -> np.ndarray:
         return np.array([_nanstat(np.nanmedian, col) for col in self.dist_l2.T])
 
-    def median_linf(self) -> np.ndarray:
-        return np.array([_nanstat(np.nanmedian, col) for col in self.dist_linf.T])
-
     def loglog_slope(self) -> float:
         """Least-squares slope of log(median l2 distance) against log(N)."""
         med = self.median_l2()
@@ -471,11 +468,37 @@ class TrendEntry:
     last_mean: float
 
 
+def _average_ranks(a: np.ndarray) -> np.ndarray:
+    """1-based ranks, tied values sharing the mean of their ranks."""
+    _, inverse, counts = np.unique(a, return_inverse=True, return_counts=True)
+    upper = np.cumsum(counts)
+    return (upper - (counts - 1) / 2)[inverse]
+
+
+def _spearman(x, y) -> float:
+    """Spearman's rho: the Pearson correlation of average-tie ranks.
+
+    NaN when there are fewer than 2 points, any NaN, or a constant input.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.size < 2 or np.isnan(x).any() or np.isnan(y).any():
+        return float("nan")
+    if (x == x[0]).all() or (y == y[0]).all():
+        return float("nan")
+    ranks = np.column_stack([_average_ranks(x), _average_ranks(y)])
+    return float(np.corrcoef(ranks, rowvar=False)[1, 0])
+
+
 def penalty_trend(sweep: SweepResult, penalty_field: str) -> dict:
     """Spearman rank correlation between lambda and the seed-averaged
-    penalty, per (depth, output) and pooled over depths."""
-    from scipy.stats import spearmanr  # imported here: scipy.stats is slow to load
+    penalty, per (depth, output) and pooled over depths.
 
+    Tied values share the mean of their ranks, and rho is the Pearson
+    correlation of the two rank columns.  It is NaN when there are fewer
+    than 2 points, when any seed-averaged penalty is NaN (so a failed cell
+    fails the trend gates), or when either input is constant.
+    """
     if penalty_field not in ("ccp", "ml2p"):
         raise ValueError("penalty_field must be 'ccp' or 'ml2p'")
     entries = []
@@ -487,15 +510,13 @@ def penalty_trend(sweep: SweepResult, penalty_field: str) -> dict:
                 sweep.mean_over_seeds(penalty_field, depth, lam, oi)
                 for lam in sweep.lambda_grid
             ]
-            rho = spearmanr(sweep.lambda_grid, means).statistic
             entries.append(TrendEntry(
-                depth=depth, output_index=oi, spearman=float(rho),
+                depth=depth, output_index=oi, spearman=_spearman(sweep.lambda_grid, means),
                 first_mean=means[0], last_mean=means[-1],
             ))
             pooled_x.extend(sweep.lambda_grid)
             pooled_y.extend(means)
-    pooled = float(spearmanr(pooled_x, pooled_y).statistic) if len(pooled_x) > 1 else float("nan")
-    return {"per_depth": entries, "pooled_spearman": pooled}
+    return {"per_depth": entries, "pooled_spearman": _spearman(pooled_x, pooled_y)}
 
 
 @dataclass

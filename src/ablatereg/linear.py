@@ -14,7 +14,10 @@ solution degenerates into k independent single-variable regressions.
 
 Singularity is a reported error, never silently jittered away: adding an
 unrequested ridge would contaminate the equivalence checks that compare
-these solutions against Monte-Carlo augmentation.
+these solutions against Monte-Carlo augmentation.  One rule gates every
+solve and names the suspect columns: when the condition estimate exceeds
+1e12, the columns that load on the right singular vectors whose singular
+values break that bound are the ones in the error.  Only numpy is used.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .dataset import Dataset
 
@@ -30,6 +32,7 @@ CCP = "ccp"
 ML2P = "ml2p"
 
 _MAX_CONDITION = 1e12
+_LOADING_TOL = 1e-8  # a column loading below this is rounding
 
 
 class SingularModelError(ValueError):
@@ -73,36 +76,39 @@ def _centered(d: Dataset):
     return X - mu, y - ybar, mu, ybar
 
 
-def _suspect_columns(Xc: np.ndarray, names) -> tuple[str, ...]:
-    """Best-effort identification of linearly dependent columns via pivoted QR."""
-    try:
-        r_factor, piv = scipy.linalg.qr(Xc, mode="r", pivoting=True)
-    except Exception:
-        return ()
-    diag = np.abs(np.diag(r_factor))
-    if diag.size == 0 or diag[0] == 0:
-        return tuple(names)
-    rank = int(np.sum(diag > diag[0] * 1e-10))
-    return tuple(names[j] for j in piv[rank:])
+def _ratios(top, s, power):
+    """(top / s) ** power elementwise; a zero singular value reads as inf."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return np.where(s > 0, (top / s) ** power, np.inf)
+
+
+def _check_condition(M: np.ndarray, power: int, names, what: str) -> None:
+    """Raise :class:`SingularModelError` when cond(M) ** power exceeds 1e12.
+
+    The error names every column that loads (above rounding level) on the
+    right singular vectors whose singular values break the gate; the SVD
+    with vectors runs only then.
+    """
+    s = np.linalg.svd(M, compute_uv=False)
+    condition = float(_ratios(s[0], s[-1], power))
+    if condition <= _MAX_CONDITION:
+        return
+    _, s, vt = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])  # vt is k x k
+    s = np.pad(s, (0, vt.shape[0] - s.size))
+    weak = vt[~(_ratios(s[0], s, power) <= _MAX_CONDITION)]
+    loading = np.sqrt((weak**2).sum(axis=0))
+    cols = tuple(name for name, x in zip(names, loading) if x > _LOADING_TOL)
+    detail = f" (suspect columns: {', '.join(cols)})" if cols else ""
+    raise SingularModelError(
+        f"{what} is singular or ill-conditioned (condition estimate {condition:.2e}){detail}",
+        columns=cols,
+    )
 
 
 def _solve_system(A: np.ndarray, rhs: np.ndarray, names, context: str) -> np.ndarray:
     """Solve the symmetric k x k system via SVD with an explicit condition gate."""
     A = 0.5 * (A + A.T)
-    s = np.linalg.svd(A, compute_uv=False)
-    if s[-1] > 0:
-        with np.errstate(over="ignore"):  # a huge ratio reads as inf
-            condition = s[0] / s[-1]
-    else:
-        condition = np.inf
-    if condition > _MAX_CONDITION:
-        zero_diag = tuple(names[j] for j in np.flatnonzero(np.abs(np.diag(A)) <= s[0] * 1e-15))
-        detail = f" (suspect columns: {', '.join(zero_diag)})" if zero_diag else ""
-        raise SingularModelError(
-            f"{context}: system matrix is singular or ill-conditioned "
-            f"(condition estimate {condition:.2e}){detail}",
-            columns=zero_diag,
-        )
+    _check_condition(A, 1, names, f"{context}: system matrix")
     beta, *_ = np.linalg.lstsq(A, rhs, rcond=None)
     return beta
 
@@ -110,20 +116,14 @@ def _solve_system(A: np.ndarray, rhs: np.ndarray, names, context: str) -> np.nda
 def fit_ols(d: Dataset) -> LinearModel:
     """Ordinary least squares on mean-centered features and response.
 
-    Solved by SVD of the centered design; raises :class:`SingularModelError`
-    with the suspect column names when the Gram condition exceeds 1e12.
+    Solved by least squares on the centered design.  When the Gram condition
+    (the squared condition of the centered design) exceeds 1e12 it raises
+    :class:`SingularModelError` naming every column that loads on the
+    offending right singular vectors: both columns of a duplicated pair, or
+    every dummy of a one-hot column whose dummies sum to one.
     """
     Xc, yc, mu, ybar = _centered(d)
-    s = np.linalg.svd(Xc, compute_uv=False)
-    gram_cond = np.inf if s[-1] == 0 else (s[0] / s[-1]) ** 2
-    if not np.isfinite(gram_cond) or gram_cond > _MAX_CONDITION:
-        cols = _suspect_columns(Xc, d.column_names)
-        detail = f" (suspect columns: {', '.join(cols)})" if cols else ""
-        raise SingularModelError(
-            f"fit_ols: centered Gram matrix is singular or ill-conditioned "
-            f"(condition estimate {gram_cond:.2e}){detail}",
-            columns=cols,
-        )
+    _check_condition(Xc, 2, d.column_names, "fit_ols: centered Gram matrix")
     beta, *_ = np.linalg.lstsq(Xc, yc, rcond=None)
     return LinearModel(beta=beta, intercept=ybar - mu @ beta)
 
@@ -167,13 +167,3 @@ def fit_ml2p(d: Dataset, lam: float) -> RegularizedFit:
     objective = float(resid @ resid + n * ratio * np.sum(second_moments * beta**2))
     model = LinearModel(beta=beta, intercept=ybar - mu @ beta)
     return RegularizedFit(model=model, lam=lam, penalty_kind=ML2P, objective_value=objective)
-
-
-def predict(m: LinearModel, X) -> np.ndarray:
-    """Evaluate intercept + X beta row-wise."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[None, :]
-    if X.shape[1] != m.k:
-        raise ValueError(f"X has {X.shape[1]} columns, model expects {m.k}")
-    return m.intercept + X @ m.beta

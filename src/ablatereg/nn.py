@@ -54,10 +54,6 @@ class MlpModel:
         """Number of hidden layers."""
         return len(self.weights) - 1
 
-    @property
-    def n_outputs(self) -> int:
-        return self.weights[-1].shape[1]
-
     def n_params(self) -> int:
         return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
 

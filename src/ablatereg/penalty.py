@@ -62,17 +62,12 @@ def contributions_linear(m: LinearModel, X) -> ContributionMatrix:
     return ContributionMatrix(values=values, predictions=m.intercept + values.sum(axis=1))
 
 
-def contribution_covariances(c: ContributionMatrix) -> np.ndarray:
-    """k x k population covariance matrix of the contribution columns."""
-    centered = c.values - c.values.mean(axis=0)
-    return centered.T @ centered / c.n
-
-
 def ccp_pairwise(c: ContributionMatrix) -> float:
     """n * sum over ordered pairs j != k of -cov(contribution_j, contribution_k)."""
     if c.n < 2:
         raise ValueError("need at least 2 rows to estimate covariances")
-    cov = contribution_covariances(c)
+    centered = c.values - c.values.mean(axis=0)
+    cov = centered.T @ centered / c.n  # population covariances
     return float(c.n * (np.trace(cov) - cov.sum()))
 
 
@@ -107,13 +102,3 @@ def ml2p_from_avg_gradients(avg_grads, stats: FeatureStats) -> float:
     if not np.all(np.isfinite(avg_grads)):
         raise ValueError("average gradients contain non-finite values")
     return ml2p(avg_grads.mean(axis=0), stats)
-
-
-def ml2p_per_input(avg_grads, stats: FeatureStats) -> np.ndarray:
-    """Per-input variant of :func:`ml2p_from_avg_gradients`, for inspection."""
-    avg_grads = np.asarray(avg_grads, dtype=np.float64)
-    if not np.all(np.isfinite(avg_grads)):
-        raise ValueError("average gradients contain non-finite values")
-    if avg_grads.shape[1] != stats.k:
-        raise ValueError("gradient columns must match stats length")
-    return (stats.second_moments * avg_grads**2).sum(axis=1)

@@ -347,3 +347,39 @@ class TestErrorReporting:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: fit_ols:")
         assert not out.exists()
+
+    def one_error_line(self, capsys, code, message):
+        assert code == 1
+        assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]
+
+    def test_missing_response_column(self, csv_path, tmp_path, capsys):
+        code = run(["fit", "--data", csv_path, "--response", "nope", "--out", tmp_path / "m"])
+        self.one_error_line(capsys, code, "response column not found: 'nope'")
+
+    def test_column_without_usable_values(self, tmp_path, capsys):
+        path = tmp_path / "na.csv"
+        path.write_text("a,b,y\nNA,1,2\nNA,2,3\nNA,3,5\n")
+        code = run(["fit", "--data", path, "--response", "y", "--out", tmp_path / "m"])
+        self.one_error_line(capsys, code, "column 'a' has no usable values")
+
+    def test_test_fraction_out_of_range(self, csv_path, tmp_path, capsys):
+        code = run(["train", "--data", csv_path, "--response", "y", "--test-frac", "1.5",
+                    "--out", tmp_path / "ckpt.json"])
+        self.one_error_line(capsys, code, "test_fraction must be in (0, 1)")
+        assert not (tmp_path / "ckpt.json").exists()
+
+    def test_augment_lambda_out_of_range(self, csv_path, tmp_path, capsys):
+        code = run(["augment", "--mode", "mean", "--lambda", "1.0", "--data", csv_path,
+                    "--response", "y", "--out", tmp_path / "aug.csv"])
+        self.one_error_line(capsys, code, "lambda must be in [0, 1), got 1.0")
+        assert not (tmp_path / "aug.csv").exists()
+
+
+def test_importing_the_package_loads_no_scipy():
+    code = ("import sys, ablatereg, ablatereg.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

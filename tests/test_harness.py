@@ -1,10 +1,15 @@
 import json
+import math
 import os
+import struct
 import threading
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ablatereg.augment import BLOCK_ROWS, AugmentSpec, build_augmented
 from ablatereg.dataset import synth_correlated
@@ -22,6 +27,7 @@ from ablatereg.harness import (
     sweep_from_payload,
     write_text,
     _csv_lines,
+    _spearman,
     _matrix_lines,
     _moment_limits,
     _streamed_moments,
@@ -232,6 +238,46 @@ class TestTrends:
         b = self._toy_sweep("iid", [1, 2, 3, 4], [1, 2, 3, 4])
         with pytest.raises(ValueError):
             cross_trend_check(a, b)
+
+
+# a small pool makes ties, constants and NaN common; any float covers the rest
+_RANK_VALUES = st.one_of(
+    st.sampled_from([-np.inf, -2.5, -0.0, 0.0, 1.0, 3.0, np.inf, np.nan]),
+    st.floats(width=64),
+)
+_RANK_PAIRS = st.integers(0, 12).flatmap(lambda n: st.tuples(
+    st.lists(_RANK_VALUES, min_size=n, max_size=n),
+    st.lists(_RANK_VALUES, min_size=n, max_size=n),
+))
+
+
+@pytest.fixture(scope="module")
+def scipy_spearmanr():
+    return pytest.importorskip("scipy.stats").spearmanr
+
+
+class TestSpearman:
+    """The numpy Spearman against scipy.stats.spearmanr, used as an oracle only."""
+
+    @given(_RANK_PAIRS)
+    @example(([], []))
+    @example(([1.0], [2.0]))
+    @example(([1.0, 2.0, 3.0], [4.0, 4.0, 4.0]))
+    @example(([0.0, 0.3, 0.6, 0.9], [np.nan, 1.0, 2.0, 3.0]))
+    @example(([1.0, 1.0, 2.0, 2.0, 3.0], [5.0, 4.0, 4.0, -np.inf, np.inf]))
+    @settings(max_examples=500, deadline=None)
+    def test_bit_identical_to_scipy(self, scipy_spearmanr, pair):
+        x, y = pair
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # scipy warns on a constant input
+            expected = float(scipy_spearmanr(x, y).statistic)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _spearman(x, y)
+        if math.isnan(expected):
+            assert math.isnan(got)
+        else:
+            assert struct.pack("<d", got) == struct.pack("<d", expected)
 
 
 class TestEmitReport:

@@ -3,15 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from ablatereg.dataset import Dataset, standardize, synth_correlated
-from ablatereg.linear import (
-    LinearModel,
-    SingularModelError,
-    fit_ccp,
-    fit_ml2p,
-    fit_ols,
-    predict,
-)
+from ablatereg.dataset import Dataset, load_csv, one_hot_encode, standardize, synth_correlated
+from ablatereg.linear import SingularModelError, fit_ccp, fit_ml2p, fit_ols
 
 
 def make_dataset(X, y):
@@ -42,7 +35,31 @@ class TestFitOls:
         d = make_dataset(X, [1.0, 2.0, 3.0, 4.0])
         with pytest.raises(SingularModelError) as err:
             fit_ols(d)
-        assert err.value.columns  # at least one offender named
+        assert err.value.columns == ("c0", "c1")
+        assert str(err.value).endswith("(suspect columns: c0, c1)")
+
+    def test_every_weak_direction_is_named(self):
+        # an exact duplicate (singular value 0) and a near duplicate (Gram
+        # condition far above 1e12) are two weak directions; a well-posed
+        # column between them is not named
+        rng = np.random.default_rng(19)
+        a, b, c = rng.normal(size=(3, 50))
+        X = np.column_stack([a, a, c, b, b + 1e-9 * rng.normal(size=50)])
+        with pytest.raises(SingularModelError) as err:
+            fit_ols(make_dataset(X, rng.normal(size=50)))
+        assert err.value.columns == ("c0", "c1", "c3", "c4")
+
+    def test_one_hot_design_names_every_dummy(self, tmp_path):
+        # every level of grp gets a dummy, so the centered dummies sum to zero
+        rng = np.random.default_rng(20)
+        path = tmp_path / "cat.csv"
+        rows = ["x,grp,z,y"] + [f"{rng.normal()!r},{'abc'[i % 3]},{rng.normal()!r},{i * 0.1}"
+                                for i in range(30)]
+        path.write_text("\n".join(rows) + "\n")
+        d = one_hot_encode(load_csv(path, "y"))
+        with pytest.raises(SingularModelError) as err:
+            fit_ols(d)
+        assert err.value.columns == ("grp=a", "grp=b", "grp=c")
 
     def test_recovers_true_beta(self):
         d = synth_correlated(10_000, 3, 0.3, (1.0, -2.0, 3.0), 0.1, seed=21)
@@ -54,6 +71,13 @@ class TestFitOls:
         m = fit_ols(d)
         expected = d.response.mean() - d.features.mean(axis=0) @ m.beta
         assert abs(m.intercept - expected) < 1e-8
+
+    def test_residual_orthogonality(self):
+        d = synth_correlated(300, 3, 0.5, (1.0, -2.0, 1.5), 1.0, seed=34)
+        m = fit_ols(d)
+        resid = d.response - (m.intercept + d.features @ m.beta)
+        Xc = d.features - d.features.mean(axis=0)
+        assert np.abs(Xc.T @ resid).max() < 1e-6
 
 
 class TestFitCcp:
@@ -128,28 +152,6 @@ class TestFitMl2p:
             assert all(b <= a + 1e-12 for a, b in zip(norms, norms[1:]))
 
 
-class TestPredict:
-    def test_arithmetic(self):
-        m = LinearModel(beta=np.array([1.0, 1.0]), intercept=0.0)
-        np.testing.assert_allclose(predict(m, [2.0, 3.0]), [5.0])
-
-    def test_intercept_only(self):
-        m = LinearModel(beta=np.zeros(2), intercept=3.5)
-        np.testing.assert_allclose(predict(m, np.zeros((4, 2))), [3.5] * 4)
-
-    def test_residual_orthogonality(self):
-        d = synth_correlated(300, 3, 0.5, (1.0, -2.0, 1.5), 1.0, seed=34)
-        m = fit_ols(d)
-        resid = d.response - predict(m, d.features)
-        Xc = d.features - d.features.mean(axis=0)
-        assert np.abs(Xc.T @ resid).max() < 1e-6
-
-    def test_dimension_mismatch(self):
-        m = LinearModel(beta=np.array([1.0]), intercept=0.0)
-        with pytest.raises(ValueError):
-            predict(m, np.zeros((3, 2)))
-
-
 class TestSolverInvariants:
     def test_normal_equation_residual(self):
         d = synth_correlated(150, 4, 0.6, (1.0, 0.5, -1.0, 2.0), 1.0, seed=35)
@@ -209,8 +211,9 @@ class TestSolverInvariants:
     def test_zero_variance_column_surfaces_singularity(self):
         X = np.column_stack([np.ones(10), np.arange(10.0)])
         d = make_dataset(X, np.arange(10.0))
-        with pytest.raises(SingularModelError):
+        with pytest.raises(SingularModelError) as err:
             fit_ccp(d, 0.5)
+        assert err.value.columns == ("c0",)
 
     def test_exactly_singular_system_reports_infinite_condition_without_warning(self):
         X = np.column_stack([np.ones(10), np.arange(10.0)])
