@@ -71,6 +71,7 @@ from .harness import (
     ConvergenceRun,
     CrossTrendReport,
     MomentCheck,
+    ReportError,
     SweepCell,
     SweepResult,
     check_moment_limits,

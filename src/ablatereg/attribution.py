@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import MlpModel, forward, input_gradients
+from .nn import MlpModel, input_gradients, predict
 from .penalty import ContributionMatrix
 
 QUADRATURES = ("midpoint", "left", "right", "trapezoid")
@@ -101,8 +101,8 @@ def integrated_gradients(m: MlpModel, X, cfg: AttributionConfig | None = None) -
         raise ValueError("non-finite gradients along the interpolation path")
 
     attributions = displacement * avg_grads
-    outputs = forward(m, X)[0][:, cfg.output_index]
-    baseline_output = float(forward(m, baseline[None, :])[0][0, cfg.output_index])
+    outputs = predict(m, X)[:, cfg.output_index]
+    baseline_output = float(predict(m, baseline)[0, cfg.output_index])
     gap = np.abs(attributions.sum(axis=1) - (outputs - baseline_output))
     return AttributionResult(
         attributions=attributions,

@@ -29,7 +29,14 @@ MODES = (MEAN_ABLATION, INVERTED_DROPOUT)
 
 
 class AugmentError(ValueError):
-    """Raised for invalid augmentation requests."""
+    """Raised for invalid augmentation requests, and for an ablation rate
+    outside [0, 1) wherever one is given."""
+
+
+def check_lambda(lam: float) -> None:
+    """The one range rule for an ablation rate ``lam``: it must lie in [0, 1)."""
+    if not 0.0 <= lam < 1.0:
+        raise AugmentError(f"lambda must be in [0, 1), got {lam}")
 
 
 @dataclass(frozen=True)
@@ -49,8 +56,7 @@ class AugmentSpec:
     def __post_init__(self):
         if self.mode not in MODES:
             raise AugmentError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not 0.0 <= self.lam < 1.0:
-            raise AugmentError(f"lambda must be in [0, 1), got {self.lam}")
+        check_lambda(self.lam)
         if self.n_synthetic < 1:
             raise AugmentError("n_synthetic must be positive")
         if self.seed < 0:

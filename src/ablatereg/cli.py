@@ -5,8 +5,9 @@ Subcommands mirror the library surface: ``fit``, ``augment``, ``penalty``,
 command accepts ``--config file.json`` whose keys are the long flag names
 with dashes replaced by underscores; explicit flags override config values,
 and a key that names no option of the command is rejected.  A numerically
-singular model, an unusable data file or split, and an invalid augmentation
-are each reported as one ``error:`` line and exit status 1.
+singular model, an unusable data file or split, an invalid augmentation or
+ablation rate, and sweep reports that cannot be compared are each reported as
+one ``error:`` line and exit status 1.
 All outputs are deterministic given a seed: rerunning a command reproduces
 the emitted file byte for byte.
 """
@@ -38,7 +39,7 @@ from .dataset import (
     synth_correlated,
 )
 from .linear import LinearModel, SingularModelError, fit_ccp, fit_ml2p, fit_ols
-from .nn import TrainConfig, evaluate, forward, init, linear_as_mlp, train
+from .nn import TrainConfig, evaluate, init, linear_as_mlp, train
 
 logger = logging.getLogger("ablatereg")
 
@@ -476,7 +477,7 @@ def main(argv=None) -> int:
     args = _apply_config(parser.parse_args(argv), parser)
     try:
         return args.func(args)
-    except (SingularModelError, DatasetError, AugmentError) as err:
+    except (SingularModelError, DatasetError, AugmentError, harness.ReportError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace as dc_replace
 import numpy as np
 
 from .attribution import AttributionConfig, as_contributions, integrated_gradients
-from .augment import INVERTED_DROPOUT, MEAN_ABLATION, AugmentSpec, augmented_chunks
+from .augment import INVERTED_DROPOUT, MEAN_ABLATION, AugmentSpec, augmented_chunks, check_lambda
 from .dataset import (
     CLASSIFICATION,
     REGRESSION,
@@ -300,6 +300,10 @@ def check_moment_limits(
 # ---------------------------------------------------------------------------
 
 
+class ReportError(ValueError):
+    """A sweep report that is not one, or two sweeps that cannot be compared."""
+
+
 @dataclass(frozen=True)
 class SweepCell:
     depth: int
@@ -381,8 +385,8 @@ def lambda_sweep(
     depths = tuple(int(v) for v in depths)
     lambda_grid = tuple(float(v) for v in lambda_grid)
     seeds = tuple(int(s) for s in seeds)
-    if any(not 0.0 <= lam < 1.0 for lam in lambda_grid):
-        raise ValueError("lambda grid values must lie in [0, 1)")
+    for lam in lambda_grid:
+        check_lambda(lam)
     if d.task == CLASSIFICATION:
         n_out = int(d.response.max()) + 1
         output_indices = tuple(range(n_out))
@@ -455,7 +459,7 @@ def _fit_cell(
         seed=cell_seed,
         augment=AugmentSpec(mode, lam, 1, cell_seed),
     )
-    trained, _ = train(model, d_train, d_val, run_cfg)
+    trained, _ = train(model, d_train, d_val, run_cfg, log_train_loss=False)
     return trained
 
 
@@ -555,7 +559,7 @@ def cross_trend_check(sweep_mada: SweepResult, sweep_iid: SweepResult) -> CrossT
         and sweep_mada.seeds == sweep_iid.seeds
     )
     if not same_shape:
-        raise ValueError("sweeps must share depths, lambda grid and seeds")
+        raise ReportError("sweeps must share depths, lambda grid and seeds")
 
     ml2p_trend = penalty_trend(sweep_mada, "ml2p")["per_depth"]
     lam_first, lam_last = sweep_iid.lambda_grid[0], sweep_iid.lambda_grid[-1]
@@ -790,7 +794,7 @@ def sweep_from_payload(payload: dict) -> SweepResult:
     """Rebuild a :class:`SweepResult` from its JSON report payload."""
     meta = payload["meta"]
     if meta.get("type") != "sweep":
-        raise ValueError("payload is not a sweep report")
+        raise ReportError("payload is not a sweep report")
     columns = payload["columns"]
     col = {name: i for i, name in enumerate(columns)}
     result = SweepResult(

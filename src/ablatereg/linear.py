@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .augment import check_lambda
 from .dataset import Dataset
 
 CCP = "ccp"
@@ -135,8 +136,7 @@ def fit_ccp(d: Dataset, lam: float) -> RegularizedFit:
     penalty term can be negative (a reward) when contributions reinforce
     each other, and is reported as-is.
     """
-    if not 0.0 <= lam < 1.0:
-        raise ValueError(f"lambda must be in [0, 1), got {lam}")
+    check_lambda(lam)
     Xc, yc, mu, ybar = _centered(d)
     gram = Xc.T @ Xc
     nV = np.diag(np.diag(gram))  # n * population variances, exactly
@@ -154,8 +154,7 @@ def fit_ml2p(d: Dataset, lam: float) -> RegularizedFit:
     On standardized data (zero means, unit variances) this is classical
     ridge with parameter n*lam/(1-lam).
     """
-    if not 0.0 <= lam < 1.0:
-        raise ValueError(f"lambda must be in [0, 1), got {lam}")
+    check_lambda(lam)
     Xc, yc, mu, ybar = _centered(d)
     n = d.n
     gram = Xc.T @ Xc

@@ -106,14 +106,20 @@ def init(layer_dims, seed: int, task: str = REGRESSION) -> MlpModel:
     return MlpModel(weights=weights, biases=biases, task=task)
 
 
-def forward(m: MlpModel, X) -> tuple[np.ndarray, dict]:
-    """Run the network; returns (outputs, cache) where the cache holds the
-    per-layer inputs and hidden pre-activations for backprop."""
+def _as_rows(m: MlpModel, X) -> np.ndarray:
+    """``X`` as a float64 matrix of rows, checked against the input width."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim == 1:
         X = X[None, :]
     if X.shape[1] != m.weights[0].shape[0]:
         raise ValueError(f"X has {X.shape[1]} columns, model expects {m.weights[0].shape[0]}")
+    return X
+
+
+def forward(m: MlpModel, X) -> tuple[np.ndarray, dict]:
+    """Run the network; returns (outputs, cache) where the cache holds the
+    per-layer inputs and hidden pre-activations for backprop."""
+    X = _as_rows(m, X)
     act = X
     inputs = [X]
     preacts = []
@@ -124,6 +130,19 @@ def forward(m: MlpModel, X) -> tuple[np.ndarray, dict]:
         inputs.append(act)
     outputs = act @ m.weights[-1] + m.biases[-1]
     return outputs, {"inputs": inputs, "preacts": preacts}
+
+
+def predict(m: MlpModel, X) -> np.ndarray:
+    """The outputs of :func:`forward`, bit for bit, without keeping a cache:
+    each layer's activations overwrite its pre-activations."""
+    act = _as_rows(m, X)
+    for w, b in zip(m.weights[:-1], m.biases[:-1]):
+        z = act @ w
+        z += b
+        act = np.maximum(z, 0.0, out=z)
+    outputs = act @ m.weights[-1]
+    outputs += m.biases[-1]
+    return outputs
 
 
 def loss(outputs, targets, task: str) -> float:
@@ -156,45 +175,48 @@ def _loss_output_grad(outputs: np.ndarray, targets, task: str) -> np.ndarray:
     return probs / n
 
 
-def _backprop(m: MlpModel, cache: dict, out_grad: np.ndarray, want_input_grad: bool):
-    inputs = cache["inputs"]
-    preacts = cache["preacts"]
-    grads_w = [None] * len(m.weights)
-    grads_b = [None] * len(m.biases)
-    g = out_grad
-    for layer in range(len(m.weights) - 1, -1, -1):
-        grads_w[layer] = inputs[layer].T @ g
-        grads_b[layer] = g.sum(axis=0)
-        if layer > 0:
-            g = (g @ m.weights[layer].T) * (preacts[layer - 1] > 0)
-        elif want_input_grad:
-            g = g @ m.weights[0].T
-    return grads_w, grads_b, g
-
-
 def param_gradients(m: MlpModel, X, targets, task: str):
     """Exact gradients of the mean loss w.r.t. every weight and bias."""
     outputs, cache = forward(m, X)
     value = loss(outputs, targets, task)
     if not np.isfinite(value):
         raise TrainingDivergedError(f"non-finite loss {value}")
-    out_grad = _loss_output_grad(outputs, targets, task)
-    grads_w, grads_b, _ = _backprop(m, cache, out_grad, want_input_grad=False)
+    inputs = cache["inputs"]
+    preacts = cache["preacts"]
+    grads_w = [None] * len(m.weights)
+    grads_b = [None] * len(m.biases)
+    g = _loss_output_grad(outputs, targets, task)
+    for layer in range(len(m.weights) - 1, -1, -1):
+        grads_w[layer] = inputs[layer].T @ g
+        grads_b[layer] = g.sum(axis=0)
+        if layer > 0:
+            g = (g @ m.weights[layer].T) * (preacts[layer - 1] > 0)
     return grads_w, grads_b
 
 
 def input_gradients(m: MlpModel, X, output_index: int = 0) -> np.ndarray:
     """Row-wise gradient of the selected output component w.r.t. the input.
 
-    For a depth-0 model every row equals the output's weight column.
+    Only the hidden layers' ReLU masks are kept from the forward pass, and
+    the backward pass carries the gradient alone, with no parameter
+    gradients.  For a depth-0 model every row equals the output's weight
+    column.
     """
-    outputs, cache = forward(m, X)
-    if not 0 <= output_index < outputs.shape[1]:
+    act = _as_rows(m, X)
+    n_out = m.weights[-1].shape[1]
+    if not 0 <= output_index < n_out:
         raise ValueError(f"output_index {output_index} out of range")
-    out_grad = np.zeros_like(outputs)
-    out_grad[:, output_index] = 1.0
-    _, _, g_in = _backprop(m, cache, out_grad, want_input_grad=True)
-    return g_in
+    masks = []
+    for w, b in zip(m.weights[:-1], m.biases[:-1]):
+        z = act @ w
+        z += b
+        masks.append(z > 0)
+        act = np.maximum(z, 0.0, out=z)
+    g = np.zeros((act.shape[0], n_out))
+    g[:, output_index] = 1.0
+    for layer in range(len(m.weights) - 1, 0, -1):
+        g = (g @ m.weights[layer].T) * masks[layer - 1]
+    return g @ m.weights[0].T
 
 
 def _snapshot(weights, biases, task) -> MlpModel:
@@ -205,10 +227,38 @@ def _snapshot(weights, biases, task) -> MlpModel:
     )
 
 
-def train(model: MlpModel, d_train: Dataset, d_val: Dataset, cfg: TrainConfig):
+def _adam_update(param, m, v, t, s, grad, lr, b1, b2, eps, corr1, corr2) -> None:
+    """One Adam step on ``param`` in place; ``t`` and ``s`` are scratch of
+    its shape.  The operations and their order are those of
+    ``m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g**2;
+    param -= lr*(m/corr1) / (sqrt(v/corr2) + eps)``, so the results are
+    bit-identical to that form."""
+    m *= b1
+    np.multiply(grad, 1 - b1, out=t)
+    m += t
+    v *= b2
+    np.square(grad, out=t)
+    t *= 1 - b2
+    v += t
+    np.divide(m, corr1, out=t)
+    t *= lr
+    np.divide(v, corr2, out=s)
+    np.sqrt(s, out=s)
+    s += eps
+    t /= s
+    param -= t
+
+
+def train(model: MlpModel, d_train: Dataset, d_val: Dataset, cfg: TrainConfig, *,
+          log_train_loss: bool = True):
     """Minibatch Adam with seeded shuffling, optional per-step ablation of
     each batch, and early stopping on validation loss (patience in epochs,
     strict-decrease improvement).  Returns (best checkpoint model, log).
+
+    Each epoch record holds the validation loss and, unless
+    ``log_train_loss`` is false, the loss on the whole training split, which
+    costs one more pass over it; checkpoints depend on the validation loss
+    alone.
 
     Ablation masks are drawn from the augmentation spec's own stream keyed by
     the global step, so a lam=0 spec reproduces unaugmented training exactly.
@@ -229,10 +279,9 @@ def train(model: MlpModel, d_train: Dataset, d_val: Dataset, cfg: TrainConfig):
     weights = [w.copy() for w in model.weights]
     biases = [b.copy() for b in model.biases]
     work = MlpModel(weights=weights, biases=biases, task=task)
-    m_w = [np.zeros_like(w) for w in weights]
-    v_w = [np.zeros_like(w) for w in weights]
-    m_b = [np.zeros_like(b) for b in biases]
-    v_b = [np.zeros_like(b) for b in biases]
+    # per parameter: first and second moments, then two scratch buffers
+    adam = [(p, np.zeros_like(p), np.zeros_like(p), np.empty_like(p), np.empty_like(p))
+            for p in weights + biases]
 
     rng = _streams.stream(cfg.seed, _streams.SHUFFLE)
     log = TrainLog()
@@ -257,19 +306,16 @@ def train(model: MlpModel, d_train: Dataset, d_val: Dataset, cfg: TrainConfig):
             lr, b1, b2 = cfg.learning_rate, cfg.beta1, cfg.beta2
             corr1 = 1.0 - b1**step
             corr2 = 1.0 - b2**step
-            for i in range(len(weights)):
-                m_w[i] = b1 * m_w[i] + (1 - b1) * grads_w[i]
-                v_w[i] = b2 * v_w[i] + (1 - b2) * grads_w[i] ** 2
-                weights[i] -= lr * (m_w[i] / corr1) / (np.sqrt(v_w[i] / corr2) + cfg.eps)
-                m_b[i] = b1 * m_b[i] + (1 - b1) * grads_b[i]
-                v_b[i] = b2 * v_b[i] + (1 - b2) * grads_b[i] ** 2
-                biases[i] -= lr * (m_b[i] / corr1) / (np.sqrt(v_b[i] / corr2) + cfg.eps)
+            for slot, grad in zip(adam, grads_w + grads_b):
+                _adam_update(*slot, grad, lr, b1, b2, cfg.eps, corr1, corr2)
 
-        train_loss = loss(forward(work, X_tr)[0], y_tr, task)
-        val_loss = loss(forward(work, X_val)[0], y_val, task)
-        if not (np.isfinite(train_loss) and np.isfinite(val_loss)):
+        losses = {"val_loss": loss(predict(work, X_val), y_val, task)}
+        if log_train_loss:
+            losses["train_loss"] = loss(predict(work, X_tr), y_tr, task)
+        if not np.all(np.isfinite(list(losses.values()))):
             raise TrainingDivergedError(f"non-finite epoch loss at epoch {epoch}")
-        log.epochs.append({"epoch": epoch, "train_loss": train_loss, "val_loss": val_loss})
+        val_loss = losses["val_loss"]
+        log.epochs.append({"epoch": epoch, **losses})
 
         if best is None or val_loss < best.val_loss:
             best = Checkpoint(model=_snapshot(weights, biases, task), epoch=epoch, val_loss=val_loss)
@@ -287,7 +333,7 @@ def train(model: MlpModel, d_train: Dataset, d_val: Dataset, cfg: TrainConfig):
 
 def evaluate(m: MlpModel, d_test: Dataset) -> dict:
     """Held-out metrics: MSE for regression, accuracy for classification."""
-    outputs, _ = forward(m, d_test.features)
+    outputs = predict(m, d_test.features)
     if m.task == REGRESSION:
         return {"mse": loss(outputs, d_test.response, REGRESSION)}
     predicted = outputs.argmax(axis=1)

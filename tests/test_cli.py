@@ -374,6 +374,37 @@ class TestErrorReporting:
         self.one_error_line(capsys, code, "lambda must be in [0, 1), got 1.0")
         assert not (tmp_path / "aug.csv").exists()
 
+    @pytest.mark.parametrize("method,lam", [("ccp", "1.0"), ("ml2p", "-0.1")])
+    def test_fit_lambda_out_of_range(self, csv_path, tmp_path, capsys, method, lam):
+        code = run(["fit", "--method", method, "--lambda", lam, "--data", csv_path,
+                    "--response", "y", "--out", tmp_path / "model.json"])
+        self.one_error_line(capsys, code, f"lambda must be in [0, 1), got {float(lam)}")
+        assert not (tmp_path / "model.json").exists()
+
+    def test_sweep_lambda_out_of_range(self, csv_path, tmp_path, capsys):
+        code = run(["sweep", "--mode", "mean", "--lambdas", "0.5,1.0", "--data", csv_path,
+                    "--response", "y", "--out", tmp_path / "sweep.csv"])
+        self.one_error_line(capsys, code, "lambda must be in [0, 1), got 1.0")
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_cross_check_on_different_grids(self, csv_path, tmp_path, capsys):
+        for mode, lambdas in (("mean", "0,0.5"), ("iid", "0,0.3")):
+            assert run(["sweep", "--mode", mode, "--depths", "0", "--lambdas", lambdas,
+                        "--seeds", "1", "--data", csv_path, "--response", "y",
+                        "--format", "json", "--out", tmp_path / f"{mode}.json"]) == 0
+        capsys.readouterr()
+        code = run(["cross-check", "--mada", tmp_path / "mean.json", "--iid",
+                    tmp_path / "iid.json", "--out", tmp_path / "cross.json"])
+        self.one_error_line(capsys, code, "sweeps must share depths, lambda grid and seeds")
+        assert not (tmp_path / "cross.json").exists()
+
+    def test_cross_check_on_a_report_that_is_no_sweep(self, tmp_path, capsys):
+        report = tmp_path / "converge.json"
+        report.write_text(json.dumps({"meta": {"type": "convergence"}}))
+        code = run(["cross-check", "--mada", report, "--iid", report,
+                    "--out", tmp_path / "cross.json"])
+        self.one_error_line(capsys, code, "payload is not a sweep report")
+
 
 def test_importing_the_package_loads_no_scipy():
     code = ("import sys, ablatereg, ablatereg.cli; "

@@ -172,6 +172,19 @@ class TestLambdaSweep:
         with pytest.raises(ValueError):
             lambda_sweep(small_data, [0], "mean", [0.0, 1.0], seeds=(0,))
 
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_diverging_cell_is_recorded(self, small_data):
+        # Adam moves each weight by about the learning rate on the first step,
+        # so the second step's forward pass overflows.  The sweep skips the
+        # train-loss pass; the per-batch loss check still catches it.
+        cfg = TrainConfig(learning_rate=1e300, epochs=2, batch_size=16)
+        sweep = lambda_sweep(small_data, [1], "mean", (0.0, 0.5), seeds=(0,), cfg=cfg,
+                             hidden_width=8, attribution_steps=5)
+        assert len(sweep.cells) == 2
+        for cell in sweep.cells:
+            assert cell.error.startswith("diverged at epoch 0, step 1: non-finite loss")
+            assert math.isnan(cell.metric) and math.isnan(cell.ccp) and math.isnan(cell.ml2p)
+
 
 class TestTrends:
     def _toy_sweep(self, mode, ccp_values, ml2p_values):

@@ -7,6 +7,7 @@ from ablatereg.linear import fit_ols
 from ablatereg.nn import (
     TrainConfig,
     TrainingDivergedError,
+    _adam_update,
     evaluate,
     forward,
     init,
@@ -14,8 +15,19 @@ from ablatereg.nn import (
     linear_as_mlp,
     loss,
     param_gradients,
+    predict,
     train,
 )
+
+
+def net_with_biases(dims, seed):
+    """A He-initialized net whose biases are random too, so bias additions
+    show in every bit-for-bit comparison."""
+    m = init(dims, seed=seed)
+    rng = np.random.default_rng(seed + 1000)
+    for b in m.biases:
+        b[:] = rng.normal(scale=0.5, size=b.shape)
+    return m
 
 
 def regression_dataset(X, y):
@@ -77,6 +89,15 @@ class TestForward:
         m = init([3, 1], seed=11)
         with pytest.raises(ValueError):
             forward(m, np.zeros((2, 4)))
+        with pytest.raises(ValueError):
+            predict(m, np.zeros((2, 4)))
+
+    @pytest.mark.parametrize("dims", [[4, 3], [4, 9, 3], [4, 9, 7, 5, 3]])
+    def test_predict_is_forward_outputs_bit_for_bit(self, dims):
+        m = net_with_biases(dims, seed=12)
+        X = np.random.default_rng(13).normal(size=(50, 4))
+        assert np.array_equal(predict(m, X), forward(m, X)[0])
+        assert np.array_equal(predict(m, X[0]), forward(m, X[0])[0])
 
 
 class TestLoss:
@@ -165,7 +186,38 @@ class TestParamGradients:
             np.testing.assert_allclose(a, b, atol=1e-12)
 
 
+def full_backprop_input_gradients(m, X, output_index):
+    """The input gradient as the full backprop over :func:`forward`'s cache
+    computed it: every layer's weight and bias gradients, then the input
+    gradient from the float pre-activations."""
+    outputs, cache = forward(m, X)
+    g = np.zeros_like(outputs)
+    g[:, output_index] = 1.0
+    for layer in range(len(m.weights) - 1, -1, -1):
+        cache["inputs"][layer].T @ g
+        g.sum(axis=0)
+        if layer > 0:
+            g = (g @ m.weights[layer].T) * (cache["preacts"][layer - 1] > 0)
+        else:
+            g = g @ m.weights[0].T
+    return g
+
+
 class TestInputGradients:
+    @pytest.mark.parametrize("dims", [[5, 3], [5, 12, 3], [5, 12, 10, 8, 3]])
+    def test_equals_full_backprop_bit_for_bit(self, dims):
+        m = net_with_biases(dims, seed=31)
+        X = np.random.default_rng(32).normal(size=(40, 5))
+        for output_index in range(3):
+            assert np.array_equal(input_gradients(m, X, output_index),
+                                  full_backprop_input_gradients(m, X, output_index))
+
+    def test_output_index_checked(self):
+        m = init([3, 4, 2], seed=33)
+        for bad in (-1, 2):
+            with pytest.raises(ValueError):
+                input_gradients(m, np.zeros((2, 3)), bad)
+
     def test_depth0_rows_equal_weights(self):
         m = init([4, 1], seed=19)
         X = np.random.default_rng(20).normal(size=(6, 4))
@@ -217,6 +269,20 @@ class TestTrain:
             np.testing.assert_array_equal(a, b)
         assert log_plain.epochs == log_aug.epochs
 
+    @pytest.mark.parametrize("augment", [None, AugmentSpec("iid", 0.3, 1, seed=2)])
+    def test_skipping_train_loss_changes_nothing_else(self, augment):
+        tr, va = self._splits(seed=34, noise=1.0)
+        cfg = TrainConfig(epochs=6, batch_size=16, seed=8, augment=augment)
+        m_full, log_full = train(init([3, 8, 8, 1], seed=9), tr, va, cfg)
+        m_skip, log_skip = train(init([3, 8, 8, 1], seed=9), tr, va, cfg, log_train_loss=False)
+        for a, b in zip(m_full.weights + m_full.biases, m_skip.weights + m_skip.biases):
+            assert np.array_equal(a, b)
+        assert [e["val_loss"] for e in log_skip.epochs] == [e["val_loss"] for e in log_full.epochs]
+        assert all(set(e) == {"epoch", "val_loss"} for e in log_skip.epochs)
+        assert all(set(e) == {"epoch", "train_loss", "val_loss"} for e in log_full.epochs)
+        assert (log_skip.best_epoch, log_skip.stopped_early) == (log_full.best_epoch,
+                                                                 log_full.stopped_early)
+
     def test_depth0_regression_reaches_ols(self):
         d = synth_correlated(200, 3, 0.3, (1.0, -2.0, 3.0), 0.1, seed=26)
         ds, _ = standardize(d)
@@ -255,6 +321,39 @@ class TestTrain:
         cfg = TrainConfig(epochs=2, batch_size=16, seed=10)
         with pytest.raises(TrainingDivergedError):
             train(bad, tr, va, cfg)
+
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_non_finite_validation_loss_detected_without_train_loss(self):
+        tr, va = self._splits()
+        va = regression_dataset(va.features * 1e300, va.response)
+        cfg = TrainConfig(epochs=2, batch_size=16, seed=10)
+        with pytest.raises(TrainingDivergedError, match="non-finite epoch loss at epoch 0"):
+            train(init([3, 8, 1], seed=9), tr, va, cfg, log_train_loss=False)
+
+
+def out_of_place_adam(param, m, v, grad, lr, b1, b2, eps, corr1, corr2):
+    """The Adam update as written with temporaries; returns new arrays."""
+    m = b1 * m + (1 - b1) * grad
+    v = b2 * v + (1 - b2) * grad ** 2
+    return param - lr * (m / corr1) / (np.sqrt(v / corr2) + eps), m, v
+
+
+def test_in_place_adam_equals_out_of_place_bit_for_bit():
+    rng = np.random.default_rng(35)
+    lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
+    # parameters on the scale of one step, so every bit of the step shows
+    start = rng.normal(scale=lr, size=(6, 4))
+    param, m, v = start.copy(), np.zeros_like(start), np.zeros_like(start)
+    t, s = np.empty_like(start), np.empty_like(start)
+    ref = (start.copy(), np.zeros_like(start), np.zeros_like(start))
+    for step in range(1, 6):
+        grad = rng.normal(scale=10.0 ** rng.integers(-6, 3), size=start.shape)
+        corr1, corr2 = 1.0 - b1**step, 1.0 - b2**step
+        _adam_update(param, m, v, t, s, grad, lr, b1, b2, eps, corr1, corr2)
+        ref = out_of_place_adam(*ref, grad, lr, b1, b2, eps, corr1, corr2)
+        for got, want in zip((param, m, v), ref):
+            assert np.array_equal(got, want)
 
 
 class TestEvaluate:
