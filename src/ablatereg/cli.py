@@ -59,13 +59,22 @@ _CONFIG_ALIASES = {"lambda": "lam", "class": "class_index", "format": "fmt"}
 
 
 def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> argparse.Namespace:
-    """Fill unset (None) options from the JSON config file, if any; a key
-    that names no option of the command is an error."""
+    """Fill unset (None) options from the JSON config file, if any.  A value
+    goes through its flag's argparse ``type`` and ``choices`` as if it had
+    been typed on the command line; a key that names no option of the
+    command, or a value its flag would reject, is a usage error."""
     path = getattr(args, "config", None)
     if not path:
         return args
     with open(path, encoding="utf-8") as fh:
-        config = json.load(fh)
+        try:
+            config = json.load(fh)
+        except json.JSONDecodeError as err:
+            parser.error(f"config file {path} is not JSON: {err}")
+    if not isinstance(config, dict):
+        parser.error(f"config file {path} must hold a JSON object")
+    (commands,) = (a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {a.dest: a for a in commands[args.command]._actions}
     known = set(vars(args)) - {"command", "func", "config"}
     for key, value in config.items():
         attr = key.replace("-", "_")
@@ -73,8 +82,26 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         if attr not in known:
             parser.error(f"unknown key {key!r} in config file {path}")
         if getattr(args, attr) is None:
-            setattr(args, attr, value)
+            setattr(args, attr, _config_value(options[attr], key, value, path, parser))
     return args
+
+
+def _config_value(action: argparse.Action, key: str, value, path, parser):
+    """A config file's value for ``action``, converted as argparse converts
+    the flag's text.  Switches (``--check``) take the JSON value as it is."""
+    if action.nargs == 0:
+        return value
+    # a number or other JSON value is converted from its JSON text, so 3.5
+    # or true is rejected where an int is expected, as on the command line
+    text = value if isinstance(value, str) else json.dumps(value)
+    try:
+        converted = (action.type or str)(text)
+    except ValueError:
+        parser.error(f"config key {key!r} in {path}: invalid value {value!r}")
+    if action.choices is not None and converted not in action.choices:
+        parser.error(f"config key {key!r} in {path}: {value!r} is not one of "
+                     f"{', '.join(map(repr, action.choices))}")
+    return converted
 
 
 def _defaults(args, **fallbacks) -> None:
@@ -351,13 +378,18 @@ def cmd_sweep(args) -> int:
     return _check_exit(sweep.check(args.spearman_threshold)) if args.check else 0
 
 
+def _read_sweep(path) -> harness.SweepResult:
+    with open(path, encoding="utf-8") as fh:
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as err:
+            raise harness.ReportError(f"{path} is not a JSON report: {err}") from None
+    return harness.sweep_from_payload(payload)
+
+
 def cmd_cross_check(args) -> int:
     _defaults(args, fmt="json")
-    with open(args.mada, encoding="utf-8") as fh:
-        sweep_mada = harness.sweep_from_payload(json.load(fh))
-    with open(args.iid, encoding="utf-8") as fh:
-        sweep_iid = harness.sweep_from_payload(json.load(fh))
-    report = harness.cross_trend_check(sweep_mada, sweep_iid)
+    report = harness.cross_trend_check(_read_sweep(args.mada), _read_sweep(args.iid))
     harness.emit_report(report, args.fmt, args.out)
     logger.info("wrote cross-trend report to %s", args.out)
     return _check_exit(report.check()) if args.check else 0

@@ -3,13 +3,26 @@ ablated datasets converges to the closed-form penalized solutions, lambda
 sweeps that trace how the two penalties respond to each augmentation mode,
 and deterministic CSV/JSON report emission.
 
-The Monte-Carlo checks never hold a synthetic set in memory.  They stream it
-block by block from :func:`~ablatereg.augment.augmented_chunks` into centered
-sufficient statistics of ``[X | y]``, and solve OLS from those; the random
-draws are the ones :func:`~ablatereg.augment.build_augmented` makes.  The
-``augment`` command streams the same blocks to disk through
-:func:`_matrix_lines` and :func:`write_text`, so nothing here materializes a
-synthetic set.
+The Monte-Carlo checks never hold a synthetic set in memory, and they
+solve OLS from centered sufficient statistics of ``[X | y]``; the random
+draws are the ones :func:`~ablatereg.augment.build_augmented` makes.  Each
+set runs through :func:`~ablatereg.augment.reduced_blocks` in three parts:
+
+- draw: the calling thread makes every bootstrap and mask draw, block by
+  block, in the order of a serial run;
+- reduce: up to two worker threads gather, ablate and reduce blocks, each
+  to its row count, mean and centered cross-products
+  (:func:`_block_moments`), or to the squared deviations of its centered
+  products (:func:`_block_square_deviations`);
+- merge: the calling thread folds the block results in block order, the
+  moments with the Chan–Golub–LeVeque pairwise update.
+
+A block's result is a function of its own draws alone, computed by the same
+operations on arrays of the same layout as a serial loop would use, and the
+merge order is fixed, so the reports are the same bytes whichever thread
+reduced which block.  The ``augment`` command streams the same draws to
+disk through :func:`_matrix_lines` and :func:`write_text`, so nothing here
+materializes a synthetic set.
 
 Every file the package writes goes through :func:`write_text`, which writes
 atomically.  Numeric CSV bodies are formatted by :func:`_matrix_lines`, which
@@ -20,6 +33,7 @@ formats a repeated value once; the small mixed-type reports use
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import math
 import os
@@ -30,7 +44,7 @@ from dataclasses import dataclass, field, replace as dc_replace
 import numpy as np
 
 from .attribution import AttributionConfig, as_contributions, integrated_gradients
-from .augment import INVERTED_DROPOUT, MEAN_ABLATION, AugmentSpec, augmented_chunks, check_lambda
+from .augment import INVERTED_DROPOUT, MEAN_ABLATION, AugmentSpec, check_lambda, reduced_blocks
 from .dataset import (
     CLASSIFICATION,
     REGRESSION,
@@ -127,30 +141,26 @@ def _moment_limits(d: Dataset, mode: str, lam: float) -> tuple[np.ndarray, np.nd
     return gram_limit, cross_limit
 
 
-def _augmented_blocks(d: Dataset, spec: AugmentSpec):
-    """The synthetic set as ``[X | y]`` blocks, in draw order.  Blocks are
-    column-major, so column means are summed pairwise (accurately)."""
-    for features, response in augmented_chunks(d, spec):
-        z = np.empty((response.shape[0], d.k + 1), order="F")
-        z[:, :-1] = features
-        z[:, -1] = response
-        yield z
+def _block_moments(z, scratch):
+    """Rows, mean and centered cross-products of one ``[X | y]`` block,
+    centered in place on the block's own mean.  Columns are contiguous, so
+    the column means are summed pairwise (accurately)."""
+    block_mean = z.mean(axis=0)
+    z -= block_mean
+    return z.shape[0], block_mean, z.T @ z
 
 
 def _streamed_moments(d: Dataset, spec: AugmentSpec) -> tuple[np.ndarray, np.ndarray]:
     """Mean and centered second moments (cross-products over N) of
     ``[X | y]`` on the synthetic set, one block at a time.
 
-    Each block is centered on its own mean, and blocks are merged with the
-    pairwise update of Chan, Golub & LeVeque (1979), never through raw sums,
-    so large feature means cost no precision.
+    Each block is centered on its own mean on a worker thread, and the
+    blocks are merged here, in block order, with the pairwise update of
+    Chan, Golub & LeVeque (1979), never through raw sums, so large feature
+    means cost no precision.
     """
     n = 0
-    for z in _augmented_blocks(d, spec):
-        rows = z.shape[0]
-        block_mean = z.mean(axis=0)
-        zc = z - block_mean
-        block_cross = zc.T @ zc
+    for rows, block_mean, block_cross in reduced_blocks(d, spec, _block_moments):
         if n == 0:
             mean, cross = block_mean, block_cross
         else:
@@ -254,6 +264,20 @@ class MomentCheck:
         return float(max(self.gram_sigmas.max(), self.cross_sigmas.max()))
 
 
+def _block_square_deviations(z, product, *, mean, pairs, observed):
+    """Per pair (a, b), the sum over one block of the squared deviation of
+    the centered product ``z[:, a] * z[:, b]`` from its moment, built one
+    column at a time in the ``product`` scratch column."""
+    z -= mean
+    sums = np.empty(len(pairs))
+    for p, (a, b) in enumerate(pairs):
+        np.multiply(z[:, a], z[:, b], out=product)
+        product -= observed[p]
+        np.square(product, out=product)
+        sums[p] = product.sum()
+    return sums
+
+
 def check_moment_limits(
     d: Dataset, mode: str, lam: float, n_synthetic: int, seed: int, n_sigma: float = 3.0
 ) -> MomentCheck:
@@ -264,6 +288,7 @@ def check_moment_limits(
     of :func:`~ablatereg.augment.build_augmented`): the first pass gives the
     moments, the second the spread of each centered product around its
     moment, whose standard deviation over sqrt(N) is the standard error.
+    Both passes reduce blocks on worker threads and merge them in order.
     """
     spec = AugmentSpec(mode, lam, n_synthetic, seed)
     gram_limit, cross_limit = _moment_limits(d, mode, lam)
@@ -273,9 +298,10 @@ def check_moment_limits(
     rows, cols = (idx[:-1] for idx in np.triu_indices(k + 1))
     observed = moments[rows, cols]
     sq_dev = np.zeros(rows.size)
-    for z in _augmented_blocks(d, spec):
-        zc = z - mean
-        sq_dev += ((zc[:, rows] * zc[:, cols] - observed) ** 2).sum(axis=0)
+    reduce = functools.partial(_block_square_deviations, mean=mean, pairs=tuple(zip(rows, cols)),
+                               observed=observed)
+    for block_sq_dev in reduced_blocks(d, spec, reduce):
+        sq_dev += block_sq_dev
     se = np.sqrt(sq_dev / n_synthetic) / math.sqrt(n_synthetic)
 
     limits = np.zeros((k + 1, k + 1))
@@ -790,38 +816,53 @@ def write_text(path, text) -> None:
         raise
 
 
-def sweep_from_payload(payload: dict) -> SweepResult:
-    """Rebuild a :class:`SweepResult` from its JSON report payload."""
-    meta = payload["meta"]
-    if meta.get("type") != "sweep":
+_SWEEP_META = ("dataset", "task", "mode", "depths", "lambda_grid", "seeds", "hidden_width")
+_SWEEP_COLUMNS = ("kind", "depth", "lambda", "seed", "output_index", "metric", "ccp", "ml2p",
+                  "error")
+
+
+def sweep_from_payload(payload) -> SweepResult:
+    """Rebuild a :class:`SweepResult` from its JSON report payload.  Anything
+    that is not a whole sweep report raises :class:`ReportError`."""
+    meta = payload.get("meta") if isinstance(payload, dict) else None
+    if not isinstance(meta, dict) or meta.get("type") != "sweep":
         raise ReportError("payload is not a sweep report")
-    columns = payload["columns"]
+    columns, rows = payload.get("columns"), payload.get("rows")
+    if not isinstance(columns, list) or not isinstance(rows, list):
+        raise ReportError("sweep report needs a 'columns' list and a 'rows' list")
+    missing = ([f"meta {key!r}" for key in _SWEEP_META if key not in meta]
+               + [f"column {name!r}" for name in _SWEEP_COLUMNS if name not in columns])
+    if missing:
+        raise ReportError(f"sweep report lacks {', '.join(missing)}")
     col = {name: i for i, name in enumerate(columns)}
-    result = SweepResult(
-        dataset_id=meta["dataset"],
-        task=meta["task"],
-        mode=meta["mode"],
-        depths=tuple(meta["depths"]),
-        lambda_grid=tuple(meta["lambda_grid"]),
-        seeds=tuple(meta["seeds"]),
-        hidden_width=meta["hidden_width"],
-    )
-    for row in payload["rows"]:
-        if row[col["kind"]] != "cell":
-            continue
+    try:
+        result = SweepResult(
+            dataset_id=meta["dataset"],
+            task=meta["task"],
+            mode=meta["mode"],
+            depths=tuple(meta["depths"]),
+            lambda_grid=tuple(meta["lambda_grid"]),
+            seeds=tuple(meta["seeds"]),
+            hidden_width=meta["hidden_width"],
+        )
+        for row in rows:
+            if row[col["kind"]] != "cell":
+                continue
 
-        def num(name):
-            value = row[col[name]]
-            return float("nan") if value is None else float(value)
+            def num(name):
+                value = row[col[name]]
+                return float("nan") if value is None else float(value)
 
-        result.cells.append(SweepCell(
-            depth=int(row[col["depth"]]),
-            lam=float(row[col["lambda"]]),
-            seed=int(row[col["seed"]]),
-            output_index=int(row[col["output_index"]]),
-            metric=num("metric"),
-            ccp=num("ccp"),
-            ml2p=num("ml2p"),
-            error=(row[col["error"]] or None),
-        ))
+            result.cells.append(SweepCell(
+                depth=int(row[col["depth"]]),
+                lam=float(row[col["lambda"]]),
+                seed=int(row[col["seed"]]),
+                output_index=int(row[col["output_index"]]),
+                metric=num("metric"),
+                ccp=num("ccp"),
+                ml2p=num("ml2p"),
+                error=(row[col["error"]] or None),
+            ))
+    except (IndexError, TypeError, ValueError) as err:
+        raise ReportError(f"malformed sweep report: {err}") from None
     return result

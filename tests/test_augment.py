@@ -1,7 +1,11 @@
+import sys
+import threading
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from ablatereg import _streams
+from ablatereg import _streams, augment
 from ablatereg.augment import (
     BLOCK_ROWS,
     AugmentError,
@@ -11,6 +15,7 @@ from ablatereg.augment import (
     augmented_chunks,
     batch_masks,
     build_augmented,
+    reduced_blocks,
 )
 from ablatereg.dataset import synth_correlated
 
@@ -91,6 +96,86 @@ class TestApplyInvertedDropout:
     def test_rejects_lambda_one(self):
         with pytest.raises(AugmentError):
             ablate([1.0], [False], dropout(1.0))
+
+
+class TestAblateOut:
+    """The out= form (in place when out is X) equals the new-array form bit
+    for bit, and both equal the np.where definitions."""
+
+    @pytest.mark.parametrize("mode", ["mean", "iid"])
+    def test_out_and_in_place_equal_the_new_array_form(self, mode):
+        rng = np.random.default_rng(21)
+        X = rng.standard_normal((500, 4)) * 1e3 + 1e6
+        X[0, 0], X[1, 1] = -0.0, 0.0
+        mask = draw_mask(500, 4, 0.4, seed=22)
+        spec = AugmentSpec(mode, 0.4, 1, seed=0)
+        means = X.mean(axis=0) if mode == "mean" else None
+        fresh = ablate(X, mask, spec, means)
+        expected = (np.where(mask, means, X) if mode == "mean"
+                    else np.where(mask, 0.0, X / (1.0 - 0.4)))
+        out = np.full_like(X, np.nan)
+        assert ablate(X, mask, spec, means, out=out) is out
+        in_place = np.asfortranarray(X)
+        assert ablate(in_place, mask, spec, means, out=in_place) is in_place
+        for result in (fresh, out, in_place):
+            assert result.tobytes(order="C") == expected.tobytes(order="C")
+
+    def test_out_of_another_shape_is_rejected(self):
+        with pytest.raises(AugmentError):
+            ablate(np.ones((2, 2)), np.zeros((2, 2), bool), dropout(0.5), out=np.empty(2))
+
+
+def chunked_set(d, spec, block_rows):
+    """The blocks of augmented_chunks, joined into one [X | y] array."""
+    features, response = zip(*augmented_chunks(d, spec, block_rows=block_rows))
+    return np.column_stack([np.concatenate(features), np.concatenate(response)])
+
+
+class TestReducedBlocks:
+    @pytest.mark.parametrize("mode", ["mean", "iid"])
+    @pytest.mark.parametrize("block_rows", [1, 7, 64, 1000])
+    def test_blocks_arrive_in_draw_order(self, mode, block_rows, monkeypatch):
+        # the reducer sees each block of augmented_chunks, whatever thread runs it
+        d = synth_correlated(23, 3, 0.4, (1, -1, 2), 1.0, seed=13)
+        spec = AugmentSpec(mode, 0.4, 301, seed=14)
+        monkeypatch.setattr(augment, "BLOCK_ROWS", block_rows)
+        blocks = list(reduced_blocks(d, spec, lambda z, scratch: z.copy(order="F")))
+        assert [b.shape[0] for b in blocks] == [
+            min(block_rows, 301 - start) for start in range(0, 301, block_rows)]
+        assert all(b.flags.f_contiguous for b in blocks)
+        np.testing.assert_array_equal(np.concatenate(blocks), chunked_set(d, spec, block_rows))
+
+    def test_concurrent_pipelines_under_fast_thread_switching(self, monkeypatch):
+        # two pipelines at once run four workers and two drawing threads on the
+        # host's cores; a slot reused before its block was reduced would show
+        d = synth_correlated(23, 3, 0.4, (1, -1, 2), 1.0, seed=13)
+        specs = [AugmentSpec(mode, 0.4, 3001, seed=15) for mode in ("mean", "iid")]
+        results = [None] * len(specs)
+        monkeypatch.setattr(augment, "BLOCK_ROWS", 7)
+
+        def run(i):
+            results[i] = np.concatenate(list(reduced_blocks(
+                d, specs[i], lambda z, scratch: z.copy())))
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(specs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for spec, result in zip(specs, results):
+            np.testing.assert_array_equal(result, chunked_set(d, spec, 7))
+
+    def test_empty_dataset_is_rejected(self):
+        d = synth_correlated(5, 2, 0.0, (1, 1), 1.0, seed=1)
+        empty = replace(d, features=d.features[:0], response=d.response[:0])
+        with pytest.raises(AugmentError, match="empty"):
+            list(reduced_blocks(empty, AugmentSpec("iid", 0.5, 10, seed=0), lambda z, s: 0))
 
 
 class TestBuildAugmented:

@@ -333,6 +333,46 @@ class TestConfigStrictness:
         assert "'lamda'" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
 
+    TRAIN = ["train", "--depth", "1", "--mode", "iid", "--lambda", "0.4", "--response", "y",
+             "--seed", "2", "--hidden-width", "5"]
+
+    @pytest.mark.parametrize("epochs", ["3", 3])
+    def test_config_values_go_through_the_flag_type(self, csv_path, tmp_path, epochs):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"epochs": epochs}))
+        base = self.TRAIN + ["--data", csv_path]
+        assert run(base + ["--epochs", "3", "--out", tmp_path / "flag.json"]) == 0
+        assert run(base + ["--config", config, "--out", tmp_path / "config.json.out"]) == 0
+        assert (tmp_path / "config.json.out").read_bytes() == (tmp_path / "flag.json").read_bytes()
+
+    @pytest.mark.parametrize("text", ['{"epochs": 3', '[["epochs", 3]]'])
+    def test_config_file_that_is_no_json_object_is_a_usage_error(self, csv_path, tmp_path,
+                                                                 capsys, text):
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            run(["train", "--response", "y", "--data", csv_path, "--config", config,
+                 "--out", tmp_path / "ckpt.json"])
+        assert exc.value.code == 2
+        assert f"config file {config}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config_values, named", [
+        ({"epochs": "three"}, "'epochs'"),
+        ({"epochs": 2.5}, "'epochs'"),
+        ({"epochs": True}, "'epochs'"),
+        ({"mode": "cutout"}, "'mode'"),
+    ])
+    def test_config_value_the_flag_rejects_is_a_usage_error(self, csv_path, tmp_path, capsys,
+                                                            config_values, named):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(config_values))
+        with pytest.raises(SystemExit) as exc:
+            run(["train", "--response", "y", "--data", csv_path, "--config", config,
+                 "--out", tmp_path / "ckpt.json"])
+        assert exc.value.code == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "ckpt.json").exists()
+
 
 class TestErrorReporting:
     def test_singular_fit_is_one_error_line(self, tmp_path, capsys):
@@ -404,6 +444,23 @@ class TestErrorReporting:
         code = run(["cross-check", "--mada", report, "--iid", report,
                     "--out", tmp_path / "cross.json"])
         self.one_error_line(capsys, code, "payload is not a sweep report")
+
+    @pytest.mark.parametrize("payload, message", [
+        ({}, "payload is not a sweep report"),
+        ([], "payload is not a sweep report"),
+        ({"meta": {}}, "payload is not a sweep report"),
+        ({"meta": {"type": "sweep"}}, "sweep report needs a 'columns' list and a 'rows' list"),
+        ("not json", "is not a JSON report: Expecting value: line 1 column 1 (char 0)"),
+    ])
+    def test_cross_check_on_a_malformed_report(self, tmp_path, capsys, payload, message):
+        report = tmp_path / "bad.json"
+        report.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+        if payload == "not json":
+            message = f"{report} {message}"
+        code = run(["cross-check", "--mada", report, "--iid", report,
+                    "--out", tmp_path / "cross.json"])
+        self.one_error_line(capsys, code, message)
+        assert not (tmp_path / "cross.json").exists()
 
 
 def test_importing_the_package_loads_no_scipy():

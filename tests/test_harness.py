@@ -11,9 +11,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ablatereg.augment import BLOCK_ROWS, AugmentSpec, build_augmented
+from ablatereg import _streams, augment, harness
+from ablatereg.augment import BLOCK_ROWS, AugmentError, AugmentSpec, augmented_chunks, build_augmented
 from ablatereg.dataset import synth_correlated
 from ablatereg.harness import (
+    ReportError,
     SweepCell,
     SweepResult,
     check_moment_limits,
@@ -130,6 +132,154 @@ class TestStreamedMoments:
         reference = Xc.T @ Xc / aug.n
         gram = moments[:-1, :-1]
         assert np.abs(gram - reference).max() <= 1e-9 * np.abs(reference).max()
+
+
+def serial_block(features, response):
+    z = np.empty((response.shape[0], features.shape[1] + 1), order="F")
+    z[:, :-1] = features
+    z[:, -1] = response
+    return z
+
+
+def serial_moments(d, spec):
+    """Reference for the block pipeline: one thread walks augmented_chunks and
+    merges each block's centered moments with the Chan update."""
+    n = 0
+    for features, response in augmented_chunks(d, spec):
+        z = serial_block(features, response)
+        rows = z.shape[0]
+        block_mean = z.mean(axis=0)
+        zc = z - block_mean
+        block_cross = zc.T @ zc
+        if n == 0:
+            mean, cross = block_mean, block_cross
+        else:
+            delta = block_mean - mean
+            total = n + rows
+            mean = mean + delta * (rows / total)
+            cross += block_cross + np.outer(delta, delta) * (n * rows / total)
+        n += rows
+    return mean, cross / n
+
+
+def serial_moment_sigmas(d, mode, lam, n_synthetic, seed):
+    """Reference for check_moment_limits: both passes serial, the second with
+    the whole-block product array."""
+    spec = AugmentSpec(mode, lam, n_synthetic, seed)
+    gram_limit, cross_limit = _moment_limits(d, mode, lam)
+    k = d.k
+    mean, moments = serial_moments(d, spec)
+    rows, cols = (idx[:-1] for idx in np.triu_indices(k + 1))
+    observed = moments[rows, cols]
+    sq_dev = np.zeros(rows.size)
+    for features, response in augmented_chunks(d, spec):
+        zc = serial_block(features, response) - mean
+        sq_dev += ((zc[:, rows] * zc[:, cols] - observed) ** 2).sum(axis=0)
+    se = np.sqrt(sq_dev / n_synthetic) / math.sqrt(n_synthetic)
+    limits = np.zeros((k + 1, k + 1))
+    limits[:k, :k] = gram_limit
+    limits[:k, k] = cross_limit
+    err = np.abs(observed - limits[rows, cols])
+    sigmas = np.zeros((k + 1, k + 1))
+    sigmas[rows, cols] = sigmas[cols, rows] = np.divide(
+        err, se, out=np.zeros_like(err), where=se > 0)
+    return sigmas[:k, :k], sigmas[:k, k]
+
+
+class TestBlockPipelineBytes:
+    """The threaded draw/reduce/merge pipeline gives the serial loop's bytes."""
+
+    @pytest.mark.parametrize("shift", [0.0, 1e6])
+    @pytest.mark.parametrize("n_synthetic", [1000, BLOCK_ROWS, 3 * BLOCK_ROWS + 17])
+    @pytest.mark.parametrize("mode", ["mean", "iid"])
+    def test_moments(self, small_data, mode, n_synthetic, shift):
+        d = replace(small_data, features=small_data.features + shift)
+        spec = AugmentSpec(mode, 0.4, n_synthetic, seed=9)
+        mean, cross = _streamed_moments(d, spec)
+        ref_mean, ref_cross = serial_moments(d, spec)
+        assert np.array_equal(mean, ref_mean) and np.array_equal(cross, ref_cross)
+
+    @pytest.mark.parametrize("shift", [0.0, 1e6])
+    @pytest.mark.parametrize("mode", ["mean", "iid"])
+    def test_moment_check_sigmas(self, small_data, mode, shift):
+        d = replace(small_data, features=small_data.features + shift)
+        check = check_moment_limits(d, mode, 0.3, 3 * BLOCK_ROWS + 17, seed=6)
+        gram, cross = serial_moment_sigmas(d, mode, 0.3, 3 * BLOCK_ROWS + 17, seed=6)
+        assert np.array_equal(check.gram_sigmas, gram)
+        assert np.array_equal(check.cross_sigmas, cross)
+
+    @pytest.mark.parametrize("theorem", [1, 2])
+    def test_converge_reports(self, small_data, theorem, monkeypatch):
+        converge = converge_theorem1 if theorem == 1 else converge_theorem2
+        schedule = (1000, BLOCK_ROWS, 3 * BLOCK_ROWS + 17)
+        run = converge(small_data, 0.5, schedule, seeds=(0, 1))
+        monkeypatch.setattr(harness, "_streamed_moments", serial_moments)
+        reference = converge(small_data, 0.5, schedule, seeds=(0, 1))
+        for fmt in ("csv", "json"):
+            assert render_report(run, fmt) == render_report(reference, fmt)
+
+
+class RecordingGenerator:
+    """A generator whose every method call records the calling thread."""
+
+    def __init__(self, generator, threads):
+        self._generator = generator
+        self._threads = threads
+
+    def __getattr__(self, name):
+        method = getattr(self._generator, name)
+
+        def call(*args, **kwargs):
+            self._threads.append(threading.get_ident())
+            return method(*args, **kwargs)
+
+        return call
+
+
+class TestBlockPipelineThreads:
+    def test_draws_happen_on_the_calling_thread(self, small_data, monkeypatch):
+        threads = []
+        stream = _streams.stream
+
+        def recording_stream(*key):
+            threads.append(threading.get_ident())
+            return RecordingGenerator(stream(*key), threads)
+
+        monkeypatch.setattr(_streams, "stream", recording_stream)
+        before = threading.active_count()
+        converge_theorem1(small_data, 0.5, (1000, 3 * BLOCK_ROWS + 17), seeds=(0,))
+        check_moment_limits(small_data, "iid", 0.5, 3 * BLOCK_ROWS + 17, seed=1)
+        assert threading.active_count() == before
+        # 3 generators per check, 2 per converge cell, and one call per block and stream
+        assert len(threads) > 2 * 2 + 3 + 2 * 4 * 3
+        assert set(threads) == {threading.get_ident()}
+
+    def test_error_in_a_block_surfaces_with_its_type(self, small_data, monkeypatch):
+        ablate = augment.ablate
+
+        def ablate_with_bad_means(X, mask, spec, means=None, out=None):
+            return ablate(X, mask, spec, means[:-1], out=out)
+
+        monkeypatch.setattr(augment, "ablate", ablate_with_bad_means)
+        before = threading.active_count()
+        with pytest.raises(AugmentError, match="one entry per feature"):
+            converge_theorem1(small_data, 0.5, (1000, 3 * BLOCK_ROWS + 17), seeds=(0,))
+        assert threading.active_count() == before
+
+    def test_error_in_a_later_block_surfaces_after_the_earlier_results(self, small_data):
+        def reduce(z, scratch):
+            if z.shape[0] == 5:
+                raise FloatingPointError("last block")
+            return z.shape[0]
+
+        before = threading.active_count()
+        spec = AugmentSpec("mean", 0.5, 2 * BLOCK_ROWS + 5, seed=0)
+        results = []
+        with pytest.raises(FloatingPointError, match="last block"):
+            for rows in augment.reduced_blocks(small_data, spec, reduce):
+                results.append(rows)
+        assert results == [BLOCK_ROWS, BLOCK_ROWS]
+        assert threading.active_count() == before
 
 
 class TestLambdaSweep:
@@ -334,6 +484,42 @@ class TestEmitReport:
         for a, b in zip(restored.cells, sweep.cells):
             assert a.depth == b.depth and a.lam == b.lam
             np.testing.assert_allclose(a.ccp, b.ccp)
+
+    @pytest.fixture(scope="class")
+    def sweep_payload(self, small_data):
+        sweep = lambda_sweep(small_data, [0], "mean", (0.0, 0.4), seeds=(0,), dataset_id="p")
+        return json.loads(render_report(sweep, "json"))
+
+    @pytest.mark.parametrize("payload", [{}, {"meta": {}}, {"meta": {"type": "convergence"}},
+                                         None, []])
+    def test_payload_without_sweep_meta_is_a_report_error(self, payload):
+        with pytest.raises(ReportError, match="not a sweep report"):
+            sweep_from_payload(payload)
+
+    @pytest.mark.parametrize("drop", ["columns", "rows"])
+    def test_payload_without_columns_or_rows_is_a_report_error(self, sweep_payload, drop):
+        payload = {key: value for key, value in sweep_payload.items() if key != drop}
+        with pytest.raises(ReportError, match="'columns' list and a 'rows' list"):
+            sweep_from_payload(payload)
+
+    def test_payload_missing_a_column_is_a_report_error(self, sweep_payload):
+        at = sweep_payload["columns"].index("ccp")
+        payload = dict(sweep_payload,
+                       columns=[c for i, c in enumerate(sweep_payload["columns"]) if i != at],
+                       rows=[[v for i, v in enumerate(row) if i != at]
+                             for row in sweep_payload["rows"]])
+        with pytest.raises(ReportError, match="column 'ccp'"):
+            sweep_from_payload(payload)
+
+    def test_payload_missing_a_meta_key_is_a_report_error(self, sweep_payload):
+        meta = {k: v for k, v in sweep_payload["meta"].items() if k != "seeds"}
+        with pytest.raises(ReportError, match="meta 'seeds'"):
+            sweep_from_payload(dict(sweep_payload, meta=meta))
+
+    def test_payload_with_a_short_row_is_a_report_error(self, sweep_payload):
+        rows = [row[:3] if row[0] == "cell" else row for row in sweep_payload["rows"]]
+        with pytest.raises(ReportError, match="malformed sweep report"):
+            sweep_from_payload(dict(sweep_payload, rows=rows))
 
     def test_unknown_format_rejected(self, small_data):
         run = converge_theorem1(small_data, 0.2, (500, 1000), seeds=(0,))
