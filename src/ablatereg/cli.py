@@ -1,13 +1,19 @@
 """Command-line interface.
 
 Subcommands mirror the library surface: ``fit``, ``augment``, ``penalty``,
-``train``, ``attribute``, ``converge``, ``sweep`` and ``cross-check``.  Every
-command accepts ``--config file.json`` whose keys are the long flag names
-with dashes replaced by underscores; explicit flags override config values,
-and a key that names no option of the command is rejected.  A numerically
-singular model, an unusable data file or split, an invalid augmentation or
-ablation rate, and sweep reports that cannot be compared are each reported as
-one ``error:`` line and exit status 1.
+``train``, ``attribute``, ``converge``, ``sweep`` and ``cross-check``.
+
+Each option's type and default live on its flag in :func:`build_parser`.
+Every command accepts ``--config file.json``, a JSON object keyed by the
+options' long names or dests (dashes or underscores alike).  Its values
+become the command's defaults, so a flag given on the command line wins.
+
+Exit status 2 is a usage error: a bad flag or flag value, a bad config key or
+value, or a config file that cannot be read.  Exit status 1 with one
+``error:`` line on stderr is a data, model, report or file error: a
+numerically singular model, an unusable data file or split, an invalid
+augmentation or ablation rate, sweep reports that cannot be compared, or a
+file that cannot be read or written.
 All outputs are deterministic given a seed: rerunning a command reproduces
 the emitted file byte for byte.
 """
@@ -52,38 +58,38 @@ logger = logging.getLogger("ablatereg")
 def _add_data_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--data", help="CSV file with a header row (default: built-in synthetic set)")
     sub.add_argument("--response", help="name of the response column")
-    sub.add_argument("--task", choices=["regression", "classification"])
+    sub.add_argument("--task", choices=["regression", "classification"], default="regression")
 
 
-_CONFIG_ALIASES = {"lambda": "lam", "class": "class_index", "format": "fmt"}
-
-
-def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> argparse.Namespace:
-    """Fill unset (None) options from the JSON config file, if any.  A value
-    goes through its flag's argparse ``type`` and ``choices`` as if it had
-    been typed on the command line; a key that names no option of the
-    command, or a value its flag would reject, is a usage error."""
-    path = getattr(args, "config", None)
-    if not path:
-        return args
-    with open(path, encoding="utf-8") as fh:
-        try:
+def _config_defaults(path, command: argparse.ArgumentParser, parser) -> dict:
+    """The JSON config file's values by option dest, to become ``command``'s
+    defaults.  A value goes through its flag's argparse ``type`` and
+    ``choices`` as if it had been typed on the command line; an unreadable
+    file, a key that names no option of the command or repeats one, or a
+    value its flag would reject, is a usage error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
             config = json.load(fh)
-        except json.JSONDecodeError as err:
-            parser.error(f"config file {path} is not JSON: {err}")
+    except OSError as err:
+        parser.error(f"cannot read config file {path}: {err.strerror}")
+    except ValueError as err:
+        parser.error(f"config file {path} is not JSON: {err}")
     if not isinstance(config, dict):
         parser.error(f"config file {path} must hold a JSON object")
-    (commands,) = (a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    options = {a.dest: a for a in commands[args.command]._actions}
-    known = set(vars(args)) - {"command", "func", "config"}
+    options = {}
+    for action in command._actions:
+        if action.dest not in ("help", "config"):
+            for name in [action.dest, *(s[2:] for s in action.option_strings if s[:2] == "--")]:
+                options[name.replace("-", "_")] = action
+    defaults = {}
     for key, value in config.items():
-        attr = key.replace("-", "_")
-        attr = _CONFIG_ALIASES.get(attr, attr)
-        if attr not in known:
+        action = options.get(key.replace("-", "_"))
+        if action is None:
             parser.error(f"unknown key {key!r} in config file {path}")
-        if getattr(args, attr) is None:
-            setattr(args, attr, _config_value(options[attr], key, value, path, parser))
-    return args
+        if action.dest in defaults:
+            parser.error(f"config key {key!r} in {path} repeats an earlier key")
+        defaults[action.dest] = _config_value(action, key, value, path, parser)
+    return defaults
 
 
 def _config_value(action: argparse.Action, key: str, value, path, parser):
@@ -98,41 +104,75 @@ def _config_value(action: argparse.Action, key: str, value, path, parser):
         converted = (action.type or str)(text)
     except ValueError:
         parser.error(f"config key {key!r} in {path}: invalid value {value!r}")
+    except argparse.ArgumentTypeError as err:
+        parser.error(f"config key {key!r} in {path}: {err}")
     if action.choices is not None and converted not in action.choices:
         parser.error(f"config key {key!r} in {path}: {value!r} is not one of "
                      f"{', '.join(map(repr, action.choices))}")
     return converted
 
 
-def _defaults(args, **fallbacks) -> None:
-    for key, value in fallbacks.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, value)
+# Argparse ``type`` functions: a value they reject is a usage error (exit 2).
+
+
+def _integer(text: str, minimum: int) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < minimum:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= {minimum}")
+    return value
+
+
+def _count(text: str) -> int:
+    return _integer(text, 1)
+
+
+def _non_negative(text: str) -> int:
+    return _integer(text, 0)
 
 
 def _parse_lambdas(text: str) -> tuple[float, ...]:
-    if ":" in text:
+    """``start:stop:step`` or a comma list; the range of each λ is left to
+    :func:`~ablatereg.augment.check_lambda`."""
+    try:
+        if ":" not in text:
+            return tuple(float(v) for v in text.split(","))
         start, stop, step = (float(v) for v in text.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is neither start:stop:step nor a comma list of numbers") from None
+    try:
         count = int(round((stop - start) / step)) + 1
-        return tuple(round(start + i * step, 10) for i in range(count))
-    return tuple(float(v) for v in text.split(","))
+    except (ArithmeticError, ValueError):  # a zero, infinite or NaN step or bound
+        count = 0
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"the range {text!r} holds no lambda")
+    return tuple(round(start + i * step, 10) for i in range(count))
 
 
 def _parse_seeds(text: str) -> tuple[int, ...]:
+    """A seed count, or a comma list of non-negative seeds."""
     if "," in text:
-        return tuple(int(v) for v in text.split(","))
-    return tuple(range(int(text)))
+        return tuple(_non_negative(v) for v in text.split(","))
+    return tuple(range(_count(text)))
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(","))
+    return tuple(_non_negative(v) for v in text.split(","))
+
+
+def _parse_schedule(text: str) -> tuple[int, ...]:
+    sizes = tuple(_count(v) for v in text.split(","))
+    if any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise argparse.ArgumentTypeError(f"N schedule must be strictly increasing, got {text!r}")
+    return sizes
 
 
 def _load_dataset(args, default_builder) -> Dataset:
     if args.data:
-        if not args.response:
-            raise SystemExit("--response is required with --data")
-        d = load_csv(args.data, args.response, args.task or "regression")
+        d = load_csv(args.data, args.response, args.task)
         return one_hot_encode(d)
     return default_builder()
 
@@ -186,7 +226,6 @@ def _stats_from_json(payload: dict) -> FeatureStats | None:
 
 
 def cmd_fit(args) -> int:
-    _defaults(args, method="ols", lam=0.0, seed=0)
     d = _load_dataset(args, lambda: _default_theorem_data(args.seed))
     if args.method == "ols":
         model = fit_ols(d)
@@ -211,7 +250,6 @@ def cmd_fit(args) -> int:
 
 
 def cmd_augment(args) -> int:
-    _defaults(args, lam=0.0, n=10000, seed=0)
     d = _load_dataset(args, lambda: _default_theorem_data(args.seed))
     spec = AugmentSpec(mode=args.mode, lam=args.lam, n_synthetic=args.n, seed=args.seed)
     header = ",".join(list(d.column_names) + [args.response or "y"]) + "\n"
@@ -224,7 +262,6 @@ def cmd_augment(args) -> int:
 
 
 def cmd_penalty(args) -> int:
-    _defaults(args, kind="both", seed=0, steps=100)
     with open(args.model, encoding="utf-8") as fh:
         payload = json.load(fh)
     d = _load_dataset(args, lambda: _default_theorem_data(args.seed))
@@ -247,7 +284,7 @@ def cmd_penalty(args) -> int:
         model = _model_from_json(payload)
         attr = integrated_gradients(
             model, d.features,
-            AttributionConfig(steps=args.steps, output_index=args.class_index or 0),
+            AttributionConfig(steps=args.steps, output_index=args.class_index),
         )
         if args.kind in ("ccp", "both"):
             ccp_value = penalty_mod.ccp_variance_form(as_contributions(attr))
@@ -266,12 +303,9 @@ def cmd_penalty(args) -> int:
 
 
 def cmd_train(args) -> int:
-    _defaults(args, depth=1, lam=0.0, mode="none", seed=0,
-              epochs=200, batch_size=256, hidden_width=100, learning_rate=1e-3)
     d = _load_dataset(args, lambda: _default_sweep_data(args.seed))
-    # fractions not given keep SplitSpec's defaults
-    given = {"test_fraction": args.test_frac, "validation_fraction_of_train": args.val_frac}
-    spec = SplitSpec(seed=args.seed, **{k: v for k, v in given.items() if v is not None})
+    spec = SplitSpec(test_fraction=args.test_frac, validation_fraction_of_train=args.val_frac,
+                     seed=args.seed)
     d_train, d_val, d_test = split(d, spec)
     d_train, stats = standardize(d_train)
     d_val, _ = standardize(d_val, stats)
@@ -314,7 +348,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_attribute(args) -> int:
-    _defaults(args, steps=100, baseline="zeros", class_index=0, seed=0)
     with open(args.model, encoding="utf-8") as fh:
         payload = json.load(fh)
     model = _model_from_json(payload)
@@ -344,30 +377,23 @@ def cmd_attribute(args) -> int:
 
 
 def cmd_converge(args) -> int:
-    _defaults(args, lam=0.5, n_schedule="1000,10000,100000,1000000",
-              seeds="3", seed=0, fmt="csv", tolerance=0.02)
     d = _load_dataset(args, lambda: _default_theorem_data(args.seed))
-    schedule = _parse_ints(args.n_schedule)
-    seeds = _parse_seeds(args.seeds)
     run_fn = harness.converge_theorem1 if args.theorem == 1 else harness.converge_theorem2
-    run = run_fn(d, args.lam, schedule, seeds)
+    run = run_fn(d, args.lam, args.n_schedule, args.seeds)
     harness.emit_report(run, args.fmt, args.out)
     logger.info("wrote convergence report to %s", args.out)
     return _check_exit(run.check(args.tolerance)) if args.check else 0
 
 
 def cmd_sweep(args) -> int:
-    _defaults(args, depths="0,1,3", lambdas="0:0.9:0.1", seeds="5", seed=0, fmt="csv",
-              epochs=200, batch_size=256, hidden_width=100, steps=100,
-              spearman_threshold=-0.8)
     d = _load_dataset(args, lambda: _default_sweep_data(args.seed))
     cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch_size)
     sweep = harness.lambda_sweep(
         d,
-        depths=_parse_ints(args.depths),
+        depths=args.depths,
         mode=args.mode,
-        lambda_grid=_parse_lambdas(args.lambdas),
-        seeds=_parse_seeds(args.seeds),
+        lambda_grid=args.lambdas,
+        seeds=args.seeds,
         cfg=cfg,
         dataset_id=os.path.basename(args.data) if args.data else "synthetic",
         hidden_width=args.hidden_width,
@@ -388,7 +414,6 @@ def _read_sweep(path) -> harness.SweepResult:
 
 
 def cmd_cross_check(args) -> int:
-    _defaults(args, fmt="json")
     report = harness.cross_trend_check(_read_sweep(args.mada), _read_sweep(args.iid))
     harness.emit_report(report, args.fmt, args.out)
     logger.info("wrote cross-trend report to %s", args.out)
@@ -410,84 +435,86 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="JSON file of flag values (flags override it)")
-        p.add_argument("--seed", type=int)
+        p.add_argument("--seed", type=_non_negative, default=0)
         _add_data_flags(p)
 
     p = sub.add_parser("fit", help="closed-form linear fit")
     common(p)
-    p.add_argument("--method", choices=["ols", "ccp", "ml2p"])
-    p.add_argument("--lambda", type=float, dest="lam")
+    p.add_argument("--method", choices=["ols", "ccp", "ml2p"], default="ols")
+    p.add_argument("--lambda", type=float, dest="lam", default=0.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("augment", help="write a bootstrap-ablated synthetic CSV")
     common(p)
     p.add_argument("--mode", choices=["mean", "iid"], required=True)
-    p.add_argument("--lambda", type=float, dest="lam")
-    p.add_argument("--n", type=int)
+    p.add_argument("--lambda", type=float, dest="lam", default=0.0)
+    p.add_argument("--n", type=int, default=10000)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_augment)
 
     p = sub.add_parser("penalty", help="penalty report for a model on a dataset")
     common(p)
     p.add_argument("--model", required=True, help="model.json or checkpoint.json")
-    p.add_argument("--kind", choices=["ccp", "ml2p", "both"])
-    p.add_argument("--class", type=int, dest="class_index")
-    p.add_argument("--steps", type=int)
+    p.add_argument("--kind", choices=["ccp", "ml2p", "both"], default="both")
+    p.add_argument("--class", type=int, dest="class_index", default=0)
+    p.add_argument("--steps", type=_count, default=AttributionConfig.steps)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_penalty)
 
     p = sub.add_parser("train", help="train a feed-forward network")
     common(p)
-    p.add_argument("--test-frac", type=float, dest="test_frac",
-                   help=f"share of rows held out for testing (default {SplitSpec.test_fraction})")
-    p.add_argument("--val-frac", type=float, dest="val_frac",
-                   help="share of the other rows held out for validation "
-                        f"(default {SplitSpec.validation_fraction_of_train})")
-    p.add_argument("--depth", type=int)
-    p.add_argument("--mode", choices=["none", "mean", "iid"])
-    p.add_argument("--lambda", type=float, dest="lam")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--hidden-width", type=int, dest="hidden_width")
-    p.add_argument("--learning-rate", type=float, dest="learning_rate")
+    p.add_argument("--test-frac", type=float, default=SplitSpec.test_fraction,
+                   help="share of rows held out for testing (default %(default)s)")
+    p.add_argument("--val-frac", type=float, default=SplitSpec.validation_fraction_of_train,
+                   help="share of the other rows held out for validation (default %(default)s)")
+    p.add_argument("--depth", type=_non_negative, default=1)
+    p.add_argument("--mode", choices=["none", "mean", "iid"], default="none")
+    p.add_argument("--lambda", type=float, dest="lam", default=0.0)
+    p.add_argument("--epochs", type=_count, default=TrainConfig.epochs)
+    p.add_argument("--batch-size", type=_count, default=TrainConfig.batch_size)
+    p.add_argument("--hidden-width", type=_count, default=100)
+    p.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("attribute", help="integrated-gradients attributions to CSV")
     common(p)
     p.add_argument("--model", required=True)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--baseline", help="zeros | means | path to a JSON vector")
-    p.add_argument("--class", type=int, dest="class_index")
+    p.add_argument("--steps", type=_count, default=AttributionConfig.steps)
+    p.add_argument("--baseline", default="zeros", help="zeros | means | path to a JSON vector")
+    p.add_argument("--class", type=int, dest="class_index", default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_attribute)
 
     p = sub.add_parser("converge", help="Monte-Carlo equivalence check")
     common(p)
     p.add_argument("--theorem", type=int, choices=[1, 2], required=True)
-    p.add_argument("--lambda", type=float, dest="lam")
-    p.add_argument("--n-schedule", dest="n_schedule", help="comma list of synthetic sizes")
-    p.add_argument("--seeds", help="count or comma list")
-    p.add_argument("--format", dest="fmt", choices=["csv", "json"])
-    p.add_argument("--tolerance", type=float)
-    p.add_argument("--check", action="store_true", default=None)
+    p.add_argument("--lambda", type=float, dest="lam", default=0.5)
+    p.add_argument("--n-schedule", type=_parse_schedule, default="1000,10000,100000,1000000",
+                   help="increasing comma list of synthetic sizes")
+    p.add_argument("--seeds", type=_parse_seeds, default="3", help="count or comma list")
+    p.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv")
+    p.add_argument("--tolerance", type=float, default=0.02)
+    p.add_argument("--check", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_converge)
 
     p = sub.add_parser("sweep", help="lambda sweep of penalties on trained models")
     common(p)
     p.add_argument("--mode", choices=["mean", "iid"], required=True)
-    p.add_argument("--depths", help="comma list of hidden-layer counts")
-    p.add_argument("--lambdas", help="start:stop:step or comma list")
-    p.add_argument("--seeds", help="count or comma list")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--hidden-width", type=int, dest="hidden_width")
-    p.add_argument("--steps", type=int)
-    p.add_argument("--format", dest="fmt", choices=["csv", "json"])
-    p.add_argument("--spearman-threshold", type=float, dest="spearman_threshold")
-    p.add_argument("--check", action="store_true", default=None)
+    p.add_argument("--depths", type=_parse_ints, default="0,1,3",
+                   help="comma list of hidden-layer counts")
+    p.add_argument("--lambdas", type=_parse_lambdas, default="0:0.9:0.1",
+                   help="start:stop:step or comma list")
+    p.add_argument("--seeds", type=_parse_seeds, default="5", help="count or comma list")
+    p.add_argument("--epochs", type=_count, default=TrainConfig.epochs)
+    p.add_argument("--batch-size", type=_count, default=TrainConfig.batch_size)
+    p.add_argument("--hidden-width", type=_count, default=100)
+    p.add_argument("--steps", type=_count, default=AttributionConfig.steps)
+    p.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv")
+    p.add_argument("--spearman-threshold", type=float, default=-0.8)
+    p.add_argument("--check", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
 
@@ -495,8 +522,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON file of flag values (flags override it)")
     p.add_argument("--mada", required=True, help="JSON sweep report for mean ablation")
     p.add_argument("--iid", required=True, help="JSON sweep report for inverted dropout")
-    p.add_argument("--format", dest="fmt", choices=["csv", "json"])
-    p.add_argument("--check", action="store_true", default=None)
+    p.add_argument("--format", dest="fmt", choices=["csv", "json"], default="json")
+    p.add_argument("--check", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_cross_check)
 
@@ -506,10 +533,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
-    args = _apply_config(parser.parse_args(argv), parser)
+    args = parser.parse_args(argv)
+    if args.config:
+        # the file's values become the command's defaults, so flags win
+        (commands,) = (a.choices for a in parser._actions
+                       if isinstance(a, argparse._SubParsersAction))
+        command = commands[args.command]
+        command.set_defaults(**_config_defaults(args.config, command, parser))
+        args = parser.parse_args(argv)
+    if getattr(args, "data", None) and not args.response:
+        parser.error("--response is required with --data")
     try:
         return args.func(args)
-    except (SingularModelError, DatasetError, AugmentError, harness.ReportError) as err:
+    except (SingularModelError, DatasetError, AugmentError, harness.ReportError,
+            OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -763,10 +763,8 @@ def render_report(result, fmt: str = "csv") -> str:
     raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
 
 
-def emit_report(result, fmt: str = "csv", path=None):
+def emit_report(result, fmt: str, path):
     """Write the rendered report to ``path`` and return the path."""
-    if path is None:
-        raise ValueError("emit_report needs an output path")
     write_text(path, render_report(result, fmt))
     return path
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 
 from ablatereg import harness
 from ablatereg.augment import BLOCK_ROWS, AugmentSpec, build_augmented
-from ablatereg.cli import main
+from ablatereg.cli import build_parser, main
 from ablatereg.dataset import load_csv, synth_correlated
 from ablatereg.linear import fit_ols
 
@@ -461,6 +462,133 @@ class TestErrorReporting:
                     "--out", tmp_path / "cross.json"])
         self.one_error_line(capsys, code, message)
         assert not (tmp_path / "cross.json").exists()
+
+
+class TestInputFiles:
+    """A file that cannot be read is one error line and exit 1; a config
+    file that cannot be read is a usage error (exit 2)."""
+
+    @pytest.mark.parametrize("command", [
+        ["fit", "--data", "{missing}", "--response", "y"],
+        ["penalty", "--model", "{missing}"],
+        ["attribute", "--model", "{missing}"],
+        ["attribute", "--model", "{model}", "--baseline", "{missing}"],
+        ["cross-check", "--mada", "{missing}", "--iid", "{missing}"],
+    ])
+    def test_missing_file_is_one_error_line(self, csv_path, tmp_path, capsys, command):
+        model = tmp_path / "model.json"
+        assert run(["fit", "--data", csv_path, "--response", "y", "--out", model]) == 0
+        capsys.readouterr()
+        missing = tmp_path / "nofile.json"
+        argv = [a.format(missing=missing, model=model) for a in command]
+        code = run(argv + ["--out", tmp_path / "out"])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and str(missing) in err[0]
+        assert not (tmp_path / "out").exists()
+
+    def test_missing_config_file_is_a_usage_error(self, tmp_path, capsys):
+        missing = tmp_path / "nofile.json"
+        with pytest.raises(SystemExit) as exc:
+            run(["fit", "--config", missing, "--out", tmp_path / "model.json"])
+        assert exc.value.code == 2
+        assert f"config file {missing}" in capsys.readouterr().err
+        assert not (tmp_path / "model.json").exists()
+
+
+class TestFlagValues:
+    """A flag value that no run could use is a usage error at parse time."""
+
+    @pytest.mark.parametrize("command", [
+        "converge --theorem 1 --n-schedule 1e3",
+        "converge --theorem 1 --n-schedule 1000,100",
+        "converge --theorem 1 --check --seeds 0",
+        "converge --theorem 1 --seeds 1,-2",
+        "sweep --mode mean --seeds x",
+        "sweep --mode mean --lambdas 0:0.5:0",
+        "sweep --mode mean --lambdas 0.5:0:0.1",
+        "sweep --mode mean --lambdas 0,x",
+        "sweep --mode mean --depths 0,-1",
+        "sweep --mode mean --steps 0",
+        "train --epochs 0",
+        "train --batch-size 0",
+        "train --hidden-width 0",
+        "train --depth -1",
+        "fit --seed -1",
+    ])
+    def test_rejected_at_parse_time(self, csv_path, tmp_path, capsys, command):
+        argv = command.split()
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--data", csv_path, "--response", "y", "--out", tmp_path / "out"])
+        assert exc.value.code == 2
+        assert f"argument {argv[-2]}:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_data_without_response_is_a_usage_error(self, csv_path, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["fit", "--data", csv_path, "--out", tmp_path / "model.json"])
+        assert exc.value.code == 2
+        assert "--response is required with --data" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config_values, named", [
+        ({"n_schedule": "1000,100"}, "'n_schedule'"),
+        ({"lambda": 0.3, "lam": 0.4}, "'lam'"),
+    ])
+    def test_config_file_is_checked_as_the_flags(self, csv_path, tmp_path, capsys,
+                                                 config_values, named):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(config_values))
+        with pytest.raises(SystemExit) as exc:
+            run(["converge", "--theorem", "1", "--data", csv_path, "--response", "y",
+                 "--config", config, "--out", tmp_path / "out"])
+        assert exc.value.code == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+def subcommands():
+    (action,) = (a for a in build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+class TestOptionDeclarations:
+    """Each option's default is declared on its flag, and a config file's
+    values act as the flags' defaults."""
+
+    def test_every_optional_flag_has_a_default(self):
+        commands = subcommands()
+        assert len(commands) == 8
+        for name, parser in commands.items():
+            for action in parser._actions:
+                if action.required or action.dest in ("help", "config", "data", "response"):
+                    continue
+                assert action.default is not None, f"{name} {action.option_strings}"
+
+    @pytest.mark.parametrize("command", sorted(subcommands()))
+    def test_help_exits_zero(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage:")
+
+    def test_config_list_equals_the_flag(self, csv_path, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"depths": "0,1"}))
+        base = ["sweep", "--mode", "mean", "--data", csv_path, "--response", "y",
+                "--lambdas", "0.0,0.5", "--seeds", "1", "--epochs", "2", "--hidden-width", "3",
+                "--steps", "5"]
+        assert run(base + ["--depths", "0,1", "--out", tmp_path / "flag.csv"]) == 0
+        assert run(base + ["--config", config, "--out", tmp_path / "config.csv"]) == 0
+        assert (tmp_path / "config.csv").read_bytes() == (tmp_path / "flag.csv").read_bytes()
+
+    def test_check_flag_overrides_a_config_false(self, csv_path, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"check": False}))
+        base = TestConfigStrictness.CONVERGE + ["--data", csv_path, "--tolerance", "1e-9",
+                                                "--config", config]
+        assert run(base + ["--out", tmp_path / "a.csv"]) == 0
+        assert run(base + ["--check", "--out", tmp_path / "b.csv"]) == 1
 
 
 def test_importing_the_package_loads_no_scipy():
