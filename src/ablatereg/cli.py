@@ -12,8 +12,10 @@ Exit status 2 is a usage error: a bad flag or flag value, a bad config key or
 value, or a config file that cannot be read.  Exit status 1 with one
 ``error:`` line on stderr is a data, model, report or file error: a
 numerically singular model, an unusable data file or split, an invalid
-augmentation or ablation rate, sweep reports that cannot be compared, or a
-file that cannot be read or written.
+augmentation or ablation rate, training that diverged, sweep reports that
+cannot be compared, a malformed model, checkpoint or baseline file, or one
+that does not match the data (its column names, width or output count for
+``--class``), or a file that cannot be read or written.
 All outputs are deterministic given a seed: rerunning a command reproduces
 the emitted file byte for byte.
 """
@@ -199,25 +201,67 @@ def _check_exit(outcome: tuple[bool, list[str]]) -> int:
     return 0 if ok else 1
 
 
-def _model_from_json(payload: dict) -> nn.MlpModel:
-    if "beta" in payload:
-        return linear_as_mlp(np.asarray(payload["beta"], dtype=np.float64),
-                             float(payload["intercept"]),
-                             payload.get("task", "regression"))
-    weights = [np.asarray(w, dtype=np.float64) for w in payload["weights"]]
-    biases = [np.asarray(b, dtype=np.float64) for b in payload["biases"]]
-    return nn.MlpModel(weights=weights, biases=biases, task=payload["task"])
+def _read_json(path, what: str):
+    """The JSON value in ``path``; a file that is not JSON raises
+    :class:`~ablatereg.harness.ReportError` naming it."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as err:
+            raise harness.ReportError(f"{path} is not a JSON {what}: {err}") from None
 
 
-def _stats_from_json(payload: dict) -> FeatureStats | None:
-    block = payload.get("standardization")
-    if not block:
-        return None
-    return FeatureStats(
-        means=np.asarray(block["means"], dtype=np.float64),
-        variances=np.asarray(block["variances"], dtype=np.float64),
-        response_mean=block.get("response_mean"),
-    )
+def _read_model(path):
+    """A ``fit`` model or ``train`` checkpoint file as (network, linear model
+    or None, standardization or None, recorded lambda, recorded column names
+    or None): the one reader of the files' keys.  A file that is not one
+    raises :class:`~ablatereg.harness.ReportError` naming it."""
+    payload = _read_json(path, "model")
+    try:
+        linear = None
+        if "beta" in payload:
+            linear = LinearModel(beta=payload["beta"], intercept=payload["intercept"])
+            model = linear_as_mlp(linear.beta, linear.intercept, payload.get("task", "regression"))
+        else:
+            weights, biases = ([np.asarray(a, dtype=np.float64) for a in payload[key]]
+                               for key in ("weights", "biases"))
+            model = nn.MlpModel(weights=weights, biases=biases, task=payload["task"])
+        block = payload.get("standardization")
+        stats = None
+        if block:
+            stats = FeatureStats(means=block["means"], variances=block["variances"],
+                                 response_mean=block.get("response_mean"))
+        columns = (block or payload).get("columns")
+        return (model, linear, stats, payload.get("lambda"),
+                None if columns is None else list(columns))
+    except KeyError as err:
+        raise harness.ReportError(f"model file {path} lacks the key {err}") from None
+    except (TypeError, ValueError, AttributeError) as err:
+        raise harness.ReportError(f"{path} is not a model file: {err}") from None
+
+
+def _check_inputs(args, model: nn.MlpModel, columns, d: Dataset, baseline=None) -> None:
+    """Check the model file's recorded ``columns`` (else its width), the
+    ``--baseline`` file's vector and ``--class`` against the data ``d``."""
+    width, n_out = model.layer_dims[0], model.layer_dims[-1]
+    if columns is not None and columns != list(d.column_names):
+        raise harness.ReportError(f"{args.model} was fitted on the columns {columns}, "
+                                  f"but the data has {list(d.column_names)}")
+    if width != d.k:
+        raise harness.ReportError(f"{args.model} takes {width} columns, "
+                                  f"but the data has {d.k}: {list(d.column_names)}")
+    if baseline is not None:
+        try:
+            vector = np.asarray(baseline, dtype=np.float64)
+            usable = vector.shape == (width,) and np.isfinite(vector).all()
+        except (TypeError, ValueError):
+            usable = False
+        if not usable:
+            raise harness.ReportError(f"baseline {args.baseline} must be a list of "
+                                      f"{width} finite numbers, one per model input")
+    if not 0 <= args.class_index < n_out:
+        raise harness.ReportError(f"--class {args.class_index} is out of range: "
+                                  f"{args.model} has {n_out} output(s)")
 
 
 # --------------------------------------------------------------------------
@@ -262,26 +306,22 @@ def cmd_augment(args) -> int:
 
 
 def cmd_penalty(args) -> int:
-    with open(args.model, encoding="utf-8") as fh:
-        payload = json.load(fh)
+    model, linear, stats_from_model, lam, columns = _read_model(args.model)
     d = _load_dataset(args, lambda: _default_theorem_data(args.seed))
-    stats_from_model = _stats_from_json(payload)
+    _check_inputs(args, model, columns, d)
     if stats_from_model is not None:
         d, _ = standardize(d, stats_from_model)
     stats = feature_stats(d.features)
 
     ccp_value = None
     ml2p_value = None
-    if "beta" in payload:
-        model = LinearModel(beta=np.asarray(payload["beta"], dtype=np.float64),
-                            intercept=float(payload["intercept"]))
-        contrib = penalty_mod.contributions_linear(model, d.features)
+    if linear is not None:
+        contrib = penalty_mod.contributions_linear(linear, d.features)
         if args.kind in ("ccp", "both"):
             ccp_value = penalty_mod.ccp_variance_form(contrib)
         if args.kind in ("ml2p", "both"):
-            ml2p_value = penalty_mod.ml2p(model.beta, stats)
+            ml2p_value = penalty_mod.ml2p(linear.beta, stats)
     else:
-        model = _model_from_json(payload)
         attr = integrated_gradients(
             model, d.features,
             AttributionConfig(steps=args.steps, output_index=args.class_index),
@@ -296,7 +336,7 @@ def cmd_penalty(args) -> int:
         "ml2p": ml2p_value,
         "n": d.n,
         "k": d.k,
-        "lambda_context": payload.get("lambda"),
+        "lambda_context": lam,
     }, args.out)
     logger.info("wrote penalty report to %s", args.out)
     return 0
@@ -348,11 +388,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_attribute(args) -> int:
-    with open(args.model, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    model = _model_from_json(payload)
+    model, _, stats, _, columns = _read_model(args.model)
+    baseline = None
+    if args.baseline not in ("zeros", "means"):
+        baseline = _read_json(args.baseline, "baseline")
     d = _load_dataset(args, lambda: _default_sweep_data(args.seed))
-    stats = _stats_from_json(payload)
+    _check_inputs(args, model, columns, d, baseline)
     if stats is not None:
         d, _ = standardize(d, stats)
 
@@ -360,9 +401,6 @@ def cmd_attribute(args) -> int:
         baseline = np.zeros(d.k)
     elif args.baseline == "means":
         baseline = d.features.mean(axis=0)
-    else:
-        with open(args.baseline, encoding="utf-8") as fh:
-            baseline = np.asarray(json.load(fh), dtype=np.float64)
     cfg = AttributionConfig(baseline=baseline, steps=args.steps,
                             output_index=args.class_index)
     result = integrated_gradients(model, d.features, cfg)
@@ -404,17 +442,10 @@ def cmd_sweep(args) -> int:
     return _check_exit(sweep.check(args.spearman_threshold)) if args.check else 0
 
 
-def _read_sweep(path) -> harness.SweepResult:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise harness.ReportError(f"{path} is not a JSON report: {err}") from None
-    return harness.sweep_from_payload(payload)
-
-
 def cmd_cross_check(args) -> int:
-    report = harness.cross_trend_check(_read_sweep(args.mada), _read_sweep(args.iid))
+    mada, iid = (harness.sweep_from_payload(_read_json(path, "report"))
+                 for path in (args.mada, args.iid))
+    report = harness.cross_trend_check(mada, iid)
     harness.emit_report(report, args.fmt, args.out)
     logger.info("wrote cross-trend report to %s", args.out)
     return _check_exit(report.check()) if args.check else 0
@@ -546,7 +577,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (SingularModelError, DatasetError, AugmentError, harness.ReportError,
-            OSError) as err:
+            nn.TrainingDivergedError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -327,7 +327,9 @@ def check_moment_limits(
 
 
 class ReportError(ValueError):
-    """A sweep report that is not one, or two sweeps that cannot be compared."""
+    """An input file that is not what it should be (a sweep report, model,
+    checkpoint or baseline file), or inputs that do not fit together: two
+    sweeps that cannot be compared, or a model and the data it is run on."""
 
 
 @dataclass(frozen=True)
@@ -394,18 +396,16 @@ def lambda_sweep(
     dataset_id: str = "dataset",
     hidden_width: int = 100,
     attribution_steps: int = 100,
-    depth0_closed_form: bool = True,
 ) -> SweepResult:
     """Train one model per (depth, lambda, seed), then score the test split:
     the task metric, CCP from integrated gradients (zero baseline on the
     standardized features) and ML2P from the path-averaged gradients.
 
-    Per the experimental protocol, depth-0 regression models default to the
-    closed-form solution equivalent to the requested augmentation mode; pass
-    ``depth0_closed_form=False`` to train them with SGD instead.  Each seed
-    drives the split, the initialization, the shuffling and the ablation
-    masks; failed cells are recorded with their error instead of aborting
-    the sweep.
+    Per the experimental protocol, depth-0 regression models are the
+    closed-form solution equivalent to the requested augmentation mode.  Each
+    seed drives the split, the initialization, the shuffling and the ablation
+    masks; failed cells are recorded with their error instead of aborting the
+    sweep.
     """
     cfg = cfg or TrainConfig()
     depths = tuple(int(v) for v in depths)
@@ -439,10 +439,8 @@ def lambda_sweep(
             for lam_index, lam in enumerate(lambda_grid):
                 cell_seed = child_seed(seed, depth, lam_index)
                 try:
-                    model = _fit_cell(
-                        d_train, d_val, depth, lam, mode, cfg, cell_seed,
-                        hidden_width, n_out, depth0_closed_form,
-                    )
+                    model = _fit_cell(d_train, d_val, depth, lam, mode, cfg, cell_seed,
+                                      hidden_width, n_out)
                 except (SingularModelError, TrainingDivergedError) as err:
                     for oi in output_indices:
                         result.cells.append(SweepCell(
@@ -469,9 +467,9 @@ def lambda_sweep(
 
 
 def _fit_cell(
-    d_train, d_val, depth, lam, mode, cfg, cell_seed, hidden_width, n_out, depth0_closed_form
+    d_train, d_val, depth, lam, mode, cfg, cell_seed, hidden_width, n_out
 ) -> MlpModel:
-    if depth == 0 and d_train.task == REGRESSION and depth0_closed_form:
+    if depth == 0 and d_train.task == REGRESSION:
         if lam == 0.0:
             fit = fit_ols(d_train)
             return linear_as_mlp(fit.beta, fit.intercept)
@@ -777,10 +775,11 @@ def write_text(path, text) -> None:
     A regular file is written atomically: the chunks go to a new file in the
     target's directory, which then replaces ``path`` and takes over the old
     file's permission bits.  If anything fails on the way, the new file is
-    removed and ``path`` is left as it was.  Replacing makes a new inode, so
-    the old file's owner is not kept and a hard link to it keeps the old
-    contents.  A symbolic link is followed, so the file it names is replaced
-    and the link kept.
+    removed and ``path`` is left as it was; an ``OSError`` on the new file
+    names ``path`` instead.  Replacing makes a new inode, so the old file's
+    owner is not kept and a hard link to it keeps the old contents.  A
+    symbolic link is followed, so the file it names is replaced and the link
+    kept.
 
     Two kinds of target are opened and written in place instead, as a plain
     ``open`` would: one that exists and is no regular file (a pipe, a socket
@@ -799,18 +798,20 @@ def write_text(path, text) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(text)
         return
-    path = os.path.realpath(path)
-    directory, name = os.path.split(path)
+    real = os.path.realpath(path)
+    directory, name = os.path.split(real)
     tmp = os.path.join(directory, f".{name}.{secrets.token_hex(6)}.tmp")
     try:
         with open(tmp, "x", encoding="utf-8", newline="") as fh:
             fh.writelines(text)
             if mode is not None:
                 os.fchmod(fh.fileno(), stat.S_IMODE(mode))
-        os.replace(tmp, path)
-    except BaseException:
+        os.replace(tmp, real)
+    except BaseException as err:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
+        if isinstance(err, OSError) and err.filename == tmp:
+            raise type(err)(err.errno, err.strerror, os.fspath(path)) from None
         raise
 
 

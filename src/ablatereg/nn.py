@@ -17,6 +17,12 @@ from .augment import AugmentSpec, ablated_copy, batch_masks
 from .dataset import CLASSIFICATION, REGRESSION, Dataset
 
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba, 2015).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class TrainingDivergedError(RuntimeError):
     """Training hit a non-finite loss; carries the step where it happened."""
 
@@ -61,9 +67,6 @@ class MlpModel:
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     epochs: int = 200
     batch_size: int = 256
     early_stop_patience: int = 3
@@ -303,11 +306,11 @@ def train(model: MlpModel, d_train: Dataset, d_val: Dataset, cfg: TrainConfig, *
                     f"diverged at epoch {epoch}, step {step}: {err}"
                 ) from None
             step += 1
-            lr, b1, b2 = cfg.learning_rate, cfg.beta1, cfg.beta2
-            corr1 = 1.0 - b1**step
-            corr2 = 1.0 - b2**step
+            corr1 = 1.0 - ADAM_BETA1**step
+            corr2 = 1.0 - ADAM_BETA2**step
             for slot, grad in zip(adam, grads_w + grads_b):
-                _adam_update(*slot, grad, lr, b1, b2, cfg.eps, corr1, corr2)
+                _adam_update(*slot, grad, cfg.learning_rate, ADAM_BETA1, ADAM_BETA2, ADAM_EPS,
+                             corr1, corr2)
 
         losses = {"val_loss": loss(predict(work, X_val), y_val, task)}
         if log_train_loss:

@@ -439,6 +439,18 @@ class TestErrorReporting:
         self.one_error_line(capsys, code, "sweeps must share depths, lambda grid and seeds")
         assert not (tmp_path / "cross.json").exists()
 
+    def test_diverged_training_is_one_error_line(self, tmp_path, capsys):
+        code = run(["train", "--depth", "0", "--learning-rate", "1e200",
+                    "--out", tmp_path / "ckpt.json"])
+        self.one_error_line(capsys, code, "diverged at epoch 0, step 1: non-finite loss inf")
+        assert not (tmp_path / "ckpt.json").exists()
+
+    def test_out_in_a_missing_directory_names_the_target(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code = run(["fit", "--out", "nodir/m.json"])
+        self.one_error_line(capsys, code, "[Errno 2] No such file or directory: 'nodir/m.json'")
+        assert list(tmp_path.iterdir()) == []
+
     def test_cross_check_on_a_report_that_is_no_sweep(self, tmp_path, capsys):
         report = tmp_path / "converge.json"
         report.write_text(json.dumps({"meta": {"type": "convergence"}}))
@@ -485,6 +497,53 @@ class TestInputFiles:
         assert code == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and str(missing) in err[0]
+        assert not (tmp_path / "out").exists()
+
+    FITTED = "{model} was fitted on the columns ['x0', 'x1', 'x2'], but the data has "
+    DATA = ["--data", "{data}", "--response", "y"]
+
+    @pytest.mark.parametrize("command, bad, message", [
+        (["penalty", "--model", "{bad}"], "{not json", "{bad} is not a JSON model: "),
+        (["penalty", "--model", "{bad}"], {"beta": [1.0, 2.0, 3.0]},
+         "model file {bad} lacks the key 'intercept'"),
+        (["attribute", "--model", "{bad}"], [1.0, 2.0, 3.0], "{bad} is not a model file: "),
+        (["attribute", "--model", "{model}"], None,
+         FITTED + str([f"x{j}" for j in range(8)])),
+        (["penalty", "--model", "{model}", "--data", "{reordered}", "--response", "y"], None,
+         FITTED + "['x2', 'x1', 'x0']"),
+        (["attribute", "--model", "{model}", *DATA, "--baseline", "{bad}"], "[0.0, 0.0",
+         "{bad} is not a JSON baseline: "),
+        (["attribute", "--model", "{model}", *DATA, "--baseline", "{bad}"], [0.0, 0.0],
+         "baseline {bad} must be a list of 3 finite numbers"),
+        (["penalty", "--model", "{model}", *DATA, "--class", "3"], None,
+         "--class 3 is out of range: {model} has 1 output(s)"),
+        (["penalty", "--model", "{model}", *DATA, "--class", "-1"], None,
+         "--class -1 is out of range: {model} has 1 output(s)"),
+        (["attribute", "--model", "{model}", *DATA, "--class", "3"], None,
+         "--class 3 is out of range: {model} has 1 output(s)"),
+        (["attribute", "--model", "{model}", *DATA, "--class", "-1"], None,
+         "--class -1 is out of range: {model} has 1 output(s)"),
+    ], ids=["model-not-json", "linear-model-without-intercept", "model-is-a-list",
+            "model-and-default-data-differ", "columns-reordered", "baseline-not-json",
+            "baseline-wrong-length", "penalty-class-3", "penalty-class--1",
+            "attribute-class-3", "attribute-class--1"])
+    def test_unusable_input_is_one_error_line(self, csv_path, tmp_path, capsys, command, bad,
+                                              message):
+        """A model or baseline file that is malformed or does not match the
+        data: one error line naming the file, exit 1, and no output."""
+        model = tmp_path / "model.json"
+        assert run(["fit", "--data", csv_path, "--response", "y", "--out", model]) == 0
+        capsys.readouterr()
+        reordered = tmp_path / "reordered.csv"
+        reordered.write_text("".join(",".join(cells[2::-1] + cells[3:]) + "\n" for cells in
+                                     (line.split(",") for line in csv_path.read_text().split())))
+        paths = dict(bad=tmp_path / "bad.json", model=model, data=csv_path, reordered=reordered)
+        if bad is not None:
+            paths["bad"].write_text(bad if isinstance(bad, str) else json.dumps(bad))
+        code = run([a.format(**paths) for a in command] + ["--out", tmp_path / "out"])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: " + message.format(**paths))
         assert not (tmp_path / "out").exists()
 
     def test_missing_config_file_is_a_usage_error(self, tmp_path, capsys):

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from ablatereg import _streams, augment, harness
 from ablatereg.augment import BLOCK_ROWS, AugmentError, AugmentSpec, augmented_chunks, build_augmented
-from ablatereg.dataset import synth_correlated
+from ablatereg.attribution import AttributionConfig, as_contributions, integrated_gradients
+from ablatereg.dataset import SplitSpec, split, standardize, synth_correlated
 from ablatereg.harness import (
     ReportError,
     SweepCell,
@@ -35,8 +36,8 @@ from ablatereg.harness import (
     _streamed_moments,
 )
 from ablatereg.linear import _solve_system, fit_ccp, fit_ols
-from ablatereg.nn import TrainConfig
-from ablatereg.penalty import ccp_pairwise, contributions_linear
+from ablatereg.nn import TrainConfig, init, train
+from ablatereg.penalty import ccp_pairwise, ccp_variance_form, contributions_linear
 
 
 @pytest.fixture(scope="module")
@@ -291,16 +292,24 @@ class TestLambdaSweep:
         assert all(c.error is None for c in sweep.cells)
 
     def test_depth0_sgd_matches_closed_form_ccp(self):
-        # the spec's 5%-relative oracle example, on a reduced instance
+        # the spec's 5%-relative oracle example, on a reduced instance: the
+        # sweep's closed-form depth-0 cell against the same cell trained by
+        # mean-ablation SGD (split, seeds and scoring as in lambda_sweep)
         d = synth_correlated(600, 3, 0.7, (1.0, 1.2, 0.8), 0.5, seed=51)
         lam = 0.3
         cfg = TrainConfig(learning_rate=0.01, epochs=200, batch_size=64,
                           early_stop_patience=200)
-        sgd = lambda_sweep(d, [0], "mean", [lam], seeds=(0,), cfg=cfg,
-                           depth0_closed_form=False, attribution_steps=50)
+        d_train, d_val, d_test = split(d, SplitSpec(seed=0))
+        d_train, stats = standardize(d_train)
+        d_val, _ = standardize(d_val, stats)
+        d_test, _ = standardize(d_test, stats)
+        cell_seed = _streams.child_seed(0, 0, 0)
+        run_cfg = replace(cfg, seed=cell_seed, augment=AugmentSpec("mean", lam, 1, cell_seed))
+        sgd, _ = train(init([d.k, 1], seed=cell_seed), d_train, d_val, run_cfg)
+        attr = integrated_gradients(sgd, d_test.features, AttributionConfig(steps=50))
+        a = ccp_variance_form(as_contributions(attr))
         closed = lambda_sweep(d, [0], "mean", [lam], seeds=(0,),
                               attribution_steps=50)
-        a = sgd.mean_over_seeds("ccp", 0, lam)
         b = closed.mean_over_seeds("ccp", 0, lam)
         assert abs(a - b) <= 0.05 * abs(b)
 
