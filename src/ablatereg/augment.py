@@ -1,27 +1,32 @@
 """Ablated data augmentation.
 
-:func:`ablate` is the one ablation kernel: given a boolean mask (True =
-ablated) it applies either mode, mean substitution or inverted input
-dropout, into a new array or in place.  Everything else here draws a mask
-of i.i.d. Bernoulli(lambda) entries from its own seeded stream and hands it
-to :func:`ablate`: bootstrap-then-ablate synthetic datasets (streamed block
-by block), fixed-mask validation copies (:func:`ablated_copy`) and fresh
-per-batch masks for SGD training (:func:`batch_masks`).
+:func:`ablate` is the one ablation kernel: given the uniform mask draws
+(an entry is ablated where its draw is below lambda) it applies either
+mode, mean substitution or inverted input dropout, into a new array or in
+place, as a select on the bit patterns.  Everything else here draws the
+uniforms of i.i.d. Bernoulli(lambda) masks from its own seeded stream and
+hands them to :func:`ablate`: bootstrap-then-ablate synthetic datasets
+(streamed block by block), fixed-mask validation copies
+(:func:`ablated_copy`) and fresh per-batch masks for SGD training
+(:func:`batch_masks`).
 
 Nothing in the package holds a whole synthetic set.  A set is drawn block
-by block, in order, from its spec's BOOTSTRAP and MASK streams, and is
-consumed in one of two ways:
+by block from its spec's BOOTSTRAP and MASK streams, and is consumed in one
+of two ways:
 
 - :func:`augmented_chunks` yields ``(features, response)`` blocks on the
   calling thread; the ``augment`` command writes them out, and
   :func:`build_augmented` materializes the same draws as one block.
-- :func:`reduced_blocks` splits each block's work three ways for the
-  Monte-Carlo checks.  The calling thread draws; worker threads gather the
-  bootstrap rows into preallocated column-major ``[X | y]`` slots, ablate
-  them in place and reduce them with the caller's function; the consumer
-  merges the results in block order.  A block's result depends only on its
-  own draws, and the draws and the merge both run in block order on one
-  thread, so the bytes of what is merged do not depend on scheduling.
+- :func:`reduced_blocks` splits the work for the Monte-Carlo checks.  The
+  calling thread draws the bootstrap indices, in block order; worker threads
+  draw each block's mask uniforms from their slot's own MASK generator,
+  advanced to the block's place in the stream, then gather the bootstrap
+  rows into preallocated column-major ``[X | y]`` slots, ablate them in
+  place and reduce them with the caller's function; the consumer merges the
+  results in block order.  A block's result depends only on its own draws,
+  which are the numbers a serial run draws, and the merge runs in block
+  order on one thread, so the bytes of what is merged do not depend on
+  scheduling.
 """
 
 from __future__ import annotations
@@ -76,8 +81,17 @@ class AugmentSpec:
             raise AugmentError("seed must be non-negative")
 
 
-def ablate(X, mask, spec: AugmentSpec, means=None, out=None) -> np.ndarray:
-    """The one ablation kernel: ablate the entries of X where ``mask`` is True.
+def _bits(x) -> int:
+    """The IEEE-754 bit pattern of the double x, as a signed integer."""
+    return int(np.float64(x).view(np.int64))
+
+
+_ONE_BITS = _bits(1.0)
+
+
+def ablate(X, draws, spec: AugmentSpec, means=None, out=None) -> np.ndarray:
+    """The one ablation kernel: ablate the entries of X whose mask draw in
+    ``draws`` (uniform on [0, 1), one per entry) is below ``spec.lam``.
 
     Mean ablation puts the (frozen) per-feature ``means`` in their place, and
     is an error without them; inverted dropout zeroes them and rescales the
@@ -86,17 +100,27 @@ def ablate(X, mask, spec: AugmentSpec, means=None, out=None) -> np.ndarray:
     response is never touched because it is never passed in.
 
     The result goes to ``out`` (X itself ablates in place), or to a new array.
-    Mean mode copies ``means`` in where the mask is set; dropout divides, then
-    writes 0.0 where the mask is set.  Entry by entry this is what
-    ``np.where(mask, means, X)`` and ``np.where(mask, 0.0, X / (1 - lam))``
-    give, bit for bit.
+    ``draws`` is used as scratch and overwritten; a draw outside [0, 1)
+    (-0.0, 1.0 and NaN included) is an error.  For non-negative doubles
+    below 1 ``u < lam`` holds exactly when their bit patterns compare the
+    same way as integers, so ``(bits(u) - bits(lam)) >> 63`` is all ones on
+    the ablated entries and zero elsewhere.  Mean mode selects with it,
+    ``x ^ ((x ^ m) & M)`` on the bit patterns; dropout divides, then keeps
+    the bits where the draw is not below lam.  Entry by entry this is what
+    ``np.where(draws < lam, means, X)`` and
+    ``np.where(draws < lam, 0.0, X / (1 - lam))`` give, bit for bit.
     """
     X = np.asarray(X, dtype=np.float64)
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != X.shape or (out is not None and out.shape != X.shape):
-        raise AugmentError("X, mask and out must have the same shape")
+    draws = np.asarray(draws, dtype=np.float64)
+    if draws.shape != X.shape or (out is not None and (out.shape, out.dtype) != (X.shape, X.dtype)):
+        raise AugmentError("X, draws and out must have the same shape, and out must be float64")
+    u = draws.view(np.int64)
+    if u.size and u.view(np.uint64).max() >= _ONE_BITS:
+        raise AugmentError("mask draws must lie in [0, 1)")
+    lam = _bits(abs(spec.lam))  # abs: a lam of -0.0 compares as +0.0
     if out is None:
         out = np.empty(X.shape)
+    o = out.view(np.int64)
     if spec.mode == MEAN_ABLATION:
         if means is None:
             raise AugmentError("mean ablation needs the training-set feature means")
@@ -105,27 +129,35 @@ def ablate(X, mask, spec: AugmentSpec, means=None, out=None) -> np.ndarray:
             raise AugmentError("means must have one entry per feature")
         if out is not X:
             np.copyto(out, X)
-        np.copyto(out, means, where=mask)
+        np.subtract(u, lam, out=u)
+        np.right_shift(u, 63, out=u)  # all ones where ablated
+        m = means.view(np.int64)
+        # o = x ^ ((x ^ m) & M), in place
+        o ^= m
+        u &= o
+        o ^= m
+        o ^= u
     else:
         np.divide(X, 1.0 - spec.lam, out=out)
-        np.copyto(out, 0.0, where=mask)
+        np.subtract(lam - 1, u, out=u)
+        np.right_shift(u, 63, out=u)  # all ones where kept
+        o &= u
     return out
 
 
 BLOCK_ROWS = 1 << 16
 
 
-def _draw_streams(d: Dataset, spec: AugmentSpec):
-    """What a synthetic set is drawn from: the spec's BOOTSTRAP and MASK
-    generators, and the feature means frozen from d (mean ablation only;
-    the convergence of the bootstrap moments depends on freezing them from d
-    itself, not from the synthetic rows)."""
+def _bootstrap_and_means(d: Dataset, spec: AugmentSpec):
+    """What a synthetic set is drawn from, besides its MASK stream: the
+    spec's BOOTSTRAP generator, and the feature means frozen from d (mean
+    ablation only; the convergence of the bootstrap moments depends on
+    freezing them from d itself, not from the synthetic rows)."""
     if d.n == 0:
         raise AugmentError("cannot augment an empty dataset")
     bootstrap = _streams.stream(spec.seed, _streams.BOOTSTRAP)
-    masks = _streams.stream(spec.seed, _streams.MASK)
     means = d.features.mean(axis=0) if spec.mode == MEAN_ABLATION else None
-    return bootstrap, masks, means
+    return bootstrap, means
 
 
 def augmented_chunks(d: Dataset, spec: AugmentSpec, block_rows: int = BLOCK_ROWS):
@@ -138,49 +170,68 @@ def augmented_chunks(d: Dataset, spec: AugmentSpec, block_rows: int = BLOCK_ROWS
     at once or block by block, so the concatenated blocks are the same sample
     for any ``block_rows``, while only one block is held in memory at a time.
     """
-    bootstrap, masks, means = _draw_streams(d, spec)
+    bootstrap, means = _bootstrap_and_means(d, spec)
+    masks = _streams.stream(spec.seed, _streams.MASK)
     for start in range(0, spec.n_synthetic, block_rows):
         rows = min(block_rows, spec.n_synthetic - start)
         idx = bootstrap.integers(0, d.n, size=rows)
-        mask = masks.random((rows, d.k)) < spec.lam
-        yield ablate(d.features.take(idx, axis=0), mask, spec, means), d.response.take(idx)
+        features = d.features.take(idx, axis=0)
+        ablate(features, masks.random((rows, d.k)), spec, means, out=features)
+        yield features, d.response.take(idx)
 
 
 class _BlockSlot:
     """Buffers for one block in flight, made once and reused: the ablated
-    ``[X | y]`` rows (column-major), the uniform mask draws, the mask, and a
-    scratch column for the reducer.  The views of ``rows`` rows are
-    contiguous, laid out as fresh arrays of that shape would be."""
+    ``[X | y]`` rows (column-major), the uniform mask draws and a scratch
+    column; and the slot's own generator on the spec's MASK stream.  The
+    views of ``rows`` rows are contiguous, laid out as fresh arrays of that
+    shape would be."""
 
-    def __init__(self, rows: int, k: int):
+    def __init__(self, rows: int, k: int, masks: np.random.Generator):
         self.k = k
         self.z = np.empty(rows * (k + 1))
-        self.uniform = np.empty(rows * k)
-        self.mask = np.empty(rows * k, dtype=bool)
+        self.draws = np.empty(rows * k)
         self.scratch = np.empty(rows)
+        self.masks = masks
+        self.masks_start = masks.bit_generator.state
 
     def views(self, rows: int):
         k = self.k
         return (self.z[:rows * (k + 1)].reshape((rows, k + 1), order="F"),
-                self.uniform[:rows * k].reshape(rows, k),
-                self.mask[:rows * k].reshape(rows, k),
+                self.draws[:rows * k].reshape(rows, k),
                 self.scratch[:rows])
 
+    def draw_masks(self, start: int, draws: np.ndarray) -> None:
+        """Fill ``draws`` with the mask uniforms of the block at row
+        ``start``: the MASK stream's numbers from the ``start * k``-th on, as
+        a serial run draws them.  ``Generator.random`` takes one 64-bit
+        output per double, so rewinding the generator to the stream's start
+        and advancing it that many outputs skips exactly the earlier
+        blocks' draws."""
+        bit_generator = self.masks.bit_generator
+        bit_generator.state = self.masks_start
+        bit_generator.advance(start * self.k)
+        self.masks.random(out=draws)
 
-def _reduce_block(d: Dataset, spec: AugmentSpec, means, idx, views, reduce):
-    """Worker side of :func:`reduced_blocks`: gather the bootstrap rows into
-    the slot column by column, ablate the features in place, reduce."""
-    z, uniform, mask, scratch = views
+
+def _reduce_block(d: Dataset, spec: AugmentSpec, means, start, idx, slot, reduce):
+    """Worker side of :func:`reduced_blocks`: draw the block's mask
+    uniforms, gather the bootstrap rows into the slot column by column and
+    ablate each column in place, then reduce."""
+    z, draws, scratch = slot.views(idx.size)
+    slot.draw_masks(start, draws)
     # take(mode="clip") writes straight into its output but would clip a bad
     # index instead of raising, so the bounds are checked here
     if idx.min() < 0 or idx.max() >= d.n:
         raise IndexError(f"bootstrap index out of range for {d.n} rows")
     k = d.k
     for j in range(k):
+        column = z[:, j:j + 1]
         np.take(d.features[:, j], idx, out=z[:, j], mode="clip")
+        np.copyto(scratch, draws[:, j])  # the select is fastest in matching layouts
+        ablate(column, scratch[:, None], spec, None if means is None else means[j:j + 1],
+               out=column)
     np.take(d.response, idx, out=z[:, k], mode="clip")
-    features = z[:, :k]
-    ablate(features, np.less(uniform, spec.lam, out=mask), spec, means, out=features)
     return reduce(z, scratch)
 
 
@@ -193,19 +244,24 @@ def reduced_blocks(d: Dataset, spec: AugmentSpec, reduce):
     overwrite.  Both are reused for a later block once the consumer has taken
     the result, so the result must not refer to them.
 
-    The calling thread makes every draw, in the order of
-    :func:`augmented_chunks`.  Up to two worker threads gather, ablate and
-    reduce blocks; ``reduce`` runs on them, so it must not draw.  Results come
-    back in block order, and each is a function of its own block's draws
-    alone, so what the consumer sees does not depend on thread scheduling.
-    There is one more block slot than there are workers, so the next block
-    is drawn while the workers reduce; a slot is reused only after the
+    The calling thread makes every generator and every bootstrap draw, in
+    block order.  Up to two worker threads draw, gather, ablate and reduce
+    blocks: each block slot owns a generator on the spec's MASK stream, and
+    the worker advances it to its block's draws (:meth:`_BlockSlot.draw_masks`),
+    so every block is ablated with the numbers of :func:`augmented_chunks`.
+    ``reduce`` runs on the workers, so it must not draw.  Results come back in
+    block order, and each is a function of its own block's draws alone, so
+    what the consumer sees does not depend on thread scheduling.  There is
+    one more block slot than there are workers, so the next block's bootstrap
+    rows are drawn while the workers reduce; a slot is reused only after the
     consumer has taken its block's result.
     """
-    bootstrap, masks, means = _draw_streams(d, spec)
+    bootstrap, means = _bootstrap_and_means(d, spec)
     block_rows = BLOCK_ROWS
     workers = min(2, len(os.sched_getaffinity(0)))
-    free = [_BlockSlot(min(block_rows, spec.n_synthetic), d.k) for _ in range(workers + 1)]
+    free = [_BlockSlot(min(block_rows, spec.n_synthetic), d.k,
+                       _streams.stream(spec.seed, _streams.MASK))
+            for _ in range(workers + 1)]
     in_flight = collections.deque()
     pool = ThreadPoolExecutor(workers)
     try:
@@ -215,11 +271,8 @@ def reduced_blocks(d: Dataset, spec: AugmentSpec, reduce):
                 yield future.result()
                 free.append(slot)
             slot = free.pop()
-            rows = min(block_rows, spec.n_synthetic - start)
-            views = slot.views(rows)
-            idx = bootstrap.integers(0, d.n, size=rows)
-            masks.random(out=views[1])  # the uniform draws behind the mask
-            future = pool.submit(_reduce_block, d, spec, means, idx, views, reduce)
+            idx = bootstrap.integers(0, d.n, size=min(block_rows, spec.n_synthetic - start))
+            future = pool.submit(_reduce_block, d, spec, means, start, idx, slot, reduce)
             in_flight.append((future, slot))
         while in_flight:
             yield in_flight.popleft()[0].result()
@@ -246,8 +299,8 @@ def ablated_copy(d: Dataset, spec: AugmentSpec, means=None, replicas: int = 1) -
     from the training set) is required in mean-ablation mode.
     """
     X = np.tile(d.features, (replicas, 1))
-    mask = _streams.stream(spec.seed, _streams.VALMASK).random(X.shape) < spec.lam
-    return replace(d, features=ablate(X, mask, spec, means),
+    draws = _streams.stream(spec.seed, _streams.VALMASK).random(X.shape)
+    return replace(d, features=ablate(X, draws, spec, means, out=X),
                    response=np.tile(d.response, replicas), n_dropped=0)
 
 
@@ -258,5 +311,5 @@ def batch_masks(batch: np.ndarray, spec: AugmentSpec, step: int, means=None) -> 
     reproduces the same output.  ``means`` (frozen from the training set)
     is required in mean-ablation mode.
     """
-    mask = _streams.stream(spec.seed, _streams.MASK, step).random(np.shape(batch)) < spec.lam
-    return ablate(batch, mask, spec, means)
+    draws = _streams.stream(spec.seed, _streams.MASK, step).random(np.shape(batch))
+    return ablate(batch, draws, spec, means)

@@ -8,10 +8,11 @@ solve OLS from centered sufficient statistics of ``[X | y]``; the random
 draws are the ones :func:`~ablatereg.augment.build_augmented` makes.  Each
 set runs through :func:`~ablatereg.augment.reduced_blocks` in three parts:
 
-- draw: the calling thread makes every bootstrap and mask draw, block by
-  block, in the order of a serial run;
-- reduce: up to two worker threads gather, ablate and reduce blocks, each
-  to its row count, mean and centered cross-products
+- draw: the calling thread makes every generator and every bootstrap
+  draw, block by block, in the order of a serial run;
+- reduce: up to two worker threads draw each block's mask uniforms, from
+  the block's own place in the MASK stream, then gather, ablate and reduce
+  the block, each to its row count, mean and centered cross-products
   (:func:`_block_moments`), or to the squared deviations of its centered
   products (:func:`_block_square_deviations`);
 - merge: the calling thread folds the block results in block order, the

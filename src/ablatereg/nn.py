@@ -178,10 +178,17 @@ def _loss_output_grad(outputs: np.ndarray, targets, task: str) -> np.ndarray:
     return probs / n
 
 
+def _training_loss(outputs, targets, task: str) -> float:
+    """:func:`loss` without numpy's floating-point warnings, for the callers
+    that turn a non-finite loss into :class:`TrainingDivergedError`."""
+    with np.errstate(all="ignore"):
+        return loss(outputs, targets, task)
+
+
 def param_gradients(m: MlpModel, X, targets, task: str):
     """Exact gradients of the mean loss w.r.t. every weight and bias."""
     outputs, cache = forward(m, X)
-    value = loss(outputs, targets, task)
+    value = _training_loss(outputs, targets, task)
     if not np.isfinite(value):
         raise TrainingDivergedError(f"non-finite loss {value}")
     inputs = cache["inputs"]
@@ -312,9 +319,9 @@ def train(model: MlpModel, d_train: Dataset, d_val: Dataset, cfg: TrainConfig, *
                 _adam_update(*slot, grad, cfg.learning_rate, ADAM_BETA1, ADAM_BETA2, ADAM_EPS,
                              corr1, corr2)
 
-        losses = {"val_loss": loss(predict(work, X_val), y_val, task)}
+        losses = {"val_loss": _training_loss(predict(work, X_val), y_val, task)}
         if log_train_loss:
-            losses["train_loss"] = loss(predict(work, X_tr), y_tr, task)
+            losses["train_loss"] = _training_loss(predict(work, X_tr), y_tr, task)
         if not np.all(np.isfinite(list(losses.values()))):
             raise TrainingDivergedError(f"non-finite epoch loss at epoch {epoch}")
         val_loss = losses["val_loss"]

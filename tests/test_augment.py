@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ablatereg import _streams, augment
 from ablatereg.augment import (
@@ -20,9 +22,14 @@ from ablatereg.augment import (
 from ablatereg.dataset import synth_correlated
 
 
+def mask_draws(rows, k, seed):
+    """The unstepped mask uniforms of a spec with this seed."""
+    return _streams.stream(seed, _streams.MASK).random((rows, k))
+
+
 def draw_mask(rows, k, lam, seed):
     """The unstepped mask draw of a spec with this seed: Bernoulli(lam) bits."""
-    return _streams.stream(seed, _streams.MASK).random((rows, k)) < lam
+    return mask_draws(rows, k, seed) < lam
 
 
 MEAN = AugmentSpec("mean", 0.5, 1, seed=0)
@@ -52,50 +59,53 @@ class TestMakeMask:
             AugmentSpec("iid", 1.0, 10, seed=0)
 
 
+# In the tests below an ablated entry has the draw 0.0, and a kept one a draw
+# at or above lambda.
+
 class TestApplyMeanAblation:
     def test_definition(self):
-        out = ablate([3.0, 4.0], [True, False], MEAN, means=[1.0, 2.0])
+        out = ablate([3.0, 4.0], [0.0, 0.5], MEAN, means=[1.0, 2.0])
         np.testing.assert_allclose(out, [1.0, 4.0])
 
     def test_all_false_identity(self):
         x = np.array([3.0, 4.0, 5.0])
-        out = ablate(x, [False, False, False], MEAN, means=[0.0, 0.0, 0.0])
+        out = ablate(x, [0.5, 0.75, 0.999], MEAN, means=[0.0, 0.0, 0.0])
         np.testing.assert_array_equal(out, x)
 
     def test_fixed_point_at_means(self):
         x = np.array([1.0, 2.0])
-        out = ablate(x, [True, True], MEAN, means=x)
+        out = ablate(x, [0.0, 0.0], MEAN, means=x)
         np.testing.assert_array_equal(out, x)
 
     def test_length_mismatch(self):
         with pytest.raises(AugmentError):
-            ablate([1.0, 2.0], [True], MEAN, means=[0.0, 0.0])
+            ablate([1.0, 2.0], [0.0], MEAN, means=[0.0, 0.0])
         with pytest.raises(AugmentError):
-            ablate([1.0, 2.0], [True, False], MEAN, means=[0.0])
+            ablate([1.0, 2.0], [0.0, 0.5], MEAN, means=[0.0])
 
 
 class TestApplyInvertedDropout:
     def test_definition(self):
-        out = ablate([3.0, 4.0], [True, False], dropout(0.5))
+        out = ablate([3.0, 4.0], [0.0, 0.5], dropout(0.5))
         np.testing.assert_allclose(out, [0.0, 8.0])
 
     def test_lambda_zero_identity(self):
         x = np.array([3.0, 4.0])
-        mask = draw_mask(1, 2, 0.0, seed=0)[0]
-        np.testing.assert_array_equal(ablate(x, mask, dropout(0.0)), x)
+        draws = mask_draws(1, 2, seed=0)[0]
+        np.testing.assert_array_equal(ablate(x, draws, dropout(0.0)), x)
 
     def test_expectation_preserved(self):
         # Monte-Carlo mean over many masks stays within 3 empirical SEs of x
         x = np.array([2.0, -3.0, 0.5, 7.0])
         lam = 0.35
-        mask = draw_mask(100_000, 4, lam, seed=11)
-        outs = ablate(np.broadcast_to(x, mask.shape), mask, dropout(lam))
+        draws = mask_draws(100_000, 4, seed=11)
+        outs = ablate(np.broadcast_to(x, draws.shape), draws, dropout(lam))
         se = outs.std(axis=0) / np.sqrt(outs.shape[0])
         assert np.all(np.abs(outs.mean(axis=0) - x) <= 3 * se)
 
     def test_rejects_lambda_one(self):
         with pytest.raises(AugmentError):
-            ablate([1.0], [False], dropout(1.0))
+            ablate([1.0], [0.5], dropout(1.0))
 
 
 class TestAblateOut:
@@ -107,22 +117,101 @@ class TestAblateOut:
         rng = np.random.default_rng(21)
         X = rng.standard_normal((500, 4)) * 1e3 + 1e6
         X[0, 0], X[1, 1] = -0.0, 0.0
-        mask = draw_mask(500, 4, 0.4, seed=22)
+        draws = mask_draws(500, 4, seed=22)
+        mask = draws < 0.4
         spec = AugmentSpec(mode, 0.4, 1, seed=0)
         means = X.mean(axis=0) if mode == "mean" else None
-        fresh = ablate(X, mask, spec, means)
+        fresh = ablate(X, draws.copy(), spec, means)
         expected = (np.where(mask, means, X) if mode == "mean"
                     else np.where(mask, 0.0, X / (1.0 - 0.4)))
         out = np.full_like(X, np.nan)
-        assert ablate(X, mask, spec, means, out=out) is out
+        assert ablate(X, draws.copy(), spec, means, out=out) is out
         in_place = np.asfortranarray(X)
-        assert ablate(in_place, mask, spec, means, out=in_place) is in_place
+        assert ablate(in_place, draws.copy(), spec, means, out=in_place) is in_place
         for result in (fresh, out, in_place):
             assert result.tobytes(order="C") == expected.tobytes(order="C")
 
     def test_out_of_another_shape_is_rejected(self):
         with pytest.raises(AugmentError):
-            ablate(np.ones((2, 2)), np.zeros((2, 2), bool), dropout(0.5), out=np.empty(2))
+            ablate(np.ones((2, 2)), np.zeros((2, 2)), dropout(0.5), out=np.empty(2))
+
+
+# Any float64 bit pattern, with the special values drawn often: +-0.0, +-inf,
+# quiet and signalling NaNs with payloads and either sign, and subnormals.
+FLOAT_BITS = st.one_of(
+    st.integers(0, 2**64 - 1),
+    st.sampled_from([0, 1 << 63, 0x7FF0 << 48, 0xFFF0 << 48, 0x7FF8 << 48 | 5,
+                     0xFFF4 << 48 | 1, 0x7FF0 << 48 | 3, 1, 1 << 63 | 1,
+                     0x000F_FFFF_FFFF_FFFF]),
+)
+
+
+def doubles(bits):
+    return np.array(bits, dtype=np.uint64).view(np.float64)
+
+
+@st.composite
+def ablation_cases(draw):
+    """(X, means, lam, draws) with X and means of arbitrary bits; the draws
+    end with a row of exactly lam and a row of 0.0."""
+    k = draw(st.integers(1, 4))
+    rows = draw(st.integers(0, 6)) + 2
+    lam = draw(st.floats(0.0, 1.0, exclude_max=True))
+    X = doubles(draw(st.lists(FLOAT_BITS, min_size=rows * k, max_size=rows * k)))
+    means = doubles(draw(st.lists(FLOAT_BITS, min_size=k, max_size=k)))
+    uniforms = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                             min_size=(rows - 2) * k, max_size=(rows - 2) * k))
+    draws = np.array(uniforms + [lam] * k + [0.0] * k)
+    return X.reshape(rows, k), means, lam, draws.reshape(rows, k)
+
+
+class TestAblateBits:
+    """The bit select equals the np.where definitions byte for byte, for any
+    bit patterns in X and means."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(ablation_cases())
+    def test_bytes_equal_the_where_forms(self, case):
+        X, means, lam, draws = case
+        with np.errstate(all="ignore"):
+            expected = {"mean": np.where(draws < lam, means, X),
+                        "iid": np.where(draws < lam, 0.0, X / (1 - lam))}
+            for mode, want in expected.items():
+                got = ablate(X, draws.copy(), AugmentSpec(mode, lam, 1, seed=0), means)
+                assert got.tobytes() == want.tobytes()
+                if lam == 0.0:
+                    unablated = X if mode == "mean" else X / 1.0
+                    assert got.tobytes() == unablated.tobytes()
+
+    @pytest.mark.parametrize("lam", [0.0, -0.0])
+    @pytest.mark.parametrize("mode", ["mean", "iid"])
+    def test_lambda_zero_never_ablates(self, mode, lam):
+        X = np.array([[1.5, -0.0, np.nan], [np.inf, 5e-324, -2.0]])
+        draws = np.array([[0.0, 5e-324, 0.5], [0.0, 0.25, np.nextafter(1.0, 0.0)]])
+        got = ablate(X, draws, AugmentSpec(mode, lam, 1, seed=0), np.zeros(3))
+        assert got.tobytes() == X.tobytes()
+
+    @pytest.mark.parametrize("bad", [-0.0, 1.0, np.nan, -np.nan, -1e-300, np.inf, 1.5])
+    @pytest.mark.parametrize("mode", ["mean", "iid"])
+    def test_draws_outside_the_unit_interval_are_rejected(self, mode, bad):
+        draws = np.array([[0.25, 0.5], [bad, 0.0]])
+        with pytest.raises(AugmentError, match=r"\[0, 1\)"):
+            ablate(np.ones((2, 2)), draws, AugmentSpec(mode, 0.5, 1, seed=0), np.zeros(2))
+
+
+class TestBlockSlotDraws:
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_advancing_finds_each_blocks_draws(self, k):
+        # a short tail block, then the first block, then one block in: each
+        # equals its rows of the whole stream drawn at once
+        n = 2 * BLOCK_ROWS + 5
+        expected = mask_draws(n, k, seed=9)
+        slot = augment._BlockSlot(BLOCK_ROWS, k, _streams.stream(9, _streams.MASK))
+        for start in (2 * BLOCK_ROWS, 0, BLOCK_ROWS):
+            rows = min(BLOCK_ROWS, n - start)
+            draws = slot.views(rows)[1]
+            slot.draw_masks(start, draws)
+            np.testing.assert_array_equal(draws, expected[start:start + rows])
 
 
 def chunked_set(d, spec, block_rows):

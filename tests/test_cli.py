@@ -445,6 +445,13 @@ class TestErrorReporting:
         self.one_error_line(capsys, code, "diverged at epoch 0, step 1: non-finite loss inf")
         assert not (tmp_path / "ckpt.json").exists()
 
+    def test_diverged_training_writes_no_warning(self, tmp_path):
+        # numpy's warnings go to stderr outside pytest's capture, so run it alone
+        result = run_in_subprocess(["train", "--depth", "0", "--learning-rate", "1e200",
+                                    "--out", tmp_path / "ckpt.json"], subprocess.DEVNULL)
+        assert result.returncode == 1
+        assert result.stderr == b"error: diverged at epoch 0, step 1: non-finite loss inf\n"
+
     def test_out_in_a_missing_directory_names_the_target(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         code = run(["fit", "--out", "nodir/m.json"])

@@ -238,22 +238,47 @@ class RecordingGenerator:
 
 
 class TestBlockPipelineThreads:
-    def test_draws_happen_on_the_calling_thread(self, small_data, monkeypatch):
-        threads = []
+    def test_streams_and_bootstrap_draws_happen_on_the_calling_thread(self, small_data,
+                                                                      monkeypatch):
+        stream_threads, bootstrap_threads = [], []
         stream = _streams.stream
 
-        def recording_stream(*key):
-            threads.append(threading.get_ident())
-            return RecordingGenerator(stream(*key), threads)
+        def recording_stream(seed, purpose, *step):
+            stream_threads.append(threading.get_ident())
+            generator = stream(seed, purpose, *step)
+            if purpose == _streams.BOOTSTRAP:
+                return RecordingGenerator(generator, bootstrap_threads)
+            return generator
 
         monkeypatch.setattr(_streams, "stream", recording_stream)
         before = threading.active_count()
         converge_theorem1(small_data, 0.5, (1000, 3 * BLOCK_ROWS + 17), seeds=(0,))
         check_moment_limits(small_data, "iid", 0.5, 3 * BLOCK_ROWS + 17, seed=1)
         assert threading.active_count() == before
-        # 3 generators per check, 2 per converge cell, and one call per block and stream
-        assert len(threads) > 2 * 2 + 3 + 2 * 4 * 3
-        assert set(threads) == {threading.get_ident()}
+        # four sets (two converge cells, two passes of the check), each with a
+        # BOOTSTRAP generator and at least two slots' MASK generators; one
+        # bootstrap draw per block: 1 + 4 + 4 + 4
+        assert len(stream_threads) >= 4 * 3
+        assert len(bootstrap_threads) == 13
+        assert set(stream_threads + bootstrap_threads) == {threading.get_ident()}
+
+    def test_each_block_draws_its_rows_of_the_mask_stream(self, small_data, monkeypatch):
+        drawn = []
+        draw_masks = augment._BlockSlot.draw_masks
+
+        def recording_draw_masks(slot, start, draws):
+            draw_masks(slot, start, draws)
+            drawn.append((threading.get_ident(), start, draws.copy()))
+
+        monkeypatch.setattr(augment._BlockSlot, "draw_masks", recording_draw_masks)
+        n = 3 * BLOCK_ROWS + 17
+        list(augment.reduced_blocks(small_data, AugmentSpec("iid", 0.5, n, seed=3),
+                                    lambda z, scratch: None))
+        expected = _streams.stream(3, _streams.MASK).random((n, small_data.k))
+        assert sorted(start for _, start, _ in drawn) == list(range(0, n, BLOCK_ROWS))
+        for thread, start, draws in drawn:
+            assert thread != threading.get_ident()
+            np.testing.assert_array_equal(draws, expected[start:start + BLOCK_ROWS])
 
     def test_error_in_a_block_surfaces_with_its_type(self, small_data, monkeypatch):
         ablate = augment.ablate
