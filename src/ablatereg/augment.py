@@ -138,11 +138,36 @@ def ablate(X, draws, spec: AugmentSpec, means=None, out=None) -> np.ndarray:
         o ^= m
         o ^= u
     else:
-        np.divide(X, 1.0 - spec.lam, out=out)
+        _rescaled(X, spec, out=out)
         np.subtract(lam - 1, u, out=u)
         np.right_shift(u, 63, out=u)  # all ones where kept
         o &= u
     return out
+
+
+def _rescaled(X, spec: AugmentSpec, out=None) -> np.ndarray:
+    """Inverted dropout's survivors: X scaled by 1/(1-lam)."""
+    return np.divide(X, 1.0 - spec.lam, out=out)
+
+
+def _frozen_means(d: Dataset, spec: AugmentSpec):
+    """The feature means that mean ablation substitutes, frozen from d (None
+    for inverted dropout); the convergence of the bootstrap moments depends
+    on freezing them from d itself, not from the synthetic rows."""
+    return d.features.mean(axis=0) if spec.mode == MEAN_ABLATION else None
+
+
+def synthetic_values(d: Dataset, spec: AugmentSpec) -> np.ndarray:
+    """Every value a cell of the synthetic set of d can hold, as one flat
+    array (repeats included).  A feature cell holds a source value or its
+    column's frozen mean under mean ablation, and a source value rescaled by
+    :func:`ablate`'s division, or +0.0, under inverted dropout; a response
+    cell holds a source response."""
+    if spec.mode == MEAN_ABLATION:
+        features = (d.features.ravel(), _frozen_means(d, spec))
+    else:
+        features = (_rescaled(d.features, spec).ravel(), np.zeros(1))
+    return np.concatenate([*features, d.response])
 
 
 BLOCK_ROWS = 1 << 16
@@ -150,14 +175,11 @@ BLOCK_ROWS = 1 << 16
 
 def _bootstrap_and_means(d: Dataset, spec: AugmentSpec):
     """What a synthetic set is drawn from, besides its MASK stream: the
-    spec's BOOTSTRAP generator, and the feature means frozen from d (mean
-    ablation only; the convergence of the bootstrap moments depends on
-    freezing them from d itself, not from the synthetic rows)."""
+    spec's BOOTSTRAP generator, and the frozen feature means (mean ablation
+    only)."""
     if d.n == 0:
         raise AugmentError("cannot augment an empty dataset")
-    bootstrap = _streams.stream(spec.seed, _streams.BOOTSTRAP)
-    means = d.features.mean(axis=0) if spec.mode == MEAN_ABLATION else None
-    return bootstrap, means
+    return _streams.stream(spec.seed, _streams.BOOTSTRAP), _frozen_means(d, spec)
 
 
 def augmented_chunks(d: Dataset, spec: AugmentSpec, block_rows: int = BLOCK_ROWS):

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import harness, nn, penalty as penalty_mod
 from .attribution import AttributionConfig, as_contributions, integrated_gradients
-from .augment import AugmentError, AugmentSpec, augmented_chunks
+from .augment import AugmentError, AugmentSpec
 from .dataset import (
     Dataset,
     DatasetError,
@@ -297,10 +297,9 @@ def cmd_augment(args) -> int:
     d = _load_dataset(args, lambda: _default_theorem_data(args.seed))
     spec = AugmentSpec(mode=args.mode, lam=args.lam, n_synthetic=args.n, seed=args.seed)
     header = ",".join(list(d.column_names) + [args.response or "y"]) + "\n"
-    # One block of draws in memory at a time, written as it is formatted.
-    blocks = (harness._matrix_lines(np.column_stack(block))
-              for block in augmented_chunks(d, spec))
-    harness.write_text(args.out, itertools.chain([header], blocks))
+    # One block of draws in memory at a time, each value formatted once per
+    # run, and the rows written a chunk at a time as they are formatted.
+    harness.write_text(args.out, itertools.chain([header], harness.augmented_lines(d, spec)))
     logger.info("wrote %d augmented rows to %s", spec.n_synthetic, args.out)
     return 0
 

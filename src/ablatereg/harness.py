@@ -22,19 +22,25 @@ A block's result is a function of its own draws alone, computed by the same
 operations on arrays of the same layout as a serial loop would use, and the
 merge order is fixed, so the reports are the same bytes whichever thread
 reduced which block.  The ``augment`` command streams the same draws to
-disk through :func:`_matrix_lines` and :func:`write_text`, so nothing here
+disk through :func:`augmented_lines` and :func:`write_text`, so nothing here
 materializes a synthetic set.
 
 Every file the package writes goes through :func:`write_text`, which writes
-atomically.  Numeric CSV bodies are formatted by :func:`_matrix_lines`, which
-formats a repeated value once; the small mixed-type reports use
-:func:`_csv_lines`.  Both write each float as its ``repr``.
+atomically.  Numeric CSV bodies that repeat values come from one text
+table (:class:`_TextTable`): each distinct value is formatted once, and the
+cells are looked up by bit pattern, about a thousand rows at a time.
+:func:`_matrix_lines` builds the table from its own matrix, or formats a
+matrix of mostly distinct values cell by cell; :func:`augmented_lines`
+builds one table for a whole synthetic set from the values its cells can
+hold.  The small mixed-type reports use :func:`_csv_lines`.  All of them
+write each float as its ``repr``.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import json
 import math
 import os
@@ -45,7 +51,16 @@ from dataclasses import dataclass, field, replace as dc_replace
 import numpy as np
 
 from .attribution import AttributionConfig, as_contributions, integrated_gradients
-from .augment import INVERTED_DROPOUT, MEAN_ABLATION, AugmentSpec, check_lambda, reduced_blocks
+from .augment import (
+    BLOCK_ROWS,
+    INVERTED_DROPOUT,
+    MEAN_ABLATION,
+    AugmentSpec,
+    augmented_chunks,
+    check_lambda,
+    reduced_blocks,
+    synthetic_values,
+)
 from .dataset import (
     CLASSIFICATION,
     REGRESSION,
@@ -629,28 +644,113 @@ def _csv_lines(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Rows of CSV text made at a time, and table values formatted at a time.  A
+# chunk's temporaries take about 8 bytes per byte of its text, so 1024 rows
+# of a few dozen cells stay near a megabyte.
+CHUNK_ROWS = 1024
+
+
+class _TextTable:
+    """The CSV text of a set of distinct float64 values, each formatted once
+    as its ``repr``, looked up by bit pattern; keying on bits keeps ``0.0``
+    and ``-0.0`` apart.
+
+    The texts sit back to back in one byte buffer, each followed by a comma,
+    so a table of many values is a few arrays, not a Python string each.  A
+    chunk of rows is one gather from the buffer, with each row's last comma
+    then turned into a newline."""
+
+    def __init__(self, bits: np.ndarray):
+        """``bits``: the values' sorted, distinct bit patterns, as int64."""
+        self.bits = bits
+        values = bits.view(np.float64)
+        self.lengths = np.empty(bits.size, dtype=np.int64)
+        parts = []
+        for start in range(0, bits.size, CHUNK_ROWS):
+            text = [repr(v) + "," for v in values[start:start + CHUNK_ROWS].tolist()]
+            self.lengths[start:start + len(text)] = [len(t) for t in text]
+            parts.append("".join(text))
+        # a float's repr is ASCII
+        self.text = np.frombuffer("".join(parts).encode("ascii"), dtype=np.uint8)
+        self.starts = np.cumsum(self.lengths) - self.lengths
+
+    def chunks(self, matrix: np.ndarray):
+        """Yield the CSV body lines of the float64 matrix, one line per row,
+        ``CHUNK_ROWS`` rows at a time.  A value missing from the table raises
+        ``ValueError``; it is never formatted on the side."""
+        matrix = np.ascontiguousarray(matrix, dtype=np.float64)
+        n = self.bits.size
+        width = matrix.shape[1]
+        for start in range(0, matrix.shape[0], CHUNK_ROWS):
+            bits = matrix[start:start + CHUNK_ROWS].view(np.int64).ravel()
+            # sorted keys search about twice as fast: each search starts near
+            # the last, in memory still cached
+            order = np.argsort(bits)
+            bits = bits[order]
+            found = np.searchsorted(self.bits, bits)
+            if n == 0 or not np.array_equal(self.bits[np.minimum(found, n - 1)], bits):
+                raise ValueError("matrix holds a value missing from its text table")
+            index = np.empty_like(found)
+            index[order] = found
+            lengths = self.lengths[index]
+            ends = np.cumsum(lengths)  # where each cell's text ends in the chunk
+            # byte i of the chunk is byte i - (its cell's start in the chunk)
+            # of its value's text in the buffer
+            offsets = np.repeat(self.starts[index] - (ends - lengths), lengths)
+            offsets += np.arange(offsets.size)
+            chunk = self.text[offsets]
+            chunk[ends[width - 1::width] - 1] = ord("\n")
+            yield chunk.tobytes().decode("ascii")
+
+
+def _distinct_bits(values) -> np.ndarray:
+    """The sorted, distinct float64 bit patterns of ``values``, as int64.
+
+    A sort, not ``np.unique``: from numpy 2.3 that finds distinct values
+    with a hash table, which took 0.2-0.3 s where this takes 0.01 s on the
+    368,600 mostly distinct cells of an ``attribute`` output."""
+    bits = np.sort(np.ascontiguousarray(values, dtype=np.float64).view(np.int64), axis=None)
+    first = np.ones(bits.size, dtype=bool)
+    np.not_equal(bits[1:], bits[:-1], out=first[1:])
+    return bits[first]
+
+
 def _matrix_lines(matrix: np.ndarray) -> str:
     """CSV body lines of a float matrix, one per row: the bytes
     :func:`_csv_lines` writes for ``matrix.tolist()``, without its header.
 
     When at most half the cells hold distinct float64 bit patterns (a
-    bootstrap resample holds at most n*(k+1)+k), each distinct value is
-    formatted once and its text gathered back into place; keying on bits
-    keeps ``0.0`` and ``-0.0`` apart.  A matrix of mostly distinct values is
-    formatted cell by cell, converting one row to Python floats at a time.
-    The sort that decides costs little next to the formatting: on a
-    20000x21 matrix of distinct values ``np.unique`` takes 0.03 s of 0.52 s.
+    bootstrap resample holds at most n*(k+1)+k), the lines come from a
+    :class:`_TextTable` of the matrix's own values.  A matrix of mostly
+    distinct values is formatted cell by cell, converting one row to Python
+    floats at a time.  The sort that decides costs little next to the
+    formatting: on the 19400x19 matrix of an ``attribute`` output it takes
+    0.01 s of about 0.5 s.
     """
     matrix = np.ascontiguousarray(matrix, dtype=np.float64)
-    bits, inverse = np.unique(matrix.view(np.int64).ravel(), return_inverse=True)
+    bits = _distinct_bits(matrix)
     if 2 * bits.size > matrix.size:
         return "".join([",".join(map(repr, row.tolist())) + "\n" for row in matrix])
-    text = [repr(v) for v in bits.view(np.float64).tolist()]
-    # each distinct value ending in a comma, and again ending the row
-    cells = np.array([t + "," for t in text] + [t + "\n" for t in text], dtype=object)
-    index = inverse.reshape(matrix.shape)
-    index[:, -1] += len(text)
-    return "".join(cells[index.ravel()].tolist())
+    return "".join(_TextTable(bits).chunks(matrix))
+
+
+def augmented_lines(d: Dataset, spec: AugmentSpec):
+    """The CSV body of the synthetic set of d, ``[X | y]`` row by row, as an
+    iterator of text chunks; the draws are those of
+    :func:`~ablatereg.augment.augmented_chunks`, one block in memory at a time.
+
+    Every value a cell can hold (:func:`~ablatereg.augment.synthetic_values`)
+    is formatted once for the whole run, into one :class:`_TextTable`, when
+    there are at most as many of them as :func:`_matrix_lines` would share
+    in one block: half of the first block's cells.  A larger source is
+    formatted block by block by :func:`_matrix_lines`, which bounds the
+    table's memory by one block's.  Both give the same bytes.
+    """
+    blocks = (np.column_stack(block) for block in augmented_chunks(d, spec))
+    bits = _distinct_bits(synthetic_values(d, spec))
+    if 2 * bits.size > min(BLOCK_ROWS, spec.n_synthetic) * (d.k + 1):
+        return map(_matrix_lines, blocks)
+    return itertools.chain.from_iterable(map(_TextTable(bits).chunks, blocks))
 
 
 def _stderr(values: np.ndarray) -> float:

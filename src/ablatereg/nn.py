@@ -8,6 +8,7 @@ fixed seed reproduces training bit-for-bit on one platform.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -204,28 +205,43 @@ def param_gradients(m: MlpModel, X, targets, task: str):
     return grads_w, grads_b
 
 
-def input_gradients(m: MlpModel, X, output_index: int = 0) -> np.ndarray:
-    """Row-wise gradient of the selected output component w.r.t. the input.
+def _relu_masks(m: MlpModel, X: np.ndarray) -> list[np.ndarray]:
+    """The hidden layers' ReLU masks (pre-activation > 0) for the rows X.
 
-    Only the hidden layers' ReLU masks are kept from the forward pass, and
-    the backward pass carries the gradient alone, with no parameter
-    gradients.  For a depth-0 model every row equals the output's weight
-    column.
-    """
-    act = _as_rows(m, X)
-    n_out = m.weights[-1].shape[1]
-    if not 0 <= output_index < n_out:
-        raise ValueError(f"output_index {output_index} out of range")
+    Each layer's activations overwrite its pre-activations, as in
+    :func:`predict`, and die once the next layer's are formed, so only the
+    masks outlive the call."""
+    act = X
     masks = []
     for w, b in zip(m.weights[:-1], m.biases[:-1]):
         z = act @ w
         z += b
         masks.append(z > 0)
         act = np.maximum(z, 0.0, out=z)
-    g = np.zeros((act.shape[0], n_out))
+    return masks
+
+
+def input_gradients(m: MlpModel, X, output_index: int = 0) -> np.ndarray:
+    """Row-wise gradient of the selected output component w.r.t. the input.
+
+    The forward pass keeps only the hidden layers' ReLU masks, and the
+    backward pass carries the gradient alone, with no parameter gradients:
+    at each hidden layer ``g = g @ W.T`` is masked in place and the mask is
+    dropped.  A bool mask multiplies as 1.0/0.0, so this gives the bits of
+    ``g = (g @ W.T) * mask``, while at most two n-by-width float arrays and
+    the masks are alive at once.  For a depth-0 model every row equals the
+    output's weight column.
+    """
+    X = _as_rows(m, X)
+    n_out = m.weights[-1].shape[1]
+    if not 0 <= output_index < n_out:
+        raise ValueError(f"output_index {output_index} out of range")
+    masks = _relu_masks(m, X)
+    g = np.zeros((X.shape[0], n_out))
     g[:, output_index] = 1.0
     for layer in range(len(m.weights) - 1, 0, -1):
-        g = (g @ m.weights[layer].T) * masks[layer - 1]
+        g = g @ m.weights[layer].T
+        g *= masks.pop()
     return g @ m.weights[0].T
 
 
@@ -257,6 +273,19 @@ def _adam_update(param, m, v, t, s, grad, lr, b1, b2, eps, corr1, corr2) -> None
     s += eps
     t /= s
     param -= t
+
+
+@contextlib.contextmanager
+def _diverged_at(epoch: int, step: int):
+    """Run a training pass with floating-point overflow and invalid values
+    raising, so a hidden layer that overflows is caught even where the ReLU
+    would zero it and leave the loss finite.  Such an error, or a non-finite
+    loss, becomes :class:`TrainingDivergedError` naming the epoch and step."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except (TrainingDivergedError, FloatingPointError) as err:
+        raise TrainingDivergedError(f"diverged at epoch {epoch}, step {step}: {err}") from None
 
 
 def train(model: MlpModel, d_train: Dataset, d_val: Dataset, cfg: TrainConfig, *,
@@ -306,12 +335,8 @@ def train(model: MlpModel, d_train: Dataset, d_val: Dataset, cfg: TrainConfig, *
             xb = X_tr[idx]
             if cfg.augment is not None:
                 xb = batch_masks(xb, cfg.augment, step=step, means=train_means)
-            try:
+            with _diverged_at(epoch, step):
                 grads_w, grads_b = param_gradients(work, xb, y_tr[idx], task)
-            except TrainingDivergedError as err:
-                raise TrainingDivergedError(
-                    f"diverged at epoch {epoch}, step {step}: {err}"
-                ) from None
             step += 1
             corr1 = 1.0 - ADAM_BETA1**step
             corr2 = 1.0 - ADAM_BETA2**step
@@ -319,9 +344,10 @@ def train(model: MlpModel, d_train: Dataset, d_val: Dataset, cfg: TrainConfig, *
                 _adam_update(*slot, grad, cfg.learning_rate, ADAM_BETA1, ADAM_BETA2, ADAM_EPS,
                              corr1, corr2)
 
-        losses = {"val_loss": _training_loss(predict(work, X_val), y_val, task)}
-        if log_train_loss:
-            losses["train_loss"] = _training_loss(predict(work, X_tr), y_tr, task)
+        with _diverged_at(epoch, step):
+            losses = {"val_loss": _training_loss(predict(work, X_val), y_val, task)}
+            if log_train_loss:
+                losses["train_loss"] = _training_loss(predict(work, X_tr), y_tr, task)
         if not np.all(np.isfinite(list(losses.values()))):
             raise TrainingDivergedError(f"non-finite epoch loss at epoch {epoch}")
         val_loss = losses["val_loss"]

@@ -18,6 +18,7 @@ from ablatereg.augment import (
     batch_masks,
     build_augmented,
     reduced_blocks,
+    synthetic_values,
 )
 from ablatereg.dataset import synth_correlated
 
@@ -339,6 +340,31 @@ class TestAugmentedChunks:
         blocks = list(augmented_chunks(d, spec, block_rows=block_rows))
         np.testing.assert_array_equal(np.concatenate([f for f, _ in blocks]), expected)
         np.testing.assert_array_equal(np.concatenate([r for _, r in blocks]), d.response[idx])
+
+
+class TestSyntheticValues:
+    @pytest.mark.parametrize("mode", ["mean", "iid"])
+    @pytest.mark.parametrize("lam", [0.0, 0.35])
+    def test_every_cell_of_every_block_is_in_the_set(self, mode, lam):
+        d = synth_correlated(60, 3, 0.4, (1, -1, 2), 1.0, seed=15)
+        features = d.features.copy()
+        features[:5, 0] = -0.0
+        features[5:10, 1] = features[10:15, 1]
+        d = replace(d, features=features)
+        spec = AugmentSpec(mode, lam, 2 * BLOCK_ROWS + 9, seed=16)
+        values = synthetic_values(d, spec).view(np.int64)
+        for features, response in augmented_chunks(d, spec):
+            assert np.isin(features.view(np.int64), values).all()
+            assert np.isin(response.view(np.int64), values).all()
+
+    def test_values_by_mode(self):
+        d = synth_correlated(5, 2, 0.4, (1, -1), 1.0, seed=17)
+        mean = synthetic_values(d, AugmentSpec("mean", 0.3, 1, seed=0))
+        np.testing.assert_array_equal(
+            mean, np.concatenate([d.features.ravel(), d.features.mean(axis=0), d.response]))
+        iid = synthetic_values(d, AugmentSpec("iid", 0.3, 1, seed=0))
+        np.testing.assert_array_equal(
+            iid, np.concatenate([(d.features / 0.7).ravel(), [0.0], d.response]))
 
 
 class TestBatchMasks:

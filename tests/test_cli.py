@@ -452,6 +452,16 @@ class TestErrorReporting:
         assert result.returncode == 1
         assert result.stderr == b"error: diverged at epoch 0, step 1: non-finite loss inf\n"
 
+    def test_deeper_diverged_training_writes_no_warning(self, tmp_path):
+        # the hidden layers' overflow raises in the forward pass, before any
+        # numpy warning and whatever the ReLU would make of it
+        result = run_in_subprocess(["train", "--depth", "2", "--learning-rate", "1e200",
+                                    "--out", tmp_path / "ckpt.json"], subprocess.DEVNULL)
+        assert result.returncode == 1
+        assert result.stderr == (b"error: diverged at epoch 0, step 1: "
+                                 b"overflow encountered in matmul\n")
+        assert not (tmp_path / "ckpt.json").exists()
+
     def test_out_in_a_missing_directory_names_the_target(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         code = run(["fit", "--out", "nodir/m.json"])

@@ -29,9 +29,13 @@ from ablatereg.harness import (
     render_report,
     sweep_from_payload,
     write_text,
+    CHUNK_ROWS,
+    _TextTable,
     _csv_lines,
+    _distinct_bits,
     _spearman,
     _matrix_lines,
+    augmented_lines,
     _moment_limits,
     _streamed_moments,
 )
@@ -356,17 +360,17 @@ class TestLambdaSweep:
         with pytest.raises(ValueError):
             lambda_sweep(small_data, [0], "mean", [0.0, 1.0], seeds=(0,))
 
-    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_diverging_cell_is_recorded(self, small_data):
         # Adam moves each weight by about the learning rate on the first step,
         # so the second step's forward pass overflows.  The sweep skips the
-        # train-loss pass; the per-batch loss check still catches it.
+        # train-loss pass; the training step's forward pass raises on the
+        # overflow itself.
         cfg = TrainConfig(learning_rate=1e300, epochs=2, batch_size=16)
         sweep = lambda_sweep(small_data, [1], "mean", (0.0, 0.5), seeds=(0,), cfg=cfg,
                              hidden_width=8, attribution_steps=5)
         assert len(sweep.cells) == 2
         for cell in sweep.cells:
-            assert cell.error.startswith("diverged at epoch 0, step 1: non-finite loss")
+            assert cell.error == "diverged at epoch 0, step 1: overflow encountered in matmul"
             assert math.isnan(cell.metric) and math.isnan(cell.ccp) and math.isnan(cell.ml2p)
 
 
@@ -583,6 +587,71 @@ class TestMatrixLines:
 
     def test_signed_zeros_stay_apart(self):
         assert _matrix_lines(np.array([[0.0, -0.0], [-0.0, 0.0]])) == "0.0,-0.0\n-0.0,0.0\n"
+
+
+class TestTextTable:
+    def test_chunks_join_to_the_matrix_lines(self):
+        rng = np.random.default_rng(6)
+        matrix = rng.standard_normal((10, 4))[rng.integers(0, 10, 2 * CHUNK_ROWS + 5)]
+        chunks = list(_TextTable(_distinct_bits(matrix)).chunks(matrix))
+        assert [chunk.count("\n") for chunk in chunks] == [CHUNK_ROWS, CHUNK_ROWS, 5]
+        assert "".join(chunks) == _csv_lines(["h"], matrix.tolist())[2:]
+
+    def test_distinct_bits_equal_np_unique(self):
+        matrix = np.array([[0.0, -0.0, np.nan, -np.nan], [1.0, 1.0, 5e-324, -0.0]])
+        assert np.array_equal(_distinct_bits(matrix), np.unique(matrix.view(np.int64)))
+        assert _distinct_bits(np.empty((0, 2))).size == 0
+
+    @pytest.mark.parametrize("values, matrix", [
+        ([1.0, 2.0], [[1.0, 3.0]]),
+        ([0.0, 1.0], [[1.0, -0.0]]),
+        ([np.inf], [[np.inf], [1e308]]),
+        ([], [[0.0]]),
+    ], ids=["absent", "other-signed-zero", "above-the-largest", "empty-table"])
+    def test_a_value_missing_from_the_table_raises(self, values, matrix):
+        table = _TextTable(_distinct_bits(values))
+        with pytest.raises(ValueError, match="missing from its text table"):
+            list(table.chunks(np.array(matrix)))
+
+
+class TestAugmentedLines:
+    """``augmented_lines`` against the CSV body of each block written cell by
+    cell, one ``repr`` each."""
+
+    def block_by_block(self, d, spec):
+        return "".join(_csv_lines(["h"], np.column_stack(block).tolist())[2:]
+                       for block in augmented_chunks(d, spec))
+
+    @pytest.fixture
+    def block_calls(self, monkeypatch):
+        """The shapes of the blocks formatted one by one by ``_matrix_lines``."""
+        calls = []
+        monkeypatch.setattr(harness, "_matrix_lines",
+                            lambda m: calls.append(m.shape) or _matrix_lines(m))
+        return calls
+
+    @pytest.mark.parametrize("mode", ["mean", "iid"])
+    def test_bytes_equal_block_by_block(self, mode, block_calls):
+        d = synth_correlated(50, 3, 0.4, (1, -1, 2), 1.0, seed=21)
+        features, response = d.features.copy(), d.response.copy()
+        features[:6, 0] = -0.0
+        features[6:20, 1] = features[20:34, 1]  # repeated values
+        response[:4] = -0.0
+        d = replace(d, features=features, response=response)
+        spec = AugmentSpec(mode, 0.35, 3 * BLOCK_ROWS + 211, seed=22)
+        text = "".join(augmented_lines(d, spec))
+        assert block_calls == []  # one table for the run
+        assert text == self.block_by_block(d, spec)
+        assert text.count("\n") == spec.n_synthetic
+
+    @pytest.mark.parametrize("mode", ["mean", "iid"])
+    def test_a_source_above_the_bound_is_formatted_block_by_block(self, mode, block_calls):
+        # 500*3 + 500 source values, more than half of the 300*4 cells
+        d = synth_correlated(500, 3, 0.4, (1, -1, 2), 1.0, seed=23)
+        spec = AugmentSpec(mode, 0.35, 300, seed=24)
+        text = "".join(augmented_lines(d, spec))
+        assert block_calls == [(300, 4)]
+        assert text == self.block_by_block(d, spec)
 
 
 class TestWriteText:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -203,7 +205,66 @@ def full_backprop_input_gradients(m, X, output_index):
     return g
 
 
+def reference_input_gradients(m, X, output_index):
+    """The input gradient with every layer's arrays kept: the forward
+    activations stay alive, and each hidden layer's gradient is the
+    out-of-place ``(g @ W.T) * mask``."""
+    act = X
+    masks = []
+    for w, b in zip(m.weights[:-1], m.biases[:-1]):
+        z = act @ w + b
+        masks.append(z > 0)
+        act = np.maximum(z, 0.0)
+    g = np.zeros((X.shape[0], m.weights[-1].shape[1]))
+    g[:, output_index] = 1.0
+    for layer in range(len(m.weights) - 1, 0, -1):
+        g = (g @ m.weights[layer].T) * masks[layer - 1]
+    return g @ m.weights[0].T
+
+
+def net_with_signed_zeros(dims, seed):
+    """A net with random biases whose weights hold +0.0 and -0.0 in places,
+    so the sign of every zero product and sum shows in a bit comparison."""
+    m = net_with_biases(dims, seed)
+    rng = np.random.default_rng(seed + 2000)
+    for w in m.weights:
+        where = rng.random(w.shape)
+        w[where < 0.1] = 0.0
+        w[where > 0.9] = -0.0
+    return m
+
+
 class TestInputGradients:
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3])
+    @pytest.mark.parametrize("n_out", [1, 3])
+    @pytest.mark.parametrize("rows", [1, 300])
+    def test_equals_reference_form_bit_for_bit(self, depth, n_out, rows):
+        m = net_with_signed_zeros([6] + [20] * depth + [n_out], seed=40 + depth)
+        X = np.random.default_rng(41 + rows).normal(size=(rows, 6))
+        X[:, 0] = -0.0
+        for output_index in range(n_out):
+            got = input_gradients(m, X, output_index)
+            want = reference_input_gradients(m, X, output_index)
+            assert got.view(np.int64).tobytes() == want.view(np.int64).tobytes()
+
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_peak_memory_is_at_most_two_hidden_arrays_and_the_masks(self, depth):
+        n, k, width = 20000, 8, 100
+        m = init([k] + [width] * depth + [1], seed=42)
+        X = np.random.default_rng(43).normal(size=(n, k))
+        hidden = n * width * 8  # one n-by-width float64 array
+        # one such array at depth 1 and two from depth 2 on (a layer's input
+        # and output, forward or backward), the bool masks, the n-by-k result
+        # and its last product, and 1 MiB for the small objects on the way
+        bound = min(depth, 2) * hidden + depth * n * width + 2 * n * k * 8 + 2**20
+        tracemalloc.start()
+        try:
+            input_gradients(m, X, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, f"peak {peak / 2**20:.1f} MiB above {bound / 2**20:.1f} MiB"
+
     @pytest.mark.parametrize("dims", [[5, 3], [5, 12, 3], [5, 12, 10, 8, 3]])
     def test_equals_full_backprop_bit_for_bit(self, dims):
         m = net_with_biases(dims, seed=31)
@@ -322,6 +383,18 @@ class TestTrain:
         with pytest.raises(TrainingDivergedError):
             train(bad, tr, va, cfg)
 
+
+    def test_hidden_overflow_zeroed_by_the_relu_is_an_error(self):
+        # every row's first hidden pre-activation overflows to -inf, which the
+        # ReLU would turn into a finite loss
+        tr, va = self._splits()
+        positive = regression_dataset(np.abs(tr.features) + 1.0, tr.response)
+        m = init([3, 8, 1], seed=9)
+        m.weights[0][:, 0] = -1e308
+        cfg = TrainConfig(epochs=2, batch_size=16, seed=10)
+        with pytest.raises(TrainingDivergedError) as err:
+            train(m, positive, positive, cfg)
+        assert str(err.value) == "diverged at epoch 0, step 0: overflow encountered in matmul"
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_non_finite_validation_loss_detected_without_train_loss(self):
