@@ -45,7 +45,6 @@ from .penalty import (
     ml2p_from_avg_gradients,
 )
 from .nn import (
-    Checkpoint,
     MlpModel,
     TrainConfig,
     TrainLog,

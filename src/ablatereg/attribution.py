@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import MlpModel, input_gradients, predict
+from .nn import MlpModel, _as_rows, input_gradients, predict
 from .penalty import ContributionMatrix
 
 QUADRATURES = ("midpoint", "left", "right", "trapezoid")
@@ -81,12 +81,8 @@ def integrated_gradients(m: MlpModel, X, cfg: AttributionConfig | None = None) -
     so any step count reproduces the exact contributions.
     """
     cfg = cfg or AttributionConfig()
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[None, :]
-    k = m.weights[0].shape[0]
-    if X.shape[1] != k:
-        raise ValueError(f"X has {X.shape[1]} columns, model expects {k}")
+    X = _as_rows(m, X)
+    k = X.shape[1]
     baseline = cfg.baseline if cfg.baseline is not None else np.zeros(k)
     if baseline.shape[0] != k:
         raise ValueError(f"baseline has length {baseline.shape[0]}, expected {k}")

@@ -12,10 +12,11 @@ Exit status 2 is a usage error: a bad flag or flag value, a bad config key or
 value, or a config file that cannot be read.  Exit status 1 with one
 ``error:`` line on stderr is a data, model, report or file error: a
 numerically singular model, an unusable data file or split, an invalid
-augmentation or ablation rate, training that diverged, sweep reports that
-cannot be compared, a malformed model, checkpoint or baseline file, or one
-that does not match the data (its column names, width or output count for
-``--class``), or a file that cannot be read or written.
+augmentation or ablation rate, training that diverged (at an epoch and
+step, with numpy's message), sweep reports that cannot be compared, a
+malformed model, checkpoint or baseline file, one that does not match the
+data (its column names, width or output count for ``--class``) or whose
+model overflows on it, or a file that cannot be read or written.
 All outputs are deterministic given a seed: rerunning a command reproduces
 the emitted file byte for byte.
 """
@@ -240,6 +241,12 @@ def _read_model(path):
         raise harness.ReportError(f"{path} is not a model file: {err}") from None
 
 
+def _evaluating(path):
+    """Training's overflow rule for evaluating the model file ``path``."""
+    return nn.float_errors_as(
+        lambda message: harness.ReportError(f"model file {path} overflows on the data: {message}"))
+
+
 def _check_inputs(args, model: nn.MlpModel, columns, d: Dataset, baseline=None) -> None:
     """Check the model file's recorded ``columns`` (else its width), the
     ``--baseline`` file's vector and ``--class`` against the data ``d``."""
@@ -314,21 +321,22 @@ def cmd_penalty(args) -> int:
 
     ccp_value = None
     ml2p_value = None
-    if linear is not None:
-        contrib = penalty_mod.contributions_linear(linear, d.features)
-        if args.kind in ("ccp", "both"):
-            ccp_value = penalty_mod.ccp_variance_form(contrib)
-        if args.kind in ("ml2p", "both"):
-            ml2p_value = penalty_mod.ml2p(linear.beta, stats)
-    else:
-        attr = integrated_gradients(
-            model, d.features,
-            AttributionConfig(steps=args.steps, output_index=args.class_index),
-        )
-        if args.kind in ("ccp", "both"):
-            ccp_value = penalty_mod.ccp_variance_form(as_contributions(attr))
-        if args.kind in ("ml2p", "both"):
-            ml2p_value = penalty_mod.ml2p_from_avg_gradients(attr.avg_gradients, stats)
+    with _evaluating(args.model):
+        if linear is not None:
+            contrib = penalty_mod.contributions_linear(linear, d.features)
+            if args.kind in ("ccp", "both"):
+                ccp_value = penalty_mod.ccp_variance_form(contrib)
+            if args.kind in ("ml2p", "both"):
+                ml2p_value = penalty_mod.ml2p(linear.beta, stats)
+        else:
+            attr = integrated_gradients(
+                model, d.features,
+                AttributionConfig(steps=args.steps, output_index=args.class_index),
+            )
+            if args.kind in ("ccp", "both"):
+                ccp_value = penalty_mod.ccp_variance_form(as_contributions(attr))
+            if args.kind in ("ml2p", "both"):
+                ml2p_value = penalty_mod.ml2p_from_avg_gradients(attr.avg_gradients, stats)
 
     _write_json({
         "ccp": ccp_value,
@@ -402,7 +410,8 @@ def cmd_attribute(args) -> int:
         baseline = d.features.mean(axis=0)
     cfg = AttributionConfig(baseline=baseline, steps=args.steps,
                             output_index=args.class_index)
-    result = integrated_gradients(model, d.features, cfg)
+    with _evaluating(args.model):
+        result = integrated_gradients(model, d.features, cfg)
 
     header = ([f"attr_{c}" for c in d.column_names]
               + [f"avggrad_{c}" for c in d.column_names] + ["completeness_gap"])

@@ -602,16 +602,9 @@ def cross_trend_check(sweep_mada: SweepResult, sweep_iid: SweepResult) -> CrossT
         raise ReportError("sweeps must share depths, lambda grid and seeds")
 
     ml2p_trend = penalty_trend(sweep_mada, "ml2p")["per_depth"]
-    lam_first, lam_last = sweep_iid.lambda_grid[0], sweep_iid.lambda_grid[-1]
-    ccp_rows = []
-    for depth in sweep_iid.depths:
-        for oi in sweep_iid.output_indices():
-            ccp_rows.append({
-                "depth": depth,
-                "output_index": oi,
-                "abs_first": abs(sweep_iid.mean_over_seeds("ccp", depth, lam_first, oi)),
-                "abs_last": abs(sweep_iid.mean_over_seeds("ccp", depth, lam_last, oi)),
-            })
+    ccp_rows = [{"depth": e.depth, "output_index": e.output_index,
+                 "abs_first": abs(e.first_mean), "abs_last": abs(e.last_mean)}
+                for e in penalty_trend(sweep_iid, "ccp")["per_depth"]]
 
     cells_a = [(c.depth, c.lam, c.seed, c.output_index, c.metric, c.ccp, c.ml2p)
                for c in sweep_mada.cells]

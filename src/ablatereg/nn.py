@@ -3,7 +3,8 @@ parameters and inputs, Adam, MSE/softmax cross-entropy, early stopping, and
 minibatch training with optional fresh-mask ablation per step.
 
 Everything is seeded and single-threaded over the optimizer state, so a
-fixed seed reproduces training bit-for-bit on one platform.
+fixed seed reproduces training bit-for-bit on one platform.  Training
+diverges by one rule: an overflow or invalid value raises where it is made.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ ADAM_EPS = 1e-8
 
 
 class TrainingDivergedError(RuntimeError):
-    """Training hit a non-finite loss; carries the step where it happened."""
+    """Training overflowed, or :func:`param_gradients` met a non-finite loss."""
 
 
 @dataclass
@@ -81,15 +82,11 @@ class TrainConfig:
             raise ValueError("early_stop_patience must be >= 1")
 
 
-@dataclass(frozen=True)
-class Checkpoint:
-    model: MlpModel
-    epoch: int
-    val_loss: float
-
-
 @dataclass
 class TrainLog:
+    """Per-epoch loss records, the one record of the best epoch and its
+    validation loss, and whether patience ran out."""
+
     epochs: list[dict] = field(default_factory=list)
     best_epoch: int = -1
     best_val_loss: float = float("inf")
@@ -179,17 +176,10 @@ def _loss_output_grad(outputs: np.ndarray, targets, task: str) -> np.ndarray:
     return probs / n
 
 
-def _training_loss(outputs, targets, task: str) -> float:
-    """:func:`loss` without numpy's floating-point warnings, for the callers
-    that turn a non-finite loss into :class:`TrainingDivergedError`."""
-    with np.errstate(all="ignore"):
-        return loss(outputs, targets, task)
-
-
 def param_gradients(m: MlpModel, X, targets, task: str):
     """Exact gradients of the mean loss w.r.t. every weight and bias."""
     outputs, cache = forward(m, X)
-    value = _training_loss(outputs, targets, task)
+    value = loss(outputs, targets, task)
     if not np.isfinite(value):
         raise TrainingDivergedError(f"non-finite loss {value}")
     inputs = cache["inputs"]
@@ -245,14 +235,6 @@ def input_gradients(m: MlpModel, X, output_index: int = 0) -> np.ndarray:
     return g @ m.weights[0].T
 
 
-def _snapshot(weights, biases, task) -> MlpModel:
-    return MlpModel(
-        weights=[w.copy() for w in weights],
-        biases=[b.copy() for b in biases],
-        task=task,
-    )
-
-
 def _adam_update(param, m, v, t, s, grad, lr, b1, b2, eps, corr1, corr2) -> None:
     """One Adam step on ``param`` in place; ``t`` and ``s`` are scratch of
     its shape.  The operations and their order are those of
@@ -276,55 +258,64 @@ def _adam_update(param, m, v, t, s, grad, lr, b1, b2, eps, corr1, corr2) -> None
 
 
 @contextlib.contextmanager
-def _diverged_at(epoch: int, step: int):
-    """Run a training pass with floating-point overflow and invalid values
-    raising, so a hidden layer that overflows is caught even where the ReLU
-    would zero it and leave the loss finite.  Such an error, or a non-finite
-    loss, becomes :class:`TrainingDivergedError` naming the epoch and step."""
+def float_errors_as(make_error):
+    """Run the block with floating-point overflow and invalid values raising,
+    and re-raise such an error as ``make_error(numpy's message)``."""
     try:
         with np.errstate(over="raise", invalid="raise"):
             yield
-    except (TrainingDivergedError, FloatingPointError) as err:
-        raise TrainingDivergedError(f"diverged at epoch {epoch}, step {step}: {err}") from None
+    except FloatingPointError as err:
+        raise make_error(str(err)) from None
+
+
+def _diverged_at(epoch: int, step: int):
+    """Training's divergence rule around a step (gradients and Adam's update)
+    or an epoch's loss passes: every number is checked as it is made, so a
+    hidden layer's overflow counts even where the ReLU would zero it."""
+    return float_errors_as(
+        lambda message: TrainingDivergedError(f"diverged at epoch {epoch}, step {step}: {message}"))
 
 
 def train(model: MlpModel, d_train: Dataset, d_val: Dataset, cfg: TrainConfig, *,
           log_train_loss: bool = True):
     """Minibatch Adam with seeded shuffling, optional per-step ablation of
     each batch, and early stopping on validation loss (patience in epochs,
-    strict-decrease improvement).  Returns (best checkpoint model, log).
+    strict-decrease improvement).  Returns (the model at the best epoch, log).
 
     Each epoch record holds the validation loss and, unless
     ``log_train_loss`` is false, the loss on the whole training split, which
-    costs one more pass over it; checkpoints depend on the validation loss
-    alone.
+    costs one more pass over it.  The best epoch (in the log) depends on the
+    validation loss alone; its parameters are kept as array copies.  Any
+    overflow raises ``TrainingDivergedError("diverged at epoch E, step S:
+    <numpy's message>")``, S counting the steps before the failing one.
 
-    Ablation masks are drawn from the augmentation spec's own stream keyed by
-    the global step, so a lam=0 spec reproduces unaugmented training exactly.
-    When augmenting with lam > 0, the validation loss is measured on a
-    fixed-mask ablated replication of the validation set: checkpoint
-    selection then tracks the same augmented risk that training minimizes,
-    instead of silently undoing the regularization.
+    A spec augments only with lam > 0, so lam=0 trains exactly as no spec.
+    Masks come from the spec's stream keyed by the global step, and the
+    validation loss is taken on a fixed-mask ablated replication of the
+    validation set: best-epoch selection tracks the augmented risk that
+    training minimizes, instead of silently undoing the regularization.
     """
     if d_train.n == 0 or d_val.n == 0:
         raise ValueError("train and validation splits must be non-empty")
     X_tr, y_tr = d_train.features, d_train.response
     task = model.task
     train_means = X_tr.mean(axis=0)  # frozen for mean ablation
-    if cfg.augment is not None and cfg.augment.lam > 0:
-        d_val = ablated_copy(d_val, cfg.augment, means=train_means, replicas=4)
+    augment = cfg.augment if cfg.augment is not None and cfg.augment.lam > 0 else None
+    if augment is not None:
+        d_val = ablated_copy(d_val, augment, means=train_means, replicas=4)
     X_val, y_val = d_val.features, d_val.response
 
     weights = [w.copy() for w in model.weights]
     biases = [b.copy() for b in model.biases]
+    params = weights + biases
     work = MlpModel(weights=weights, biases=biases, task=task)
     # per parameter: first and second moments, then two scratch buffers
     adam = [(p, np.zeros_like(p), np.zeros_like(p), np.empty_like(p), np.empty_like(p))
-            for p in weights + biases]
+            for p in params]
 
     rng = _streams.stream(cfg.seed, _streams.SHUFFLE)
     log = TrainLog()
-    best: Checkpoint | None = None
+    best_params = None  # copies of the parameters at log.best_epoch
     since_best = 0
     step = 0
 
@@ -333,28 +324,26 @@ def train(model: MlpModel, d_train: Dataset, d_val: Dataset, cfg: TrainConfig, *
         for start in range(0, d_train.n, cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
             xb = X_tr[idx]
-            if cfg.augment is not None:
-                xb = batch_masks(xb, cfg.augment, step=step, means=train_means)
+            if augment is not None:
+                xb = batch_masks(xb, augment, step=step, means=train_means)
             with _diverged_at(epoch, step):
                 grads_w, grads_b = param_gradients(work, xb, y_tr[idx], task)
+                corr1 = 1.0 - ADAM_BETA1 ** (step + 1)
+                corr2 = 1.0 - ADAM_BETA2 ** (step + 1)
+                for slot, grad in zip(adam, grads_w + grads_b):
+                    _adam_update(*slot, grad, cfg.learning_rate, ADAM_BETA1, ADAM_BETA2,
+                                 ADAM_EPS, corr1, corr2)
             step += 1
-            corr1 = 1.0 - ADAM_BETA1**step
-            corr2 = 1.0 - ADAM_BETA2**step
-            for slot, grad in zip(adam, grads_w + grads_b):
-                _adam_update(*slot, grad, cfg.learning_rate, ADAM_BETA1, ADAM_BETA2, ADAM_EPS,
-                             corr1, corr2)
 
         with _diverged_at(epoch, step):
-            losses = {"val_loss": _training_loss(predict(work, X_val), y_val, task)}
+            losses = {"val_loss": loss(predict(work, X_val), y_val, task)}
             if log_train_loss:
-                losses["train_loss"] = _training_loss(predict(work, X_tr), y_tr, task)
-        if not np.all(np.isfinite(list(losses.values()))):
-            raise TrainingDivergedError(f"non-finite epoch loss at epoch {epoch}")
-        val_loss = losses["val_loss"]
+                losses["train_loss"] = loss(predict(work, X_tr), y_tr, task)
         log.epochs.append({"epoch": epoch, **losses})
 
-        if best is None or val_loss < best.val_loss:
-            best = Checkpoint(model=_snapshot(weights, biases, task), epoch=epoch, val_loss=val_loss)
+        if losses["val_loss"] < log.best_val_loss:
+            log.best_epoch, log.best_val_loss = epoch, losses["val_loss"]
+            best_params = [p.copy() for p in params]
             since_best = 0
         else:
             since_best += 1
@@ -362,9 +351,8 @@ def train(model: MlpModel, d_train: Dataset, d_val: Dataset, cfg: TrainConfig, *
                 log.stopped_early = True
                 break
 
-    log.best_epoch = best.epoch
-    log.best_val_loss = best.val_loss
-    return best.model, log
+    n = len(weights)
+    return MlpModel(weights=best_params[:n], biases=best_params[n:], task=task), log
 
 
 def evaluate(m: MlpModel, d_test: Dataset) -> dict:

@@ -442,7 +442,8 @@ class TestErrorReporting:
     def test_diverged_training_is_one_error_line(self, tmp_path, capsys):
         code = run(["train", "--depth", "0", "--learning-rate", "1e200",
                     "--out", tmp_path / "ckpt.json"])
-        self.one_error_line(capsys, code, "diverged at epoch 0, step 1: non-finite loss inf")
+        self.one_error_line(capsys, code,
+                            "diverged at epoch 0, step 1: overflow encountered in square")
         assert not (tmp_path / "ckpt.json").exists()
 
     def test_diverged_training_writes_no_warning(self, tmp_path):
@@ -450,7 +451,8 @@ class TestErrorReporting:
         result = run_in_subprocess(["train", "--depth", "0", "--learning-rate", "1e200",
                                     "--out", tmp_path / "ckpt.json"], subprocess.DEVNULL)
         assert result.returncode == 1
-        assert result.stderr == b"error: diverged at epoch 0, step 1: non-finite loss inf\n"
+        assert result.stderr == (b"error: diverged at epoch 0, step 1: "
+                                 b"overflow encountered in square\n")
 
     def test_deeper_diverged_training_writes_no_warning(self, tmp_path):
         # the hidden layers' overflow raises in the forward pass, before any
@@ -461,6 +463,34 @@ class TestErrorReporting:
         assert result.stderr == (b"error: diverged at epoch 0, step 1: "
                                  b"overflow encountered in matmul\n")
         assert not (tmp_path / "ckpt.json").exists()
+
+    def test_diverged_epoch_pass_writes_no_warning(self, tmp_path):
+        # every step's loss stays finite; the epoch's validation pass overflows
+        result = run_in_subprocess(["train", "--depth", "0", "--learning-rate", "1e152",
+                                    "--epochs", "3", "--out", tmp_path / "ckpt.json"],
+                                   subprocess.DEVNULL)
+        assert result.returncode == 1
+        assert result.stderr == (b"error: diverged at epoch 0, step 5: "
+                                 b"overflow encountered in reduce\n")
+        assert not (tmp_path / "ckpt.json").exists()
+
+    @pytest.mark.parametrize("command, model, message", [
+        # a depth-1 net whose outputs overflow on the built-in 8-column data
+        ("attribute", {"weights": [[[1e200] * 4] * 8, [[1e200]] * 4],
+                       "biases": [[0.0] * 4, [0.0]], "task": "regression"},
+         "overflow encountered in matmul"),
+        # a linear model whose penalties overflow on the built-in 3-column data
+        ("penalty", {"beta": [1e300] * 3, "intercept": 0.0}, "overflow encountered in square"),
+    ])
+    def test_model_that_overflows_is_one_error_line(self, tmp_path, command, model, message):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model))
+        result = run_in_subprocess([command, "--model", path, "--out", tmp_path / "out"],
+                                   subprocess.DEVNULL)
+        assert result.returncode == 1
+        assert result.stderr == (f"error: model file {path} overflows on the data: "
+                                 f"{message}\n").encode()
+        assert not (tmp_path / "out").exists()
 
     def test_out_in_a_missing_directory_names_the_target(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import ablatereg.nn as nn_module
 from ablatereg.augment import AugmentSpec
 from ablatereg.dataset import Dataset, standardize, synth_correlated
 from ablatereg.linear import fit_ols
@@ -319,16 +320,36 @@ class TestTrain:
         ds, _ = standardize(d)
         return ds, ds
 
-    def test_lambda_zero_identical_to_unaugmented(self):
+    def test_lambda_zero_identical_to_unaugmented(self, monkeypatch):
+        # a lam=0 spec ablates nothing, so in either mode training neither
+        # draws masks nor ablates the validation set, and matches
+        # augment=None bit for bit
+        calls = []
+
+        def counted(name):
+            original = getattr(nn_module, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in ("batch_masks", "ablated_copy"):
+            monkeypatch.setattr(nn_module, name, counted(name))
         tr, va = self._splits()
         cfg_plain = TrainConfig(epochs=5, batch_size=32, seed=3)
-        cfg_aug = TrainConfig(epochs=5, batch_size=32, seed=3,
-                              augment=AugmentSpec("mean", 0.0, 1, seed=3))
-        m_plain, log_plain = train(init([3, 8, 1], seed=4), tr, va, cfg_plain)
-        m_aug, log_aug = train(init([3, 8, 1], seed=4), tr, va, cfg_aug)
-        for a, b in zip(m_plain.weights, m_aug.weights):
-            np.testing.assert_array_equal(a, b)
-        assert log_plain.epochs == log_aug.epochs
+        m_plain, log_plain = train(net_with_biases([3, 8, 8, 1], seed=4), tr, va, cfg_plain)
+        for mode in ("mean", "iid"):
+            cfg_aug = TrainConfig(epochs=5, batch_size=32, seed=3,
+                                  augment=AugmentSpec(mode, 0.0, 1, seed=3))
+            m_aug, log_aug = train(net_with_biases([3, 8, 8, 1], seed=4), tr, va, cfg_aug)
+            for a, b in zip(m_plain.weights + m_plain.biases, m_aug.weights + m_aug.biases):
+                np.testing.assert_array_equal(a, b)
+            assert log_plain == log_aug
+        assert calls == []
+        cfg = TrainConfig(epochs=1, batch_size=32, seed=3, augment=AugmentSpec("iid", 0.3, 1, seed=3))
+        train(init([3, 8, 1], seed=4), tr, va, cfg)
+        assert calls == ["ablated_copy"] + ["batch_masks"] * 4
 
     @pytest.mark.parametrize("augment", [None, AugmentSpec("iid", 0.3, 1, seed=2)])
     def test_skipping_train_loss_changes_nothing_else(self, augment):
@@ -374,7 +395,6 @@ class TestTrain:
         assert log.stopped_early
         assert len(log.epochs) < 200
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_detected(self):
         tr, va = self._splits()
         bad = init([3, 8, 1], seed=9)
@@ -396,13 +416,75 @@ class TestTrain:
             train(m, positive, positive, cfg)
         assert str(err.value) == "diverged at epoch 0, step 0: overflow encountered in matmul"
 
-    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_non_finite_validation_loss_detected_without_train_loss(self):
         tr, va = self._splits()
         va = regression_dataset(va.features * 1e300, va.response)
         cfg = TrainConfig(epochs=2, batch_size=16, seed=10)
-        with pytest.raises(TrainingDivergedError, match="non-finite epoch loss at epoch 0"):
+        with pytest.raises(TrainingDivergedError) as err:
             train(init([3, 8, 1], seed=9), tr, va, cfg, log_train_loss=False)
+        assert str(err.value) == "diverged at epoch 0, step 8: overflow encountered in square"
+
+
+class TestDivergenceRule:
+    """Every way training overflows reads one way:
+    ``diverged at epoch E, step S: <numpy's message>``."""
+
+    @staticmethod
+    def _data(scale=1.0):
+        d, _ = standardize(synth_correlated(120, 3, 0.3, (1.0, -1.0, 0.5), 0.3, seed=25))
+        return regression_dataset(d.features * scale, d.response)
+
+    @staticmethod
+    def _train_error(model, d_train, d_val, **cfg):
+        with pytest.raises(TrainingDivergedError) as err:
+            train(model, d_train, d_val, TrainConfig(epochs=2, batch_size=16, seed=10, **cfg),
+                  log_train_loss=False)
+        return str(err.value)
+
+    def _loss_overflow_at_depth_0(self):
+        d = self._data()
+        return self._train_error(init([3, 1], seed=9), d, d, learning_rate=1e200)
+
+    def _hidden_matmul(self):
+        # the first hidden pre-activation overflows to -inf, which the ReLU
+        # would turn into a finite loss
+        d = self._data()
+        positive = regression_dataset(np.abs(d.features) + 1.0, d.response)
+        m = init([3, 8, 1], seed=9)
+        m.weights[0][:, 0] = -1e308
+        return self._train_error(m, positive, positive)
+
+    def _adam_update(self):
+        # the gradient is finite, but its square in Adam's second moment is
+        # not: unchecked, the moment turns inf and the weights stop moving
+        d = self._data(scale=1e100)
+        return self._train_error(init([3, 1], seed=9), d, d)
+
+    def _epoch_pass(self):
+        d = self._data()
+        return self._train_error(init([3, 8, 1], seed=9), d, self._data(scale=1e300))
+
+    def _sweep_cell(self):
+        from ablatereg.harness import lambda_sweep
+
+        d = synth_correlated(120, 3, 0.3, (1.0, -1.0, 0.5), 0.3, seed=25)
+        cfg = TrainConfig(learning_rate=1e300, epochs=2, batch_size=16)
+        sweep = lambda_sweep(d, [1], "mean", (0.0, 0.5), seeds=(0,), cfg=cfg,
+                             hidden_width=8, attribution_steps=5)
+        (error,) = {cell.error for cell in sweep.cells}
+        return error
+
+    CASES = {
+        "loss_overflow_at_depth_0": "diverged at epoch 0, step 1: overflow encountered in square",
+        "hidden_matmul": "diverged at epoch 0, step 0: overflow encountered in matmul",
+        "adam_update": "diverged at epoch 0, step 0: overflow encountered in square",
+        "epoch_pass": "diverged at epoch 0, step 8: overflow encountered in square",
+        "sweep_cell": "diverged at epoch 0, step 1: overflow encountered in matmul",
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_one_message_form(self, case):
+        assert getattr(self, f"_{case}")() == self.CASES[case]
 
 
 def out_of_place_adam(param, m, v, grad, lr, b1, b2, eps, corr1, corr2):
