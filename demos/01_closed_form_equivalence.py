@@ -35,6 +35,10 @@ for theorem, runner in ((1, ar.converge_theorem1), (2, ar.converge_theorem2)):
     for n_syn, med in zip(run.n_schedule, run.median_l2()):
         print(f"  N={n_syn:>9,d}  distance {med:.5f}")
     print(f"  log-log slope {run.loglog_slope():.2f}  (SLLN rate is -0.5)")
+    ok, problems = run.check()
+    print(f"  convergence gate: {'pass' if ok else 'FAIL'}")
+    for problem in problems:
+        print(f"    - {problem}")
     print()
 
 # The moment limits behind the proofs are checkable directly: the augmented

@@ -50,9 +50,13 @@ for entry in report.ml2p_under_mean_ablation:
     print(f"  ML2P under mean ablation, depth {entry.depth}: "
           f"Spearman {entry.spearman:+.2f} "
           f"({entry.first_mean:.2f} -> {entry.last_mean:.2f})")
-for row in report.ccp_abs_under_dropout:
-    print(f"  |CCP| under inverted dropout, depth {row['depth']}: "
-          f"{row['abs_first']:.1f} -> {row['abs_last']:.1f}")
+for entry in report.ccp_under_dropout:
+    print(f"  |CCP| under inverted dropout, depth {entry.depth}: "
+          f"{abs(entry.first_mean):.1f} -> {abs(entry.last_mean):.1f}")
+ok, problems = report.check()
+print(f"cross-trend gate: {'pass' if ok else 'FAIL'}")
+for problem in problems:
+    print(f"  - {problem}")
 
 ar.emit_report(mada, "csv", "demo_sweep_mada.csv")
 ar.emit_report(iid, "csv", "demo_sweep_iid.csv")

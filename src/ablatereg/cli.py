@@ -13,10 +13,29 @@ value, or a config file that cannot be read.  Exit status 1 with one
 ``error:`` line on stderr is a data, model, report or file error: a
 numerically singular model, an unusable data file or split, an invalid
 augmentation or ablation rate, training that diverged (at an epoch and
-step, with numpy's message), sweep reports that cannot be compared, a
-malformed model, checkpoint or baseline file, one that does not match the
-data (its column names, width or output count for ``--class``) or whose
-model overflows on it, or a file that cannot be read or written.
+step, with numpy's message), sweep reports that cannot be compared (their
+depths, lambda grids, seeds or outputs differ), a malformed model,
+checkpoint or baseline file, one that does not match the data (its column
+names, width or output count for ``--class``) or whose model overflows on
+it, or a file that cannot be read or written.
+
+``converge``, ``sweep`` and ``cross-check`` take ``--check``.  The report is
+written first; then each problem the gate finds is printed to stderr as a
+``CHECK FAILED:`` line, and any problem makes the exit status 1.  The gates
+are the library's ``check()`` methods, with the thresholds in
+:mod:`~ablatereg.harness`:
+
+- ``converge``: every final-N fit within ``--tolerance`` of the closed form
+  in L-infinity, a median L2 distance that never grows with N, and a
+  log-log slope of that median against N in ``harness.SLOPE_BAND``; a slope
+  that cannot be fitted fails;
+- ``sweep``: no failed cell, and Spearman(lambda, the mode's own penalty) at
+  or below ``--spearman-threshold`` at every depth;
+- ``cross-check``: the two sweeps differ, Spearman(lambda, ML2P) under mean
+  ablation is at least ``harness.ML2P_RISE_MIN``, and |CCP| under inverted
+  dropout is no larger at the last lambda than at the first, at every depth
+  and output.
+
 All outputs are deterministic given a seed: rerunning a command reproduces
 the emitted file byte for byte.
 """
@@ -27,6 +46,7 @@ import argparse
 import itertools
 import json
 import logging
+import math
 import os
 import sys
 
@@ -134,6 +154,24 @@ def _count(text: str) -> int:
 
 def _non_negative(text: str) -> int:
     return _integer(text, 0)
+
+
+def _number(text: str, low: float, high: float, what: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and low <= value <= high):
+        raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    return _number(text, 0.0, math.inf, "a finite number >= 0")
+
+
+def _correlation(text: str) -> float:
+    return _number(text, -1.0, 1.0, "a number in [-1, 1]")
 
 
 def _parse_lambdas(text: str) -> tuple[float, ...]:
@@ -534,8 +572,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="increasing comma list of synthetic sizes")
     p.add_argument("--seeds", type=_parse_seeds, default="3", help="count or comma list")
     p.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv")
-    p.add_argument("--tolerance", type=float, default=0.02)
-    p.add_argument("--check", action="store_true")
+    p.add_argument("--tolerance", type=_tolerance, default=harness.LINF_TOLERANCE,
+                   help="final-N L-infinity tolerance of --check (default %(default)s)")
+    low, high = harness.SLOPE_BAND
+    p.add_argument("--check", action="store_true",
+                   help="exit 1 unless every final-N fit is within --tolerance of the "
+                        "closed form, the median L2 distance never grows with N, and its "
+                        f"log-log slope against N lies in [{low}, {high}]")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_converge)
 
@@ -552,8 +595,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hidden-width", type=_count, default=100)
     p.add_argument("--steps", type=_count, default=AttributionConfig.steps)
     p.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv")
-    p.add_argument("--spearman-threshold", type=float, default=-0.8)
-    p.add_argument("--check", action="store_true")
+    p.add_argument("--spearman-threshold", type=_correlation,
+                   default=harness.SPEARMAN_THRESHOLD,
+                   help="largest Spearman(lambda, own penalty) --check passes "
+                        "(default %(default)s)")
+    p.add_argument("--check", action="store_true",
+                   help="exit 1 if any cell failed, or if Spearman(lambda, the mode's own "
+                        "penalty: CCP for mean, ML2P for iid) exceeds --spearman-threshold "
+                        "at some depth")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
 
@@ -562,7 +611,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mada", required=True, help="JSON sweep report for mean ablation")
     p.add_argument("--iid", required=True, help="JSON sweep report for inverted dropout")
     p.add_argument("--format", dest="fmt", choices=["csv", "json"], default="json")
-    p.add_argument("--check", action="store_true")
+    p.add_argument("--check", action="store_true",
+                   help="exit 1 if the two sweeps are identical, or if at some depth and "
+                        "output Spearman(lambda, ML2P) under mean ablation is below "
+                        f"{harness.ML2P_RISE_MIN} or |CCP| under dropout is larger at the "
+                        "last lambda than at the first")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_cross_check)
 

@@ -84,6 +84,15 @@ from .penalty import ccp_variance_form, ml2p_from_avg_gradients
 from ._streams import child_seed
 
 
+# The gates of :meth:`ConvergenceRun.check`, :meth:`SweepResult.check` and
+# :meth:`CrossTrendReport.check`.  The CLI's ``--tolerance`` and
+# ``--spearman-threshold`` defaults read the first and third.
+LINF_TOLERANCE = 0.02  # final-N L-infinity distance to the closed form
+SLOPE_BAND = (-0.7, -0.3)  # log-log slope of median L2 against N; 1/sqrt(N) is -0.5
+SPEARMAN_THRESHOLD = -0.8  # Spearman(lambda, own penalty), at most
+ML2P_RISE_MIN = 0.5  # Spearman(lambda, ML2P) under mean ablation, at least
+
+
 # ---------------------------------------------------------------------------
 # Theorem convergence
 # ---------------------------------------------------------------------------
@@ -125,19 +134,31 @@ class ConvergenceRun:
             return float("nan")
         return float(np.polyfit(np.log(np.asarray(self.n_schedule)[keep]), np.log(med[keep]), 1)[0])
 
-    def check(self, linf_tolerance: float = 0.02) -> tuple[bool, list[str]]:
-        """Final-N accuracy and monotone median decay, as pass/fail messages."""
+    def check(self, linf_tolerance: float = LINF_TOLERANCE) -> tuple[bool, list[str]]:
+        """The Monte-Carlo rate, as pass/fail messages: every final-N fit
+        within ``linf_tolerance`` of the target in L-infinity, a median L2
+        distance that never grows with N, and a log-log slope of that median
+        against N inside :data:`SLOPE_BAND`.  A slope that cannot be fitted
+        fails."""
         problems = []
         final = self.dist_linf[:, -1]
         if not np.all(np.isfinite(final)):
             problems.append("some final-N fits failed")
-        elif final.max() > linf_tolerance:
+        elif not final.max() <= linf_tolerance:
             problems.append(
                 f"max final Linf distance {final.max():.4g} exceeds {linf_tolerance}"
             )
         med = self.median_l2()
         if np.any(np.diff(med) > 0):
             problems.append("median L2 distance is not non-increasing over the N schedule")
+        slope = self.loglog_slope()
+        low, high = SLOPE_BAND
+        if math.isnan(slope):
+            problems.append("log-log slope is undefined: fewer than two finite, positive "
+                            "median L2 distances")
+        elif not low <= slope <= high:
+            problems.append(f"log-log slope {slope:.3f} of median L2 against N is outside "
+                            f"[{low}, {high}]")
         return (not problems), problems
 
 
@@ -387,12 +408,20 @@ class SweepResult:
         vals = self.seed_values(fld, depth, lam, output_index)
         return float(vals.mean()) if vals.size else float("nan")
 
-    def check(self, spearman_threshold: float = -0.8) -> tuple[bool, list[str]]:
-        """The mode's own penalty (CCP under mean ablation, ML2P under
-        inverted dropout) must fall with lambda: Spearman(lambda, penalty)
-        at or below the threshold at every depth, a NaN correlation failing."""
+    def check(self, spearman_threshold: float = SPEARMAN_THRESHOLD) -> tuple[bool, list[str]]:
+        """No cell failed, and the mode's own penalty (CCP under mean
+        ablation, ML2P under inverted dropout) falls with lambda:
+        Spearman(lambda, penalty) at or below the threshold at every depth, a
+        NaN correlation failing."""
         own_penalty = "ccp" if self.mode == MEAN_ABLATION else "ml2p"
-        problems = [
+        problems = []
+        failed = [c for c in self.cells if c.error is not None]
+        if failed:
+            first = failed[0]
+            problems.append(f"{len(failed)} of {len(self.cells)} cells failed, the first at "
+                            f"depth {first.depth}, lambda {first.lam}, seed {first.seed}: "
+                            f"{first.error}")
+        problems += [
             f"Spearman(lambda, {own_penalty}) = {entry.spearman:.3f} "
             f"at depth {entry.depth} (threshold {spearman_threshold})"
             for entry in penalty_trend(self, own_penalty)["per_depth"]
@@ -565,34 +594,40 @@ def penalty_trend(sweep: SweepResult, penalty_field: str) -> dict:
 
 @dataclass
 class CrossTrendReport:
-    """The "reverse is not true" diagnostics: under mean ablation the
-    second-moment penalty should rise with lambda, while inverted dropout
-    pushes the covariance penalty's magnitude toward zero."""
+    """The "reverse is not true" diagnostics, one entry per (depth, output)
+    of each list, in the same order: under mean ablation the second-moment
+    penalty should rise with lambda, while inverted dropout pushes the
+    covariance penalty's magnitude toward zero."""
 
     ml2p_under_mean_ablation: list[TrendEntry]
-    ccp_abs_under_dropout: list[dict]
+    ccp_under_dropout: list[TrendEntry]
     zero_contrast: bool
 
-    def ml2p_rises(self, min_spearman: float = 0.5) -> bool:
-        return all(e.spearman >= min_spearman for e in self.ml2p_under_mean_ablation)
-
-    def ccp_contracts(self) -> bool:
-        return all(row["abs_last"] <= row["abs_first"] for row in self.ccp_abs_under_dropout)
-
     def check(self) -> tuple[bool, list[str]]:
-        """Both reverse trends hold and the two sweeps differ."""
+        """The two sweeps differ, and at every (depth, output) Spearman(lambda,
+        ML2P) under mean ablation is at least :data:`ML2P_RISE_MIN` and |CCP|
+        under inverted dropout is no larger at the last lambda than at the
+        first.  A NaN fails."""
         problems = []
         if self.zero_contrast:
             problems.append("zero contrast: the two sweeps are identical")
-        if not self.ml2p_rises():
-            problems.append("ML2P does not rise with lambda under mean ablation")
-        if not self.ccp_contracts():
-            problems.append("|CCP| does not contract under inverted dropout")
+        problems += [
+            f"Spearman(lambda, ml2p) under mean ablation = {e.spearman:.3f} at depth "
+            f"{e.depth}, output {e.output_index} (must be at least {ML2P_RISE_MIN})"
+            for e in self.ml2p_under_mean_ablation
+            if not e.spearman >= ML2P_RISE_MIN
+        ]
+        problems += [
+            f"|CCP| under inverted dropout grows from {abs(e.first_mean):.4g} to "
+            f"{abs(e.last_mean):.4g} at depth {e.depth}, output {e.output_index}"
+            for e in self.ccp_under_dropout
+            if not abs(e.last_mean) <= abs(e.first_mean)
+        ]
         return (not problems), problems
 
 
 def cross_trend_check(sweep_mada: SweepResult, sweep_iid: SweepResult) -> CrossTrendReport:
-    """Compare the two modes' sweeps on the same grid."""
+    """Compare the two modes' sweeps on the same grid and outputs."""
     same_shape = (
         sweep_mada.depths == sweep_iid.depths
         and sweep_mada.lambda_grid == sweep_iid.lambda_grid
@@ -600,19 +635,19 @@ def cross_trend_check(sweep_mada: SweepResult, sweep_iid: SweepResult) -> CrossT
     )
     if not same_shape:
         raise ReportError("sweeps must share depths, lambda grid and seeds")
-
-    ml2p_trend = penalty_trend(sweep_mada, "ml2p")["per_depth"]
-    ccp_rows = [{"depth": e.depth, "output_index": e.output_index,
-                 "abs_first": abs(e.first_mean), "abs_last": abs(e.last_mean)}
-                for e in penalty_trend(sweep_iid, "ccp")["per_depth"]]
+    if sweep_mada.output_indices() != sweep_iid.output_indices():
+        raise ReportError(
+            f"sweeps must share output indices: the mean-ablation sweep has "
+            f"{list(sweep_mada.output_indices())}, the dropout sweep "
+            f"{list(sweep_iid.output_indices())}")
 
     cells_a = [(c.depth, c.lam, c.seed, c.output_index, c.metric, c.ccp, c.ml2p)
                for c in sweep_mada.cells]
     cells_b = [(c.depth, c.lam, c.seed, c.output_index, c.metric, c.ccp, c.ml2p)
                for c in sweep_iid.cells]
     return CrossTrendReport(
-        ml2p_under_mean_ablation=ml2p_trend,
-        ccp_abs_under_dropout=ccp_rows,
+        ml2p_under_mean_ablation=penalty_trend(sweep_mada, "ml2p")["per_depth"],
+        ccp_under_dropout=penalty_trend(sweep_iid, "ccp")["per_depth"],
         zero_contrast=cells_a == cells_b,
     )
 
@@ -805,15 +840,11 @@ def _cross_rows(report: CrossTrendReport):
     header = ["kind", "depth", "output_index", "ml2p_mada_spearman",
               "ml2p_mada_first", "ml2p_mada_last", "ccp_iid_abs_first",
               "ccp_iid_abs_last", "zero_contrast"]
-    ccp_by_key = {(r["depth"], r["output_index"]): r for r in report.ccp_abs_under_dropout}
-    rows = []
-    for entry in report.ml2p_under_mean_ablation:
-        ccp = ccp_by_key.get((entry.depth, entry.output_index), {})
-        rows.append(["cross", entry.depth, entry.output_index, entry.spearman,
-                     entry.first_mean, entry.last_mean,
-                     ccp.get("abs_first", float("nan")),
-                     ccp.get("abs_last", float("nan")),
-                     report.zero_contrast])
+    rows = [["cross", ml2p.depth, ml2p.output_index, ml2p.spearman,
+             ml2p.first_mean, ml2p.last_mean, abs(ccp.first_mean), abs(ccp.last_mean),
+             report.zero_contrast]
+            for ml2p, ccp in zip(report.ml2p_under_mean_ablation, report.ccp_under_dropout,
+                                  strict=True)]
     return header, rows
 
 

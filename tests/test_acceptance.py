@@ -36,20 +36,10 @@ def _finish(num, name, problems):
     assert not problems, f"criterion {num} failed: {problems}"
 
 
-def _convergence_problems(run, label):
-    problems = []
-    final_linf = run.dist_linf[:, -1]
-    if not np.all(np.isfinite(final_linf)):
-        problems.append(f"{label}: failed fits at N=1e7")
-    elif final_linf.max() > 0.02:
-        problems.append(f"{label}: max final Linf {final_linf.max():.4g} > 0.02")
-    med = run.median_l2()
-    if np.any(np.diff(med) > 0):
-        problems.append(f"{label}: median L2 not non-increasing: {med}")
-    slope = run.loglog_slope()
-    if not -0.7 <= slope <= -0.3:
-        problems.append(f"{label}: log-log slope {slope:.3f} outside [-0.7, -0.3]")
-    return problems
+def _labelled(label, outcome):
+    """A library gate's problems, each prefixed with ``label``."""
+    _, problems = outcome
+    return [f"{label}: {p}" for p in problems]
 
 
 @pytest.mark.slow
@@ -58,7 +48,7 @@ def test_criterion_1_theorem1_equivalence():
     problems = []
     for lam in (0.1, 0.3, 0.5, 0.7):
         run = ar.converge_theorem1(THEOREM_DATA, lam, N_SCHEDULE, SEEDS)
-        problems += _convergence_problems(run, f"lambda={lam}")
+        problems += _labelled(f"lambda={lam}", run.check())
     elapsed = time.time() - start
     print(f"  theorem 1 runtime: {elapsed:.1f}s")
     if elapsed > 300:
@@ -72,7 +62,7 @@ def test_criterion_2_theorem2_equivalence():
     problems = []
     for lam in (0.1, 0.3, 0.5, 0.7):
         run = ar.converge_theorem2(THEOREM_DATA, lam, N_SCHEDULE, SEEDS)
-        problems += _convergence_problems(run, f"lambda={lam}")
+        problems += _labelled(f"lambda={lam}", run.check())
     elapsed = time.time() - start
     print(f"  theorem 2 runtime: {elapsed:.1f}s")
     if elapsed > 300:
@@ -272,32 +262,17 @@ def test_criterion_8_penalty_trends(trend_sweeps):
     print(f"  sweep runtime: {elapsed:.0f}s")
     if elapsed > 1800:
         problems.append(f"runtime {elapsed:.0f}s exceeds 30 minutes")
-    if any(c.error for c in mada.cells + iid.cells):
-        problems.append("some sweep cells failed")
-
-    ccp_trend = ar.penalty_trend(mada, "ccp")["per_depth"]
-    for entry in ccp_trend:
+    problems += _labelled("MADA", mada.check())
+    problems += _labelled("IID", iid.check())
+    for entry in ar.penalty_trend(mada, "ccp")["per_depth"]:
         print(f"  MADA Spearman(lambda, CCP) depth {entry.depth}: {entry.spearman:.3f}")
-        if not entry.spearman <= -0.8:
-            problems.append(f"MADA CCP Spearman {entry.spearman:.3f} > -0.8 "
-                            f"at depth {entry.depth}")
-    ml2p_trend = ar.penalty_trend(iid, "ml2p")["per_depth"]
-    for entry in ml2p_trend:
+    for entry in ar.penalty_trend(iid, "ml2p")["per_depth"]:
         print(f"  IID Spearman(lambda, ML2P) depth {entry.depth}: {entry.spearman:.3f}")
-        if not entry.spearman <= -0.8:
-            problems.append(f"IID ML2P Spearman {entry.spearman:.3f} > -0.8 "
-                            f"at depth {entry.depth}")
 
     report = ar.cross_trend_check(mada, iid)
+    problems += _labelled("cross", report.check())
     for entry in report.ml2p_under_mean_ablation:
         print(f"  MADA Spearman(lambda, ML2P) depth {entry.depth}: {entry.spearman:.3f}")
-        if not entry.spearman >= 0.5:
-            problems.append(f"MADA ML2P Spearman {entry.spearman:.3f} < +0.5 "
-                            f"at depth {entry.depth}")
-    for row in report.ccp_abs_under_dropout:
-        if not row["abs_last"] <= row["abs_first"]:
-            problems.append(f"IID |CCP| grew at depth {row['depth']}: "
-                            f"{row['abs_first']:.3g} -> {row['abs_last']:.3g}")
     _finish(8, "lambda sweeps reproduce the penalty trends at desk scale", problems)
 
 

@@ -439,6 +439,26 @@ class TestErrorReporting:
         self.one_error_line(capsys, code, "sweeps must share depths, lambda grid and seeds")
         assert not (tmp_path / "cross.json").exists()
 
+    def test_cross_check_on_different_outputs(self, csv_path, tmp_path, capsys):
+        # a regression sweep has one output, a two-class sweep two
+        labelled = tmp_path / "labelled.csv"
+        header, *rows = csv_path.read_text().split()
+        labelled.write_text("\n".join([header] + [
+            row.rsplit(",", 1)[0] + ("," + ("hi" if float(row.rsplit(",", 1)[1]) > 0 else "lo"))
+            for row in rows]) + "\n")
+        common = ["--depths", "0", "--lambdas", "0,0.5", "--seeds", "1", "--epochs", "2",
+                  "--hidden-width", "3", "--steps", "5", "--format", "json"]
+        assert run(["sweep", "--mode", "mean", *common, "--data", csv_path, "--response", "y",
+                    "--out", tmp_path / "mean.json"]) == 0
+        assert run(["sweep", "--mode", "iid", *common, "--data", labelled, "--response", "y",
+                    "--task", "classification", "--out", tmp_path / "iid.json"]) == 0
+        capsys.readouterr()
+        code = run(["cross-check", "--mada", tmp_path / "mean.json", "--iid",
+                    tmp_path / "iid.json", "--check", "--out", tmp_path / "cross.json"])
+        self.one_error_line(capsys, code, "sweeps must share output indices: the mean-ablation "
+                                          "sweep has [0], the dropout sweep [0, 1]")
+        assert not (tmp_path / "cross.json").exists()
+
     def test_diverged_training_is_one_error_line(self, tmp_path, capsys):
         code = run(["train", "--depth", "0", "--learning-rate", "1e200",
                     "--out", tmp_path / "ckpt.json"])
@@ -610,12 +630,19 @@ class TestFlagValues:
         "converge --theorem 1 --n-schedule 1000,100",
         "converge --theorem 1 --check --seeds 0",
         "converge --theorem 1 --seeds 1,-2",
+        "converge --theorem 1 --check --tolerance nan",
+        "converge --theorem 1 --check --tolerance inf",
+        "converge --theorem 1 --check --tolerance -0.01",
+        "converge --theorem 1 --check --tolerance x",
         "sweep --mode mean --seeds x",
         "sweep --mode mean --lambdas 0:0.5:0",
         "sweep --mode mean --lambdas 0.5:0:0.1",
         "sweep --mode mean --lambdas 0,x",
         "sweep --mode mean --depths 0,-1",
         "sweep --mode mean --steps 0",
+        "sweep --mode mean --check --spearman-threshold nan",
+        "sweep --mode mean --check --spearman-threshold -1.01",
+        "sweep --mode mean --check --spearman-threshold 1.5",
         "train --epochs 0",
         "train --batch-size 0",
         "train --hidden-width 0",
@@ -639,6 +666,8 @@ class TestFlagValues:
     @pytest.mark.parametrize("config_values, named", [
         ({"n_schedule": "1000,100"}, "'n_schedule'"),
         ({"lambda": 0.3, "lam": 0.4}, "'lam'"),
+        ({"tolerance": "nan"}, "'tolerance'"),
+        ({"tolerance": -1}, "'tolerance'"),
     ])
     def test_config_file_is_checked_as_the_flags(self, csv_path, tmp_path, capsys,
                                                  config_values, named):

@@ -79,6 +79,59 @@ class TestConvergence:
         ok, problems = run.check(linf_tolerance=1e-9)
         assert not ok and problems
 
+    @staticmethod
+    def _toy_run(median_l2, final_linf=None):
+        """A two-seed run over N = 1e3..1e6 with the given median L2
+        distances; both seeds' distances equal the medians, and their Linf
+        distances are half of them unless ``final_linf`` is given at 1e6."""
+        n_schedule = (10**3, 10**4, 10**5, 10**6)
+        dist_l2 = np.tile(np.asarray(median_l2, dtype=np.float64), (2, 1))
+        dist_linf = dist_l2 / 2
+        if final_linf is not None:
+            dist_linf[:, -1] = final_linf
+        return harness.ConvergenceRun(
+            theorem=1, mode="mean", lam=0.5, n_schedule=n_schedule, seeds=(0, 1),
+            target_beta=np.zeros(3), dist_l2=dist_l2, dist_linf=dist_linf,
+            gram_resid=np.zeros_like(dist_l2), cross_resid=np.zeros_like(dist_l2))
+
+    @pytest.mark.parametrize("slope, ok", [
+        (-0.5, True), (-0.69, True), (-0.31, True),
+        (-0.71, False), (-0.29, False),
+    ])
+    def test_check_slope_band(self, slope, ok):
+        run = self._toy_run([n ** slope for n in (10**3, 10**4, 10**5, 10**6)])
+        assert run.loglog_slope() == pytest.approx(slope, abs=1e-12)
+        passed, problems = run.check()
+        assert passed == ok
+        if not ok:
+            assert problems == [f"log-log slope {slope:.3f} of median L2 against N is "
+                                f"outside [-0.7, -0.3]"]
+
+    def test_check_fails_a_plateau(self):
+        # the distance stops falling: final accuracy and monotone decay hold,
+        # but the slope is 0, not the Monte-Carlo rate
+        run = self._toy_run([0.005] * 4)
+        assert abs(run.loglog_slope()) < 1e-12
+        ok, problems = run.check()
+        assert not ok
+        assert len(problems) == 1 and problems[0].startswith("log-log slope ")
+
+    def test_check_fails_an_undefined_slope(self):
+        nan = float("nan")
+        run = self._toy_run([nan, nan, nan, 0.001])
+        assert math.isnan(run.loglog_slope())
+        ok, problems = run.check()
+        assert not ok
+        assert problems == ["log-log slope is undefined: fewer than two finite, positive "
+                            "median L2 distances"]
+
+    @pytest.mark.parametrize("final_linf, ok", [(0.0199, True), (0.0201, False)])
+    def test_check_linf_tolerance(self, final_linf, ok):
+        run = self._toy_run([25.0 * n ** -0.5 for n in (10**3, 10**4, 10**5, 10**6)],
+                            final_linf=final_linf)
+        assert run.check()[0] == ok
+        assert not run.check(float("nan"))[0]
+
 
 class TestMomentLimits:
     @pytest.mark.parametrize("mode", ["mean", "iid"])
@@ -393,8 +446,6 @@ class TestTrends:
         mada = self._toy_sweep("mean", [5, 3, 1, -2], [1, 2, 3, 4])
         iid = self._toy_sweep("iid", [-8, -4, -2, -1], [4, 3, 2, 1])
         report = cross_trend_check(mada, iid)
-        assert report.ml2p_rises()
-        assert report.ccp_contracts()
         assert not report.zero_contrast
 
     def test_zero_contrast_flagged(self):
@@ -411,6 +462,20 @@ class TestTrends:
         assert not ok
         assert problems == ["Spearman(lambda, ml2p) = 1.000 at depth 0 (threshold -0.8)"]
 
+    def test_sweep_check_fails_on_a_failed_cell(self):
+        # seed 0 alone gives a clean trend; seed 1's cell at the second
+        # lambda failed, which the seed means skip
+        sweep = self._toy_sweep("mean", [5, 3, 1, -2], [1, 2, 3, 4])
+        sweep.seeds = (0, 1)
+        nan = float("nan")
+        sweep.cells.append(SweepCell(depth=0, lam=sweep.lambda_grid[1], seed=1, output_index=0,
+                                     metric=nan, ccp=nan, ml2p=nan, error="diverged"))
+        assert penalty_trend(sweep, "ccp")["per_depth"][0].spearman == -1.0
+        ok, problems = sweep.check()
+        assert not ok
+        assert problems == [f"1 of 5 cells failed, the first at depth 0, lambda "
+                            f"{sweep.lambda_grid[1]}, seed 1: diverged"]
+
     def test_sweep_check_nan_spearman_fails(self):
         nan = float("nan")
         ok, problems = self._toy_sweep("mean", [nan] * 4, [1, 2, 3, 4]).check(-0.8)
@@ -425,8 +490,20 @@ class TestTrends:
         ccp_grows = self._toy_sweep("iid", [-1, -2, -4, -8], [4, 3, 2, 1])
         ok, problems = cross_trend_check(ml2p_falls, ccp_grows).check()
         assert not ok
-        assert problems == ["ML2P does not rise with lambda under mean ablation",
-                            "|CCP| does not contract under inverted dropout"]
+        assert problems == [
+            "Spearman(lambda, ml2p) under mean ablation = -1.000 at depth 0, output 0 "
+            "(must be at least 0.5)",
+            "|CCP| under inverted dropout grows from 1 to 8 at depth 0, output 0",
+        ]
+
+    @pytest.mark.parametrize("spearman, ok", [(0.5, True), (0.49, False), (float("nan"), False)])
+    def test_cross_check_ml2p_rise_bound(self, spearman, ok):
+        report = harness.CrossTrendReport(
+            ml2p_under_mean_ablation=[harness.TrendEntry(0, 0, spearman, 1.0, 2.0)],
+            ccp_under_dropout=[harness.TrendEntry(0, 0, 1.0, -4.0, -1.0)],
+            zero_contrast=False,
+        )
+        assert report.check()[0] == ok
 
     def test_zero_contrast_pair_fails_the_gate(self):
         sweep = self._toy_sweep("mean", [5, 3, 1, -2], [1, 2, 3, 4])
@@ -439,6 +516,14 @@ class TestTrends:
         b = self._toy_sweep("iid", [1, 2, 3, 4], [1, 2, 3, 4])
         with pytest.raises(ValueError):
             cross_trend_check(a, b)
+
+    def test_mismatched_outputs_rejected(self):
+        mada = self._toy_sweep("mean", [5, 3, 1, -2], [1, 2, 3, 4])
+        iid = self._toy_sweep("iid", [-8, -4, -2, -1], [4, 3, 2, 1])
+        iid.cells += [replace(c, output_index=1) for c in iid.cells]
+        with pytest.raises(ReportError, match=r"sweeps must share output indices: the "
+                           r"mean-ablation sweep has \[0\], the dropout sweep \[0, 1\]"):
+            cross_trend_check(mada, iid)
 
 
 # a small pool makes ties, constants and NaN common; any float covers the rest
