@@ -20,13 +20,23 @@ of two ways:
 - :func:`reduced_blocks` splits the work for the Monte-Carlo checks.  The
   calling thread draws the bootstrap indices, in block order; worker threads
   draw each block's mask uniforms from their slot's own MASK generator,
-  advanced to the block's place in the stream, then gather the bootstrap
-  rows into preallocated column-major ``[X | y]`` slots, ablate them in
-  place and reduce them with the caller's function; the consumer merges the
-  results in block order.  A block's result depends only on its own draws,
-  which are the numbers a serial run draws, and the merge runs in block
-  order on one thread, so the bytes of what is merged do not depend on
-  scheduling.
+  advanced to the block's place in the stream, and run the pipeline's worker
+  step on the block; the consumer merges the results in block order.  A
+  block's result depends only on its own draws, which are the numbers a
+  serial run draws, and the merge runs in block order on one thread, so the
+  bytes of what is merged do not depend on scheduling.
+
+The pipeline has two worker steps, one per reducer.  Every synthetic row
+is one of at most n*2^k distinct values: a source row under one of the 2^k
+ablation patterns.  When that many fit in one block (:func:`counted`,
+n*2^k <= ``BLOCK_ROWS``), :func:`count_patterns` reduces a block to how
+often each (row, pattern) code ``row << k | pattern`` was drawn, and
+:func:`pattern_counts` adds these exact integer vectors;
+:func:`distinct_rows` builds the values the codes stand for with
+:func:`ablate` itself.  A larger design takes the rows step,
+:func:`gathered`: it gathers the bootstrap rows into preallocated
+column-major ``[X | y]`` slots, ablates them in place and hands them to the
+caller's reduction.
 """
 
 from __future__ import annotations
@@ -203,24 +213,31 @@ def augmented_chunks(d: Dataset, spec: AugmentSpec, block_rows: int = BLOCK_ROWS
 
 
 class _BlockSlot:
-    """Buffers for one block in flight, made once and reused: the ablated
-    ``[X | y]`` rows (column-major), the uniform mask draws and a scratch
-    column; and the slot's own generator on the spec's MASK stream.  The
-    views of ``rows`` rows are contiguous, laid out as fresh arrays of that
-    shape would be."""
+    """Buffers for one block in flight, made once and reused: the uniform
+    mask draws, and for the rows step the ablated ``[X | y]`` rows
+    (column-major) and a scratch column, made on the step's first use so
+    that the count step's slots hold no rows; and the slot's own generator
+    on the spec's MASK stream.  The views of ``rows`` rows are contiguous,
+    laid out as fresh arrays of that shape would be."""
 
     def __init__(self, rows: int, k: int, masks: np.random.Generator):
+        self.capacity = rows
         self.k = k
-        self.z = np.empty(rows * (k + 1))
         self.draws = np.empty(rows * k)
-        self.scratch = np.empty(rows)
+        self.z = self.scratch = None
         self.masks = masks
         self.masks_start = masks.bit_generator.state
 
+    def draws_view(self, rows: int) -> np.ndarray:
+        return self.draws[:rows * self.k].reshape(rows, self.k)
+
     def views(self, rows: int):
         k = self.k
+        if self.z is None:
+            self.z = np.empty(self.capacity * (k + 1))
+            self.scratch = np.empty(self.capacity)
         return (self.z[:rows * (k + 1)].reshape((rows, k + 1), order="F"),
-                self.draws[:rows * k].reshape(rows, k),
+                self.draws_view(rows),
                 self.scratch[:rows])
 
     def draw_masks(self, start: int, draws: np.ndarray) -> None:
@@ -236,47 +253,71 @@ class _BlockSlot:
         self.masks.random(out=draws)
 
 
-def _reduce_block(d: Dataset, spec: AugmentSpec, means, start, idx, slot, reduce):
-    """Worker side of :func:`reduced_blocks`: draw the block's mask
-    uniforms, gather the bootstrap rows into the slot column by column and
-    ablate each column in place, then reduce."""
-    z, draws, scratch = slot.views(idx.size)
+def gathered(reduce):
+    """The rows step of :func:`reduced_blocks`, for any design: draw the
+    block's mask uniforms, gather its bootstrap rows into the slot column by
+    column and ablate each column in place, then return ``reduce(z,
+    scratch)``.  ``z`` holds the block's ablated rows as a column-major
+    ``[X | y]`` array, and ``scratch`` is a float column of the same length
+    that ``reduce`` may overwrite.  Both are reused for a later block once
+    the consumer has taken the result, so the result must not refer to them.
+    ``reduce`` runs on the workers, so it must not draw."""
+
+    def step(d: Dataset, spec: AugmentSpec, means, start, idx, slot):
+        z, draws, scratch = slot.views(idx.size)
+        slot.draw_masks(start, draws)
+        # take(mode="clip") writes straight into its output but would clip a
+        # bad index instead of raising, so the bounds are checked here
+        if idx.min() < 0 or idx.max() >= d.n:
+            raise IndexError(f"bootstrap index out of range for {d.n} rows")
+        k = d.k
+        for j in range(k):
+            column = z[:, j:j + 1]
+            np.take(d.features[:, j], idx, out=z[:, j], mode="clip")
+            np.copyto(scratch, draws[:, j])  # the select is fastest in matching layouts
+            ablate(column, scratch[:, None], spec, None if means is None else means[j:j + 1],
+                   out=column)
+        np.take(d.response, idx, out=z[:, k], mode="clip")
+        return reduce(z, scratch)
+
+    return step
+
+
+def count_patterns(d: Dataset, spec: AugmentSpec, means, start, idx, slot) -> np.ndarray:
+    """The count step of :func:`reduced_blocks`, for a :func:`counted`
+    design: how often the block drew each code ``row << k | pattern``, as an
+    int64 vector of length n*2^k.  Bit j of a row's pattern is set exactly
+    where :func:`ablate` ablates feature j: where its draw, which lies in
+    [0, 1), is below lam (never at a lam of 0.0 or -0.0).  ``idx`` is
+    overwritten."""
+    draws = slot.draws_view(idx.size)
     slot.draw_masks(start, draws)
-    # take(mode="clip") writes straight into its output but would clip a bad
-    # index instead of raising, so the bounds are checked here
-    if idx.min() < 0 or idx.max() >= d.n:
-        raise IndexError(f"bootstrap index out of range for {d.n} rows")
-    k = d.k
-    for j in range(k):
-        column = z[:, j:j + 1]
-        np.take(d.features[:, j], idx, out=z[:, j], mode="clip")
-        np.copyto(scratch, draws[:, j])  # the select is fastest in matching layouts
-        ablate(column, scratch[:, None], spec, None if means is None else means[j:j + 1],
-               out=column)
-    np.take(d.response, idx, out=z[:, k], mode="clip")
-    return reduce(z, scratch)
+    ablated = (draws < spec.lam).view(np.uint8)
+    for j in reversed(range(d.k)):  # idx = idx << k | pattern, bit by bit
+        np.left_shift(idx, 1, out=idx)
+        np.bitwise_or(idx, ablated[:, j], out=idx)
+    return np.bincount(idx, minlength=d.n << d.k)
 
 
-def reduced_blocks(d: Dataset, spec: AugmentSpec, reduce):
-    """Yield ``reduce(z, scratch)`` for each ``BLOCK_ROWS``-row block of the
-    synthetic set of :func:`augmented_chunks`, in block order.
+def reduced_blocks(d: Dataset, spec: AugmentSpec, step):
+    """Yield the worker ``step``'s result for each ``BLOCK_ROWS``-row block
+    of the synthetic set of :func:`augmented_chunks`, in block order.
 
-    ``z`` holds the block's ablated rows as a column-major ``[X | y]`` array,
-    and ``scratch`` is a float column of the same length that ``reduce`` may
-    overwrite.  Both are reused for a later block once the consumer has taken
-    the result, so the result must not refer to them.
+    The step is :func:`gathered` or :func:`count_patterns`; it is called as
+    ``step(d, spec, means, start, idx, slot)`` with the block's first row,
+    its bootstrap indices and its :class:`_BlockSlot`, and draws the block's
+    mask uniforms from the slot (:meth:`_BlockSlot.draw_masks`).
 
     The calling thread makes every generator and every bootstrap draw, in
-    block order.  Up to two worker threads draw, gather, ablate and reduce
-    blocks: each block slot owns a generator on the spec's MASK stream, and
-    the worker advances it to its block's draws (:meth:`_BlockSlot.draw_masks`),
-    so every block is ablated with the numbers of :func:`augmented_chunks`.
-    ``reduce`` runs on the workers, so it must not draw.  Results come back in
-    block order, and each is a function of its own block's draws alone, so
-    what the consumer sees does not depend on thread scheduling.  There is
-    one more block slot than there are workers, so the next block's bootstrap
-    rows are drawn while the workers reduce; a slot is reused only after the
-    consumer has taken its block's result.
+    block order.  Up to two worker threads run the step: each block slot
+    owns a generator on the spec's MASK stream, and the worker advances it to
+    its block's draws, so every block is ablated with the numbers of
+    :func:`augmented_chunks`.  Results come back in block order, and each is
+    a function of its own block's draws alone, so what the consumer sees does
+    not depend on thread scheduling.  There is one more block slot than there
+    are workers, so the next block's bootstrap rows are drawn while the
+    workers reduce; a slot is reused only after the consumer has taken its
+    block's result.
     """
     bootstrap, means = _bootstrap_and_means(d, spec)
     block_rows = BLOCK_ROWS
@@ -294,12 +335,42 @@ def reduced_blocks(d: Dataset, spec: AugmentSpec, reduce):
                 free.append(slot)
             slot = free.pop()
             idx = bootstrap.integers(0, d.n, size=min(block_rows, spec.n_synthetic - start))
-            future = pool.submit(_reduce_block, d, spec, means, start, idx, slot, reduce)
+            future = pool.submit(step, d, spec, means, start, idx, slot)
             in_flight.append((future, slot))
         while in_flight:
             yield in_flight.popleft()[0].result()
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+def counted(d: Dataset) -> bool:
+    """The one path rule: the synthetic sets of d are reduced to pattern
+    counts when their n*2^k possible rows fit in one block."""
+    return d.n << d.k <= BLOCK_ROWS
+
+
+def pattern_counts(d: Dataset, spec: AugmentSpec) -> np.ndarray:
+    """How often the synthetic set of :func:`augmented_chunks` holds each
+    code ``row << k | pattern`` (:func:`count_patterns`), summed exactly
+    over the blocks; the entries add up to N."""
+    counts = np.zeros(d.n << d.k, dtype=np.int64)
+    for block_counts in reduced_blocks(d, spec, count_patterns):
+        counts += block_counts
+    return counts
+
+
+def distinct_rows(d: Dataset, spec: AugmentSpec, codes) -> np.ndarray:
+    """The ``[X | y]`` rows that the codes ``row << k | pattern`` stand for,
+    one per code: source row ``code >> k``, ablated by :func:`ablate` itself
+    with the draw 0.0 where bit j of the pattern is set and the draw |lam|
+    (in [lam, 1)) elsewhere, so each value has the bits a streamed block
+    gives it."""
+    k = d.k
+    rows = codes >> k
+    ablated = (codes[:, None] >> np.arange(k)) & 1
+    X = d.features.take(rows, axis=0)
+    ablate(X, np.where(ablated == 1, 0.0, abs(spec.lam)), spec, _frozen_means(d, spec), out=X)
+    return np.column_stack([X, d.response.take(rows)])
 
 
 def build_augmented(d: Dataset, spec: AugmentSpec) -> Dataset:

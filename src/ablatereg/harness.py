@@ -11,18 +11,28 @@ set runs through :func:`~ablatereg.augment.reduced_blocks` in three parts:
 - draw: the calling thread makes every generator and every bootstrap
   draw, block by block, in the order of a serial run;
 - reduce: up to two worker threads draw each block's mask uniforms, from
-  the block's own place in the MASK stream, then gather, ablate and reduce
-  the block, each to its row count, mean and centered cross-products
-  (:func:`_block_moments`), or to the squared deviations of its centered
-  products (:func:`_block_square_deviations`);
-- merge: the calling thread folds the block results in block order, the
-  moments with the Chan–Golub–LeVeque pairwise update.
+  the block's own place in the MASK stream, and reduce the block;
+- merge: the calling thread folds the block results in block order.
+
+There are two reducers, and one rule picks between them
+(:func:`~ablatereg.augment.counted`).  Every synthetic row is one of at most
+n*2^k distinct values, a source row under one of the 2^k ablation patterns.
+When n*2^k is at most ``BLOCK_ROWS``, each block is reduced to how often it
+drew each (row, pattern), the counts are added exactly, and the moments,
+and the moment check's spread, come from count-weighted two-pass sums over
+the table of distinct rows (:func:`_count_table`, :func:`_table_moments`).
+A larger design gathers and ablates each block's rows and reduces them to
+their row count, mean and centered cross-products (:func:`_block_moments`),
+or to the squared deviations of their centered products
+(:func:`_block_square_deviations`), and merges the moments with the
+Chan–Golub–LeVeque pairwise update.
 
 A block's result is a function of its own draws alone, computed by the same
 operations on arrays of the same layout as a serial loop would use, and the
-merge order is fixed, so the reports are the same bytes whichever thread
-reduced which block.  The ``augment`` command streams the same draws to
-disk through :func:`augmented_lines` and :func:`write_text`, so nothing here
+merge order is fixed (integer counts add exactly in any order), so the
+reports are the same bytes whichever thread reduced which block.  The
+``augment`` command streams the same draws to disk through
+:func:`augmented_lines` and :func:`write_text`, so nothing here
 materializes a synthetic set.
 
 Every file the package writes goes through :func:`write_text`, which writes
@@ -58,6 +68,10 @@ from .augment import (
     AugmentSpec,
     augmented_chunks,
     check_lambda,
+    counted,
+    distinct_rows,
+    gathered,
+    pattern_counts,
     reduced_blocks,
     synthetic_values,
 )
@@ -187,17 +201,44 @@ def _block_moments(z, scratch):
     return z.shape[0], block_mean, z.T @ z
 
 
+def _count_table(d: Dataset, spec: AugmentSpec):
+    """The synthetic set of a :func:`~ablatereg.augment.counted` design as
+    its distinct ``[X | y]`` rows that were drawn, and how often each was, as
+    float64 weights (exact: they add up to N)."""
+    counts = pattern_counts(d, spec)
+    codes = np.flatnonzero(counts)
+    return distinct_rows(d, spec, codes), counts[codes].astype(np.float64)
+
+
+def _table_moments(table, weights):
+    """Mean and centered second moments over N of the rows of ``table``, each
+    repeated ``weights`` times, from count-weighted two-pass sums: the mean
+    is corrected by the weighted mean of the rows centered on it, so large
+    feature means cost no precision, then the rows centered on it give the
+    cross-products."""
+    n = weights.sum()
+    mean = weights @ table / n
+    centered = table - mean
+    mean += weights @ centered / n
+    np.subtract(table, mean, out=centered)
+    return mean, centered.T @ (centered * weights[:, None]) / n
+
+
 def _streamed_moments(d: Dataset, spec: AugmentSpec) -> tuple[np.ndarray, np.ndarray]:
     """Mean and centered second moments (cross-products over N) of
-    ``[X | y]`` on the synthetic set, one block at a time.
+    ``[X | y]`` on the synthetic set.
 
-    Each block is centered on its own mean on a worker thread, and the
+    A counted design reduces its table of distinct rows
+    (:func:`_table_moments`).  Any other is streamed one block at a time:
+    each block is centered on its own mean on a worker thread, and the
     blocks are merged here, in block order, with the pairwise update of
     Chan, Golub & LeVeque (1979), never through raw sums, so large feature
     means cost no precision.
     """
+    if counted(d):
+        return _table_moments(*_count_table(d, spec))
     n = 0
-    for rows, block_mean, block_cross in reduced_blocks(d, spec, _block_moments):
+    for rows, block_mean, block_cross in reduced_blocks(d, spec, gathered(_block_moments)):
         if n == 0:
             mean, cross = block_mean, block_cross
         else:
@@ -210,11 +251,11 @@ def _streamed_moments(d: Dataset, spec: AugmentSpec) -> tuple[np.ndarray, np.nda
 
 
 def _converge(d: Dataset, theorem: int, lam: float, n_schedule, seeds) -> ConvergenceRun:
-    """Streams each (seed, N) synthetic set through :func:`_streamed_moments`
+    """Reduces each (seed, N) synthetic set through :func:`_streamed_moments`
     and solves OLS from its centered Gram system, behind the same 1e12
     condition gate as :func:`~ablatereg.linear.fit_ols`.  The draws are those
-    of :func:`~ablatereg.augment.build_augmented`; only the summation order
-    differs from fitting the materialized set."""
+    of :func:`~ablatereg.augment.build_augmented`, counted or streamed; only
+    the summation order differs from fitting the materialized set."""
     n_schedule = tuple(int(v) for v in n_schedule)
     if any(b <= a for a, b in zip(n_schedule, n_schedule[1:])):
         raise ValueError("N schedule must be strictly increasing")
@@ -301,17 +342,18 @@ class MomentCheck:
         return float(max(self.gram_sigmas.max(), self.cross_sigmas.max()))
 
 
-def _block_square_deviations(z, product, *, mean, pairs, observed):
-    """Per pair (a, b), the sum over one block of the squared deviation of
-    the centered product ``z[:, a] * z[:, b]`` from its moment, built one
-    column at a time in the ``product`` scratch column."""
+def _block_square_deviations(z, product, *, mean, pairs, observed, weights=None):
+    """Per pair (a, b), the sum over the rows of z of the squared deviation
+    of the centered product ``z[:, a] * z[:, b]`` from its moment, each row
+    counted ``weights`` times (once if None), built one column at a time in
+    the ``product`` scratch column.  z is centered in place."""
     z -= mean
     sums = np.empty(len(pairs))
     for p, (a, b) in enumerate(pairs):
         np.multiply(z[:, a], z[:, b], out=product)
         product -= observed[p]
         np.square(product, out=product)
-        sums[p] = product.sum()
+        sums[p] = product.sum() if weights is None else weights @ product
     return sums
 
 
@@ -321,24 +363,35 @@ def check_moment_limits(
     """Verify the augmented Gram and cross moments against their limits,
     elementwise, within ``n_sigma`` empirical standard errors.
 
-    The synthetic set is streamed twice from the same seeded draws (those
-    of :func:`~ablatereg.augment.build_augmented`): the first pass gives the
-    moments, the second the spread of each centered product around its
-    moment, whose standard deviation over sqrt(N) is the standard error.
-    Both passes reduce blocks on worker threads and merge them in order.
+    The draws are those of :func:`~ablatereg.augment.build_augmented`.  The
+    moments give the observed values, and the spread of each centered
+    product around its moment, whose standard deviation over sqrt(N) is the
+    standard error.  A counted design reads its stream once, into its table
+    of distinct rows and their counts, and takes both from the table.  Any
+    other design's set is streamed twice from the same seeded draws: the
+    first pass gives the moments, the second the spread.  Both passes
+    reduce blocks on worker threads and merge them in order.
     """
     spec = AugmentSpec(mode, lam, n_synthetic, seed)
     gram_limit, cross_limit = _moment_limits(d, mode, lam)
     k = d.k
-    mean, moments = _streamed_moments(d, spec)
     # upper triangle of [X | y] pairs, without the (y, y) entry
     rows, cols = (idx[:-1] for idx in np.triu_indices(k + 1))
-    observed = moments[rows, cols]
-    sq_dev = np.zeros(rows.size)
-    reduce = functools.partial(_block_square_deviations, mean=mean, pairs=tuple(zip(rows, cols)),
-                               observed=observed)
-    for block_sq_dev in reduced_blocks(d, spec, reduce):
-        sq_dev += block_sq_dev
+    pairs = tuple(zip(rows, cols))
+    if counted(d):
+        table, weights = _count_table(d, spec)
+        mean, moments = _table_moments(table, weights)
+        observed = moments[rows, cols]
+        sq_dev = _block_square_deviations(table, np.empty(len(table)), mean=mean, pairs=pairs,
+                                          observed=observed, weights=weights)
+    else:
+        mean, moments = _streamed_moments(d, spec)
+        observed = moments[rows, cols]
+        sq_dev = np.zeros(rows.size)
+        reduce = functools.partial(_block_square_deviations, mean=mean, pairs=pairs,
+                                   observed=observed)
+        for block_sq_dev in reduced_blocks(d, spec, gathered(reduce)):
+            sq_dev += block_sq_dev
     se = np.sqrt(sq_dev / n_synthetic) / math.sqrt(n_synthetic)
 
     limits = np.zeros((k + 1, k + 1))
@@ -411,8 +464,8 @@ class SweepResult:
     def check(self, spearman_threshold: float = SPEARMAN_THRESHOLD) -> tuple[bool, list[str]]:
         """No cell failed, and the mode's own penalty (CCP under mean
         ablation, ML2P under inverted dropout) falls with lambda:
-        Spearman(lambda, penalty) at or below the threshold at every depth, a
-        NaN correlation failing."""
+        Spearman(lambda, penalty) at or below the threshold at every (depth,
+        output), a NaN correlation failing."""
         own_penalty = "ccp" if self.mode == MEAN_ABLATION else "ml2p"
         problems = []
         failed = [c for c in self.cells if c.error is not None]
@@ -423,7 +476,7 @@ class SweepResult:
                             f"{first.error}")
         problems += [
             f"Spearman(lambda, {own_penalty}) = {entry.spearman:.3f} "
-            f"at depth {entry.depth} (threshold {spearman_threshold})"
+            f"at depth {entry.depth}, output {entry.output_index} (threshold {spearman_threshold})"
             for entry in penalty_trend(self, own_penalty)["per_depth"]
             if not entry.spearman <= spearman_threshold
         ]

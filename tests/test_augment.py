@@ -1,3 +1,4 @@
+import os
 import sys
 import threading
 from dataclasses import replace
@@ -17,6 +18,11 @@ from ablatereg.augment import (
     augmented_chunks,
     batch_masks,
     build_augmented,
+    count_patterns,
+    counted,
+    distinct_rows,
+    gathered,
+    pattern_counts,
     reduced_blocks,
     synthetic_values,
 )
@@ -229,7 +235,7 @@ class TestReducedBlocks:
         d = synth_correlated(23, 3, 0.4, (1, -1, 2), 1.0, seed=13)
         spec = AugmentSpec(mode, 0.4, 301, seed=14)
         monkeypatch.setattr(augment, "BLOCK_ROWS", block_rows)
-        blocks = list(reduced_blocks(d, spec, lambda z, scratch: z.copy(order="F")))
+        blocks = list(reduced_blocks(d, spec, gathered(lambda z, scratch: z.copy(order="F"))))
         assert [b.shape[0] for b in blocks] == [
             min(block_rows, 301 - start) for start in range(0, 301, block_rows)]
         assert all(b.flags.f_contiguous for b in blocks)
@@ -245,7 +251,7 @@ class TestReducedBlocks:
 
         def run(i):
             results[i] = np.concatenate(list(reduced_blocks(
-                d, specs[i], lambda z, scratch: z.copy())))
+                d, specs[i], gathered(lambda z, scratch: z.copy()))))
 
         threads = [threading.Thread(target=run, args=(i,)) for i in range(len(specs))]
         interval = sys.getswitchinterval()
@@ -265,7 +271,84 @@ class TestReducedBlocks:
         d = synth_correlated(5, 2, 0.0, (1, 1), 1.0, seed=1)
         empty = replace(d, features=d.features[:0], response=d.response[:0])
         with pytest.raises(AugmentError, match="empty"):
-            list(reduced_blocks(empty, AugmentSpec("iid", 0.5, 10, seed=0), lambda z, s: 0))
+            list(reduced_blocks(empty, AugmentSpec("iid", 0.5, 10, seed=0), count_patterns))
+
+
+def serial_codes(d, spec):
+    """Reference for the count step, on one thread: the codes ``row << k |
+    pattern`` of the synthetic set, from its bootstrap indices and mask
+    uniforms drawn at once; bit j of a pattern is set where ablate, given
+    that row's draws, replaces a feature of ones by a mean of zero."""
+    n, k = spec.n_synthetic, d.k
+    idx = _streams.stream(spec.seed, _streams.BOOTSTRAP).integers(0, d.n, size=n)
+    mean_mode = AugmentSpec("mean", spec.lam, 1, seed=0)
+    ablated = ablate(np.ones((n, k)), mask_draws(n, k, spec.seed), mean_mode, np.zeros(k)) == 0.0
+    return idx << k | (ablated @ (1 << np.arange(k)))
+
+
+class TestPatternCounts:
+    """The count path reduces a small design's synthetic set to how often each
+    (row, mask pattern) was drawn; with its table of distinct rows it is the
+    same sample as augmented_chunks."""
+
+    @pytest.mark.parametrize("lam", [0.0, -0.0, 0.35])
+    @pytest.mark.parametrize("n_synthetic", [1000, 3 * BLOCK_ROWS + 17])
+    @pytest.mark.parametrize("mode", ["mean", "iid"])
+    def test_counts_and_table_are_the_chunks(self, mode, n_synthetic, lam):
+        d = synth_correlated(60, 3, 0.4, (1, -1, 2), 1.0, seed=18)
+        features = d.features.copy()
+        features[:3, 0] = -0.0
+        d = replace(d, features=features)
+        spec = AugmentSpec(mode, lam, n_synthetic, seed=19)
+        counts = pattern_counts(d, spec)
+        codes = serial_codes(d, spec)
+        assert counts.dtype == np.int64 and counts.sum() == n_synthetic
+        assert np.array_equal(counts, np.bincount(codes, minlength=d.n << d.k))
+        if lam == 0.0:
+            assert not (codes & 7).any()
+        # every drawn row is its code's row of the table, bit for bit
+        chunks = np.concatenate([np.column_stack(block) for block in augmented_chunks(d, spec)])
+        assert distinct_rows(d, spec, codes).tobytes() == chunks.tobytes()
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    @pytest.mark.parametrize("mode", ["mean", "iid"])
+    def test_each_table_row_is_ablate_s_output(self, mode, lam):
+        # every (row, pattern): the draw 0.0 under each set bit, any draw in
+        # [lam, 1) elsewhere
+        d = synth_correlated(5, 3, 0.4, (1, -1, 2), 1.0, seed=20)
+        spec = AugmentSpec(mode, lam, 1, seed=0)
+        codes = np.arange(d.n << d.k)
+        table = distinct_rows(d, spec, codes)
+        means = d.features.mean(axis=0)
+        for code in codes:
+            row, pattern = divmod(int(code), 1 << d.k)
+            draws = np.array([0.0 if pattern >> j & 1 else np.nextafter(1.0, 0.0)
+                              for j in range(d.k)])
+            expected = ablate(d.features[row], draws, spec, means)
+            assert table[code, :-1].tobytes() == expected.tobytes()
+            assert table[code, -1] == d.response[row]
+
+    def test_one_worker_and_two_give_the_same_counts(self, monkeypatch):
+        d = synth_correlated(40, 4, 0.4, (1, -1, 2, 0.5), 1.0, seed=21)
+        spec = AugmentSpec("iid", 0.3, 5 * BLOCK_ROWS + 3, seed=22)
+
+        def no_rows(slot, rows):
+            raise AssertionError("the count path made a rows buffer")
+
+        monkeypatch.setattr(augment._BlockSlot, "views", no_rows)
+        counts = {}
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            counts[len(cpus)] = pattern_counts(d, spec)
+        assert np.array_equal(counts[1], counts[2])
+        assert np.array_equal(counts[1], np.bincount(serial_codes(d, spec), minlength=d.n << d.k))
+
+    def test_the_path_rule(self):
+        # n * 2^k possible rows: at most one block's worth is counted
+        assert counted(synth_correlated(BLOCK_ROWS >> 3, 3, 0.0, (1, 1, 1), 1.0, seed=0))
+        assert not counted(synth_correlated((BLOCK_ROWS >> 3) + 1, 3, 0.0, (1, 1, 1), 1.0, seed=0))
+        assert counted(synth_correlated(1, 16, 0.0, (1,) * 16, 1.0, seed=0))
+        assert not counted(synth_correlated(1, 17, 0.0, (1,) * 17, 1.0, seed=0))
 
 
 class TestBuildAugmented:

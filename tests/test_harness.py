@@ -46,7 +46,14 @@ from ablatereg.penalty import ccp_pairwise, ccp_variance_form, contributions_lin
 
 @pytest.fixture(scope="module")
 def small_data():
+    """A counted design: 120 rows x 2^3 patterns fit in one block."""
     return synth_correlated(120, 3, 0.6, (1.0, -2.0, 1.5), 1.0, seed=50)
+
+
+@pytest.fixture(scope="module")
+def wide_data():
+    """A rows-path design: 120 rows x 2^10 patterns = 122,880 > BLOCK_ROWS."""
+    return synth_correlated(120, 10, 0.6, np.linspace(-2.0, 2.0, 10), 1.0, seed=53)
 
 
 class TestConvergence:
@@ -220,13 +227,25 @@ def serial_moments(d, spec):
     return mean, cross / n
 
 
-def serial_moment_sigmas(d, mode, lam, n_synthetic, seed):
-    """Reference for check_moment_limits: both passes serial, the second with
-    the whole-block product array."""
+def two_pass_moments(d, spec):
+    """Reference on the materialized set: its mean, corrected by the mean of
+    its rows centered on it, then the cross-products of the rows centered on
+    that."""
+    aug = build_augmented(d, spec)
+    z = serial_block(aug.features, aug.response)
+    mean = z.mean(axis=0)
+    mean += (z - mean).mean(axis=0)
+    zc = z - mean
+    return mean, zc.T @ zc / aug.n
+
+
+def serial_moment_sigmas(d, mode, lam, n_synthetic, seed, moments_of=serial_moments):
+    """Reference for check_moment_limits: both passes serial, the first by
+    ``moments_of``, the second with the whole-block product array."""
     spec = AugmentSpec(mode, lam, n_synthetic, seed)
     gram_limit, cross_limit = _moment_limits(d, mode, lam)
     k = d.k
-    mean, moments = serial_moments(d, spec)
+    mean, moments = moments_of(d, spec)
     rows, cols = (idx[:-1] for idx in np.triu_indices(k + 1))
     observed = moments[rows, cols]
     sq_dev = np.zeros(rows.size)
@@ -245,13 +264,14 @@ def serial_moment_sigmas(d, mode, lam, n_synthetic, seed):
 
 
 class TestBlockPipelineBytes:
-    """The threaded draw/reduce/merge pipeline gives the serial loop's bytes."""
+    """On a rows-path design the threaded draw/reduce/merge pipeline gives
+    the serial loop's bytes."""
 
     @pytest.mark.parametrize("shift", [0.0, 1e6])
     @pytest.mark.parametrize("n_synthetic", [1000, BLOCK_ROWS, 3 * BLOCK_ROWS + 17])
     @pytest.mark.parametrize("mode", ["mean", "iid"])
-    def test_moments(self, small_data, mode, n_synthetic, shift):
-        d = replace(small_data, features=small_data.features + shift)
+    def test_moments(self, wide_data, mode, n_synthetic, shift):
+        d = replace(wide_data, features=wide_data.features + shift)
         spec = AugmentSpec(mode, 0.4, n_synthetic, seed=9)
         mean, cross = _streamed_moments(d, spec)
         ref_mean, ref_cross = serial_moments(d, spec)
@@ -259,22 +279,137 @@ class TestBlockPipelineBytes:
 
     @pytest.mark.parametrize("shift", [0.0, 1e6])
     @pytest.mark.parametrize("mode", ["mean", "iid"])
-    def test_moment_check_sigmas(self, small_data, mode, shift):
-        d = replace(small_data, features=small_data.features + shift)
+    def test_moment_check_sigmas(self, wide_data, mode, shift):
+        d = replace(wide_data, features=wide_data.features + shift)
         check = check_moment_limits(d, mode, 0.3, 3 * BLOCK_ROWS + 17, seed=6)
         gram, cross = serial_moment_sigmas(d, mode, 0.3, 3 * BLOCK_ROWS + 17, seed=6)
         assert np.array_equal(check.gram_sigmas, gram)
         assert np.array_equal(check.cross_sigmas, cross)
 
     @pytest.mark.parametrize("theorem", [1, 2])
-    def test_converge_reports(self, small_data, theorem, monkeypatch):
+    def test_converge_reports(self, wide_data, theorem, monkeypatch):
         converge = converge_theorem1 if theorem == 1 else converge_theorem2
         schedule = (1000, BLOCK_ROWS, 3 * BLOCK_ROWS + 17)
-        run = converge(small_data, 0.5, schedule, seeds=(0, 1))
+        run = converge(wide_data, 0.5, schedule, seeds=(0, 1))
         monkeypatch.setattr(harness, "_streamed_moments", serial_moments)
-        reference = converge(small_data, 0.5, schedule, seeds=(0, 1))
+        reference = converge(wide_data, 0.5, schedule, seeds=(0, 1))
         for fmt in ("csv", "json"):
             assert render_report(run, fmt) == render_report(reference, fmt)
+
+
+def assert_close_to_scale(got, reference, scale=None, rtol=1e-12):
+    """Each entry within ``rtol`` of ``scale``, by default the reference's
+    largest magnitude: the count path sums in another order, so it matches
+    to rounding, not bytes."""
+    got, reference = np.asarray(got, dtype=np.float64), np.asarray(reference, dtype=np.float64)
+    assert got.shape == reference.shape
+    if scale is None:
+        scale = np.abs(reference).max()
+    assert np.abs(got - reference).max() <= rtol * scale
+
+
+def report_columns(text, fmt):
+    """A converge report's cells as (text columns, numeric columns)."""
+    if fmt == "json":
+        payload = json.loads(text)
+        header, rows = payload["columns"], payload["rows"]
+        meta = payload["meta"]
+    else:
+        lines = text.splitlines()
+        header, rows, meta = lines[0].split(","), [line.split(",") for line in lines[1:]], None
+    numeric = ["dist_l2", "dist_linf", "gram_resid", "cross_resid", "dist_l2_median",
+               "dist_linf_median", "dist_l2_stderr", "dist_linf_stderr"]
+    keys = [[row[i] for i, name in enumerate(header) if name not in numeric] for row in rows]
+    values = {name: np.array([float("nan") if row[header.index(name)] in ("", None)
+                              else float(row[header.index(name)]) for row in rows])
+              for name in numeric}
+    return (header, keys, meta), values
+
+
+class TestCountPath:
+    """On a counted design the moments, the moment-check sigmas and the
+    converge reports match the streamed references within 1e-12 of each
+    quantity's scale.  At a feature shift of 1e6 the Chan merge's mean is off
+    by up to about 6e-11 (an ulp of 1e6 is 1.2e-10), which moves the sigmas
+    by up to 4e-11 of their scale and the distances by up to 3e-12, so there
+    they are held to the two-pass reference, whose mean the count path's
+    equals."""
+
+    @pytest.mark.parametrize("reference", [serial_moments, two_pass_moments])
+    @pytest.mark.parametrize("shift", [0.0, 1e6])
+    @pytest.mark.parametrize("n_synthetic", [1000, BLOCK_ROWS, 3 * BLOCK_ROWS + 17])
+    @pytest.mark.parametrize("mode", ["mean", "iid"])
+    def test_moments(self, small_data, mode, n_synthetic, shift, reference):
+        d = replace(small_data, features=small_data.features + shift)
+        spec = AugmentSpec(mode, 0.4, n_synthetic, seed=9)
+        mean, cross = _streamed_moments(d, spec)
+        ref_mean, ref_cross = reference(d, spec)
+        assert_close_to_scale(mean, ref_mean)
+        assert_close_to_scale(cross, ref_cross)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.3])
+    @pytest.mark.parametrize("shift", [0.0, 1e6])
+    @pytest.mark.parametrize("mode", ["mean", "iid"])
+    def test_moment_check_sigmas(self, small_data, mode, shift, lam):
+        d = replace(small_data, features=small_data.features + shift)
+        n = 3 * BLOCK_ROWS + 17
+        check = check_moment_limits(d, mode, lam, n, seed=6)
+        references = [two_pass_moments] + ([serial_moments] if shift == 0.0 else [])
+        for moments in references:
+            gram, cross = serial_moment_sigmas(d, mode, lam, n, seed=6, moments_of=moments)
+            assert_close_to_scale(np.append(check.gram_sigmas, check.cross_sigmas),
+                                  np.append(gram, cross))
+
+    @pytest.mark.parametrize("shift", [0.0, 1e6])
+    @pytest.mark.parametrize("theorem", [1, 2])
+    def test_converge_reports(self, small_data, theorem, shift, monkeypatch):
+        d = replace(small_data, features=small_data.features + shift)
+        converge = converge_theorem1 if theorem == 1 else converge_theorem2
+        schedule = (1000, BLOCK_ROWS, 3 * BLOCK_ROWS + 17)
+        run = converge(d, 0.5, schedule, seeds=(0, 1))
+        for moments in [two_pass_moments] + ([serial_moments] if shift == 0.0 else []):
+            monkeypatch.setattr(harness, "_streamed_moments", moments)
+            self.assert_reports_close(run, converge(d, 0.5, schedule, seeds=(0, 1)))
+
+    @staticmethod
+    def assert_reports_close(run, reference):
+        for fmt in ("csv", "json"):
+            got_keys, got = report_columns(render_report(run, fmt), fmt)
+            ref_keys, ref = report_columns(render_report(reference, fmt), fmt)
+            assert got_keys == ref_keys
+            for name in ref:
+                # a mean, median or standard error over seeds has the scale
+                # of its cells
+                cells = ref[name.removesuffix("_median").removesuffix("_stderr")]
+                assert np.array_equal(np.isnan(got[name]), np.isnan(ref[name]))
+                assert_close_to_scale(np.nan_to_num(got[name]), np.nan_to_num(ref[name]),
+                                      scale=np.nanmax(np.abs(cells)))
+
+    @pytest.mark.parametrize("lam", [0.0, -0.0])
+    def test_lambda_zero_is_the_bootstrap(self, small_data, lam):
+        spec = AugmentSpec("iid", lam, 3 * BLOCK_ROWS + 17, seed=10)
+        assert_close_to_scale(_streamed_moments(small_data, spec)[1],
+                              serial_moments(small_data, spec)[1])
+        assert check_moment_limits(small_data, "mean", lam, 10_000, seed=10).ok
+
+    def test_the_path_rule_picks_the_step(self, monkeypatch):
+        steps = []
+        reduced_blocks = augment.reduced_blocks
+
+        def recording(d, spec, step):
+            steps.append(step is augment.count_patterns)
+            return reduced_blocks(d, spec, step)
+
+        monkeypatch.setattr(augment, "reduced_blocks", recording)
+        monkeypatch.setattr(harness, "reduced_blocks", recording)
+        for n, counted in ((BLOCK_ROWS >> 3, True), ((BLOCK_ROWS >> 3) + 1, False)):
+            d = synth_correlated(n, 3, 0.6, (1.0, -2.0, 1.5), 1.0, seed=54)
+            steps.clear()
+            _streamed_moments(d, AugmentSpec("mean", 0.5, 1000, seed=0))
+            assert steps == [counted]
+            steps.clear()
+            check_moment_limits(d, "iid", 0.5, 1000, seed=0)
+            assert steps == [counted] if counted else steps == [False, False]
 
 
 class RecordingGenerator:
@@ -295,8 +430,11 @@ class RecordingGenerator:
 
 
 class TestBlockPipelineThreads:
-    def test_streams_and_bootstrap_draws_happen_on_the_calling_thread(self, small_data,
-                                                                      monkeypatch):
+    @staticmethod
+    def check_draw_threads(data, bootstrap_draws, monkeypatch):
+        """A converge run and a moment check on ``data`` make every generator
+        and bootstrap draw on the calling thread, ``bootstrap_draws`` of
+        them, and leave no thread behind."""
         stream_threads, bootstrap_threads = [], []
         stream = _streams.stream
 
@@ -309,15 +447,23 @@ class TestBlockPipelineThreads:
 
         monkeypatch.setattr(_streams, "stream", recording_stream)
         before = threading.active_count()
-        converge_theorem1(small_data, 0.5, (1000, 3 * BLOCK_ROWS + 17), seeds=(0,))
-        check_moment_limits(small_data, "iid", 0.5, 3 * BLOCK_ROWS + 17, seed=1)
+        converge_theorem1(data, 0.5, (1000, 3 * BLOCK_ROWS + 17), seeds=(0,))
+        check_moment_limits(data, "iid", 0.5, 3 * BLOCK_ROWS + 17, seed=1)
         assert threading.active_count() == before
-        # four sets (two converge cells, two passes of the check), each with a
-        # BOOTSTRAP generator and at least two slots' MASK generators; one
-        # bootstrap draw per block: 1 + 4 + 4 + 4
-        assert len(stream_threads) >= 4 * 3
-        assert len(bootstrap_threads) == 13
+        # each set has a BOOTSTRAP generator and at least two slots' MASK ones
+        assert len(stream_threads) >= 3 * (bootstrap_draws // 4)
+        assert len(bootstrap_threads) == bootstrap_draws
         assert set(stream_threads + bootstrap_threads) == {threading.get_ident()}
+
+    def test_streams_and_bootstrap_draws_happen_on_the_calling_thread(self, wide_data,
+                                                                      monkeypatch):
+        # four sets (two converge cells, two passes of the check), one
+        # bootstrap draw per block: 1 + 4 + 4 + 4
+        self.check_draw_threads(wide_data, 13, monkeypatch)
+
+    def test_a_counted_moment_check_reads_its_stream_once(self, small_data, monkeypatch):
+        # two converge cells and one pass of the check: 1 + 4 + 4
+        self.check_draw_threads(small_data, 9, monkeypatch)
 
     def test_each_block_draws_its_rows_of_the_mask_stream(self, small_data, monkeypatch):
         drawn = []
@@ -329,15 +475,16 @@ class TestBlockPipelineThreads:
 
         monkeypatch.setattr(augment._BlockSlot, "draw_masks", recording_draw_masks)
         n = 3 * BLOCK_ROWS + 17
-        list(augment.reduced_blocks(small_data, AugmentSpec("iid", 0.5, n, seed=3),
-                                    lambda z, scratch: None))
         expected = _streams.stream(3, _streams.MASK).random((n, small_data.k))
-        assert sorted(start for _, start, _ in drawn) == list(range(0, n, BLOCK_ROWS))
-        for thread, start, draws in drawn:
-            assert thread != threading.get_ident()
-            np.testing.assert_array_equal(draws, expected[start:start + BLOCK_ROWS])
+        for step in (augment.gathered(lambda z, scratch: None), augment.count_patterns):
+            drawn.clear()
+            list(augment.reduced_blocks(small_data, AugmentSpec("iid", 0.5, n, seed=3), step))
+            assert sorted(start for _, start, _ in drawn) == list(range(0, n, BLOCK_ROWS))
+            for thread, start, draws in drawn:
+                assert thread != threading.get_ident()
+                np.testing.assert_array_equal(draws, expected[start:start + BLOCK_ROWS])
 
-    def test_error_in_a_block_surfaces_with_its_type(self, small_data, monkeypatch):
+    def test_error_in_a_block_surfaces_with_its_type(self, wide_data, monkeypatch):
         ablate = augment.ablate
 
         def ablate_with_bad_means(X, mask, spec, means=None, out=None):
@@ -346,7 +493,7 @@ class TestBlockPipelineThreads:
         monkeypatch.setattr(augment, "ablate", ablate_with_bad_means)
         before = threading.active_count()
         with pytest.raises(AugmentError, match="one entry per feature"):
-            converge_theorem1(small_data, 0.5, (1000, 3 * BLOCK_ROWS + 17), seeds=(0,))
+            converge_theorem1(wide_data, 0.5, (1000, 3 * BLOCK_ROWS + 17), seeds=(0,))
         assert threading.active_count() == before
 
     def test_error_in_a_later_block_surfaces_after_the_earlier_results(self, small_data):
@@ -359,7 +506,7 @@ class TestBlockPipelineThreads:
         spec = AugmentSpec("mean", 0.5, 2 * BLOCK_ROWS + 5, seed=0)
         results = []
         with pytest.raises(FloatingPointError, match="last block"):
-            for rows in augment.reduced_blocks(small_data, spec, reduce):
+            for rows in augment.reduced_blocks(small_data, spec, augment.gathered(reduce)):
                 results.append(rows)
         assert results == [BLOCK_ROWS, BLOCK_ROWS]
         assert threading.active_count() == before
@@ -460,7 +607,7 @@ class TestTrends:
         assert ok and problems == []
         ok, problems = self._toy_sweep("iid", [5, 3, 1, -2], [1, 2, 3, 4]).check(-0.8)
         assert not ok
-        assert problems == ["Spearman(lambda, ml2p) = 1.000 at depth 0 (threshold -0.8)"]
+        assert problems == ["Spearman(lambda, ml2p) = 1.000 at depth 0, output 0 (threshold -0.8)"]
 
     def test_sweep_check_fails_on_a_failed_cell(self):
         # seed 0 alone gives a clean trend; seed 1's cell at the second
@@ -480,7 +627,15 @@ class TestTrends:
         nan = float("nan")
         ok, problems = self._toy_sweep("mean", [nan] * 4, [1, 2, 3, 4]).check(-0.8)
         assert not ok
-        assert problems == ["Spearman(lambda, ccp) = nan at depth 0 (threshold -0.8)"]
+        assert problems == ["Spearman(lambda, ccp) = nan at depth 0, output 0 (threshold -0.8)"]
+
+    def test_sweep_check_names_the_failing_output(self):
+        # CCP falls with lambda for output 0 and rises for output 1
+        sweep = self._toy_sweep("mean", [5, 3, 1, -2], [1, 2, 3, 4])
+        sweep.cells += [replace(c, output_index=1, ccp=-c.ccp) for c in sweep.cells]
+        ok, problems = sweep.check(-0.8)
+        assert not ok
+        assert problems == ["Spearman(lambda, ccp) = 1.000 at depth 0, output 1 (threshold -0.8)"]
 
     def test_cross_check_gate(self):
         mada = self._toy_sweep("mean", [5, 3, 1, -2], [1, 2, 3, 4])
