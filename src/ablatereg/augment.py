@@ -17,26 +17,21 @@ of two ways:
 - :func:`augmented_chunks` yields ``(features, response)`` blocks on the
   calling thread; the ``augment`` command writes them out, and
   :func:`build_augmented` materializes the same draws as one block.
-- :func:`reduced_blocks` splits the work for the Monte-Carlo checks.  The
-  calling thread draws the bootstrap indices, in block order; worker threads
-  draw each block's mask uniforms from their slot's own MASK generator,
-  advanced to the block's place in the stream, and run the pipeline's worker
-  step on the block; the consumer merges the results in block order.  A
-  block's result depends only on its own draws, which are the numbers a
-  serial run draws, and the merge runs in block order on one thread, so the
-  bytes of what is merged do not depend on scheduling.
+- :func:`weighted_blocks` hands the Monte-Carlo reductions the set as
+  ``[X | y]`` blocks with a weight per row.  Every synthetic row is one of
+  at most n*2^k distinct values, a source row under one of the 2^k
+  ablation patterns, and one rule (:func:`counted`) picks the source: when
+  they fit in one block, the distinct rows drawn weighted by their counts;
+  otherwise the streamed rows, weight one each.
 
-The pipeline has two worker steps, one per reducer.  Every synthetic row
-is one of at most n*2^k distinct values: a source row under one of the 2^k
-ablation patterns.  When that many fit in one block (:func:`counted`,
-n*2^k <= ``BLOCK_ROWS``), :func:`count_patterns` reduces a block to how
-often each (row, pattern) code ``row << k | pattern`` was drawn, and
-:func:`pattern_counts` adds these exact integer vectors;
-:func:`distinct_rows` builds the values the codes stand for with
-:func:`ablate` itself.  A larger design takes the rows step,
-:func:`gathered`: it gathers the bootstrap rows into preallocated
-column-major ``[X | y]`` slots, ablates them in place and hands them to the
-caller's reduction.
+Either source of :func:`weighted_blocks` draws through
+:func:`reduced_blocks`.  The calling thread draws the bootstrap indices in
+block order; up to two worker threads draw each block's mask uniforms from
+their slot's MASK generator, advanced to the block's place in the stream,
+and run a step on the block: counting its (row, pattern) codes
+(:func:`count_patterns`) or gathering and ablating its rows in place
+(:func:`gathered`).  Results come back in block order and depend only on
+their block's draws, so nothing consumed depends on scheduling.
 """
 
 from __future__ import annotations
@@ -371,6 +366,31 @@ def distinct_rows(d: Dataset, spec: AugmentSpec, codes) -> np.ndarray:
     X = d.features.take(rows, axis=0)
     ablate(X, np.where(ablated == 1, 0.0, abs(spec.lam)), spec, _frozen_means(d, spec), out=X)
     return np.column_stack([X, d.response.take(rows)])
+
+
+def weighted_blocks(d: Dataset, spec: AugmentSpec):
+    """The synthetic set of :func:`augmented_chunks` as a function that
+    yields ``reduce(z, scratch, weights)`` per block, in block order: ``z``
+    the block's column-major ``[X | y]`` rows, each standing for
+    ``weights[i]`` synthetic rows (one if ``weights`` is None), and
+    ``scratch`` a float column; ``reduce`` may overwrite both.
+
+    A :func:`counted` set is drawn once, here, into one block of its
+    distinct rows weighted by their counts, and each reduction gets its own
+    copy.  Any other set is streamed again for each reduction, with
+    ``reduce`` on the worker threads.
+    """
+    if not counted(d):
+        return lambda reduce: reduced_blocks(
+            d, spec, gathered(lambda z, scratch: reduce(z, scratch, None)))
+    counts = pattern_counts(d, spec)
+    codes = np.flatnonzero(counts)
+    rows, weights = distinct_rows(d, spec, codes), counts[codes].astype(np.float64)
+
+    def blocks(reduce):
+        yield reduce(rows.copy(order="F"), np.empty(len(rows)), weights)
+
+    return blocks
 
 
 def build_augmented(d: Dataset, spec: AugmentSpec) -> Dataset:

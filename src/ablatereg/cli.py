@@ -28,7 +28,9 @@ are the library's ``check()`` methods, with the thresholds in
 - ``converge``: every final-N fit within ``--tolerance`` of the closed form
   in L-infinity, a median L2 distance that never grows with N, and a
   log-log slope of that median against N in ``harness.SLOPE_BAND``; a slope
-  that cannot be fitted fails;
+  that cannot be fitted fails.  The band is set for schedules of at least 4
+  N values and 3 seeds: on a 2-point schedule the fitted slope is noisy
+  enough to fail on its own where the Monte-Carlo rate holds;
 - ``sweep``: no failed cell, and Spearman(lambda, the mode's own penalty) at
   or below ``--spearman-threshold`` at every depth;
 - ``cross-check``: the two sweeps differ, Spearman(lambda, ML2P) under mean
@@ -168,6 +170,10 @@ def _number(text: str, low: float, high: float, what: str) -> float:
 
 def _tolerance(text: str) -> float:
     return _number(text, 0.0, math.inf, "a finite number >= 0")
+
+
+def _positive(text: str) -> float:
+    return _number(text, math.ulp(0.0), math.inf, "a finite number > 0")
 
 
 def _correlation(text: str) -> float:
@@ -319,11 +325,8 @@ def cmd_fit(args) -> int:
     if args.method == "ols":
         model = fit_ols(d)
         lam, kind, objective = None, "ols", None
-    elif args.method == "ccp":
-        fit = fit_ccp(d, args.lam)
-        model, lam, kind, objective = fit.model, fit.lam, fit.penalty_kind, fit.objective_value
     else:
-        fit = fit_ml2p(d, args.lam)
+        fit = (fit_ccp if args.method == "ccp" else fit_ml2p)(d, args.lam)
         model, lam, kind, objective = fit.model, fit.lam, fit.penalty_kind, fit.objective_value
     _write_json({
         "beta": model.beta.tolist(),
@@ -551,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=_count, default=TrainConfig.epochs)
     p.add_argument("--batch-size", type=_count, default=TrainConfig.batch_size)
     p.add_argument("--hidden-width", type=_count, default=100)
-    p.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--learning-rate", type=_positive, default=TrainConfig.learning_rate)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
@@ -578,7 +581,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", action="store_true",
                    help="exit 1 unless every final-N fit is within --tolerance of the "
                         "closed form, the median L2 distance never grows with N, and its "
-                        f"log-log slope against N lies in [{low}, {high}]")
+                        f"log-log slope against N lies in [{low}, {high}]; the band is set "
+                        "for at least 4 N values and 3 seeds, and a 2-point schedule can "
+                        "fail on the slope alone")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_converge)
 

@@ -6,34 +6,24 @@ and deterministic CSV/JSON report emission.
 The Monte-Carlo checks never hold a synthetic set in memory, and they
 solve OLS from centered sufficient statistics of ``[X | y]``; the random
 draws are the ones :func:`~ablatereg.augment.build_augmented` makes.  Each
-set runs through :func:`~ablatereg.augment.reduced_blocks` in three parts:
-
-- draw: the calling thread makes every generator and every bootstrap
-  draw, block by block, in the order of a serial run;
-- reduce: up to two worker threads draw each block's mask uniforms, from
-  the block's own place in the MASK stream, and reduce the block;
-- merge: the calling thread folds the block results in block order.
-
-There are two reducers, and one rule picks between them
-(:func:`~ablatereg.augment.counted`).  Every synthetic row is one of at most
-n*2^k distinct values, a source row under one of the 2^k ablation patterns.
-When n*2^k is at most ``BLOCK_ROWS``, each block is reduced to how often it
-drew each (row, pattern), the counts are added exactly, and the moments,
-and the moment check's spread, come from count-weighted two-pass sums over
-the table of distinct rows (:func:`_count_table`, :func:`_table_moments`).
-A larger design gathers and ablates each block's rows and reduces them to
-their row count, mean and centered cross-products (:func:`_block_moments`),
-or to the squared deviations of their centered products
-(:func:`_block_square_deviations`), and merges the moments with the
-Chan–Golub–LeVeque pairwise update.
+set is one source of weighted blocks
+(:func:`~ablatereg.augment.weighted_blocks`), and one reduction gives its
+moments: each block's rows, shifted by the source column means, are
+reduced to their weighted sum and weighted cross-products
+(:func:`_shifted_sums`), the blocks' sums are added in block order, and
+the moments are the shifted cross-products over N less the outer product
+of the shifted mean (:func:`_moments`).  The moment check runs a second
+reduction over the same blocks for the spread of each centered product
+(:func:`_block_square_deviations`).  Where the blocks come from, the
+distinct drawn rows weighted by their counts or the streamed rows on
+worker threads, is decided in :mod:`ablatereg.augment` alone.
 
 A block's result is a function of its own draws alone, computed by the same
 operations on arrays of the same layout as a serial loop would use, and the
-merge order is fixed (integer counts add exactly in any order), so the
-reports are the same bytes whichever thread reduced which block.  The
-``augment`` command streams the same draws to disk through
-:func:`augmented_lines` and :func:`write_text`, so nothing here
-materializes a synthetic set.
+sums are added in a fixed order, so the reports are the same bytes
+whichever thread reduced which block.  The ``augment`` command streams the
+same draws to disk through :func:`augmented_lines` and :func:`write_text`,
+so nothing here materializes a synthetic set.
 
 Every file the package writes goes through :func:`write_text`, which writes
 atomically.  Numeric CSV bodies that repeat values come from one text
@@ -68,12 +58,8 @@ from .augment import (
     AugmentSpec,
     augmented_chunks,
     check_lambda,
-    counted,
-    distinct_rows,
-    gathered,
-    pattern_counts,
-    reduced_blocks,
     synthetic_values,
+    weighted_blocks,
 )
 from .dataset import (
     CLASSIFICATION,
@@ -192,70 +178,43 @@ def _moment_limits(d: Dataset, mode: str, lam: float) -> tuple[np.ndarray, np.nd
     return gram_limit, cross_limit
 
 
-def _block_moments(z, scratch):
-    """Rows, mean and centered cross-products of one ``[X | y]`` block,
-    centered in place on the block's own mean.  Columns are contiguous, so
-    the column means are summed pairwise (accurately)."""
-    block_mean = z.mean(axis=0)
-    z -= block_mean
-    return z.shape[0], block_mean, z.T @ z
+def _shifted_sums(z, scratch, weights, *, shift):
+    """The weighted sums of the rows of one ``[X | y]`` block shifted by
+    ``shift``, and of their outer products; z is shifted in place."""
+    z -= shift
+    if weights is None:
+        return z.sum(axis=0), z.T @ z
+    return weights @ z, z.T @ (z * weights[:, None])
 
 
-def _count_table(d: Dataset, spec: AugmentSpec):
-    """The synthetic set of a :func:`~ablatereg.augment.counted` design as
-    its distinct ``[X | y]`` rows that were drawn, and how often each was, as
-    float64 weights (exact: they add up to N)."""
-    counts = pattern_counts(d, spec)
-    codes = np.flatnonzero(counts)
-    return distinct_rows(d, spec, codes), counts[codes].astype(np.float64)
-
-
-def _table_moments(table, weights):
-    """Mean and centered second moments over N of the rows of ``table``, each
-    repeated ``weights`` times, from count-weighted two-pass sums: the mean
-    is corrected by the weighted mean of the rows centered on it, so large
-    feature means cost no precision, then the rows centered on it give the
-    cross-products."""
-    n = weights.sum()
-    mean = weights @ table / n
-    centered = table - mean
-    mean += weights @ centered / n
-    np.subtract(table, mean, out=centered)
-    return mean, centered.T @ (centered * weights[:, None]) / n
+def _moments(d: Dataset, spec: AugmentSpec, blocks) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and centered second moments over N of ``[X | y]`` on the set of
+    ``blocks`` (:func:`~ablatereg.augment.weighted_blocks`), from sums of the
+    rows shifted by the source column means, which both ablation modes keep
+    in expectation (Chan, Golub & LeVeque 1983): the shifted mean is small,
+    so large feature means cost no precision.  The blocks' sums are added in
+    block order."""
+    shift = np.append(d.features.mean(axis=0), d.response.mean())
+    total = cross = 0.0
+    for block_total, block_cross in blocks(functools.partial(_shifted_sums, shift=shift)):
+        total = total + block_total
+        cross = cross + block_cross
+    offset = total / spec.n_synthetic
+    return shift + offset, cross / spec.n_synthetic - np.outer(offset, offset)
 
 
 def _streamed_moments(d: Dataset, spec: AugmentSpec) -> tuple[np.ndarray, np.ndarray]:
     """Mean and centered second moments (cross-products over N) of
-    ``[X | y]`` on the synthetic set.
-
-    A counted design reduces its table of distinct rows
-    (:func:`_table_moments`).  Any other is streamed one block at a time:
-    each block is centered on its own mean on a worker thread, and the
-    blocks are merged here, in block order, with the pairwise update of
-    Chan, Golub & LeVeque (1979), never through raw sums, so large feature
-    means cost no precision.
-    """
-    if counted(d):
-        return _table_moments(*_count_table(d, spec))
-    n = 0
-    for rows, block_mean, block_cross in reduced_blocks(d, spec, gathered(_block_moments)):
-        if n == 0:
-            mean, cross = block_mean, block_cross
-        else:
-            delta = block_mean - mean
-            total = n + rows
-            mean = mean + delta * (rows / total)
-            cross += block_cross + np.outer(delta, delta) * (n * rows / total)
-        n += rows
-    return mean, cross / n
+    ``[X | y]`` on the synthetic set (:func:`_moments`)."""
+    return _moments(d, spec, weighted_blocks(d, spec))
 
 
 def _converge(d: Dataset, theorem: int, lam: float, n_schedule, seeds) -> ConvergenceRun:
     """Reduces each (seed, N) synthetic set through :func:`_streamed_moments`
     and solves OLS from its centered Gram system, behind the same 1e12
     condition gate as :func:`~ablatereg.linear.fit_ols`.  The draws are those
-    of :func:`~ablatereg.augment.build_augmented`, counted or streamed; only
-    the summation order differs from fitting the materialized set."""
+    of :func:`~ablatereg.augment.build_augmented`; only the summation order
+    differs from fitting the materialized set."""
     n_schedule = tuple(int(v) for v in n_schedule)
     if any(b <= a for a, b in zip(n_schedule, n_schedule[1:])):
         raise ValueError("N schedule must be strictly increasing")
@@ -342,7 +301,7 @@ class MomentCheck:
         return float(max(self.gram_sigmas.max(), self.cross_sigmas.max()))
 
 
-def _block_square_deviations(z, product, *, mean, pairs, observed, weights=None):
+def _block_square_deviations(z, product, weights, *, mean, pairs, observed):
     """Per pair (a, b), the sum over the rows of z of the squared deviation
     of the centered product ``z[:, a] * z[:, b]`` from its moment, each row
     counted ``weights`` times (once if None), built one column at a time in
@@ -363,35 +322,25 @@ def check_moment_limits(
     """Verify the augmented Gram and cross moments against their limits,
     elementwise, within ``n_sigma`` empirical standard errors.
 
-    The draws are those of :func:`~ablatereg.augment.build_augmented`.  The
-    moments give the observed values, and the spread of each centered
-    product around its moment, whose standard deviation over sqrt(N) is the
-    standard error.  A counted design reads its stream once, into its table
-    of distinct rows and their counts, and takes both from the table.  Any
-    other design's set is streamed twice from the same seeded draws: the
-    first pass gives the moments, the second the spread.  Both passes
-    reduce blocks on worker threads and merge them in order.
+    The draws are those of :func:`~ablatereg.augment.build_augmented`.  Two
+    reductions run over the same weighted blocks: the first gives the
+    moments, the observed values (:func:`_moments`); the second the spread
+    of each centered product around its moment, whose standard deviation
+    over sqrt(N) is the standard error.
     """
     spec = AugmentSpec(mode, lam, n_synthetic, seed)
     gram_limit, cross_limit = _moment_limits(d, mode, lam)
     k = d.k
     # upper triangle of [X | y] pairs, without the (y, y) entry
     rows, cols = (idx[:-1] for idx in np.triu_indices(k + 1))
-    pairs = tuple(zip(rows, cols))
-    if counted(d):
-        table, weights = _count_table(d, spec)
-        mean, moments = _table_moments(table, weights)
-        observed = moments[rows, cols]
-        sq_dev = _block_square_deviations(table, np.empty(len(table)), mean=mean, pairs=pairs,
-                                          observed=observed, weights=weights)
-    else:
-        mean, moments = _streamed_moments(d, spec)
-        observed = moments[rows, cols]
-        sq_dev = np.zeros(rows.size)
-        reduce = functools.partial(_block_square_deviations, mean=mean, pairs=pairs,
-                                   observed=observed)
-        for block_sq_dev in reduced_blocks(d, spec, gathered(reduce)):
-            sq_dev += block_sq_dev
+    blocks = weighted_blocks(d, spec)
+    mean, moments = _moments(d, spec, blocks)
+    observed = moments[rows, cols]
+    sq_dev = np.zeros(rows.size)
+    reduce = functools.partial(_block_square_deviations, mean=mean,
+                               pairs=tuple(zip(rows, cols)), observed=observed)
+    for block_sq_dev in blocks(reduce):
+        sq_dev += block_sq_dev
     se = np.sqrt(sq_dev / n_synthetic) / math.sqrt(n_synthetic)
 
     limits = np.zeros((k + 1, k + 1))

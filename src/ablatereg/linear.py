@@ -129,6 +129,20 @@ def fit_ols(d: Dataset) -> LinearModel:
     return LinearModel(beta=beta, intercept=ybar - mu @ beta)
 
 
+def _closed_form(d: Dataset, lam: float, kind: str, system) -> RegularizedFit:
+    """The penalized solve: ``system(gram, mu)`` gives the system matrix
+    and the penalty as a function of beta, both from the centered Gram."""
+    check_lambda(lam)
+    Xc, yc, mu, ybar = _centered(d)
+    gram = Xc.T @ Xc
+    A, penalty = system(gram, mu)
+    beta = _solve_system(A, Xc.T @ yc, d.column_names, f"fit_{kind}")
+    resid = yc - Xc @ beta
+    objective = float(resid @ resid + penalty(beta))
+    model = LinearModel(beta=beta, intercept=ybar - mu @ beta)
+    return RegularizedFit(model=model, lam=lam, penalty_kind=kind, objective_value=objective)
+
+
 def fit_ccp(d: Dataset, lam: float) -> RegularizedFit:
     """Least squares with the contribution-covariance penalty, in closed form.
 
@@ -136,16 +150,12 @@ def fit_ccp(d: Dataset, lam: float) -> RegularizedFit:
     penalty term can be negative (a reward) when contributions reinforce
     each other, and is reported as-is.
     """
-    check_lambda(lam)
-    Xc, yc, mu, ybar = _centered(d)
-    gram = Xc.T @ Xc
-    nV = np.diag(np.diag(gram))  # n * population variances, exactly
-    A = (1.0 - lam) * gram + lam * nV
-    beta = _solve_system(A, Xc.T @ yc, d.column_names, "fit_ccp")
-    resid = yc - Xc @ beta
-    objective = float(resid @ resid + lam * (beta @ (nV - gram) @ beta))
-    model = LinearModel(beta=beta, intercept=ybar - mu @ beta)
-    return RegularizedFit(model=model, lam=lam, penalty_kind=CCP, objective_value=objective)
+
+    def system(gram, mu):
+        nV = np.diag(np.diag(gram))  # n * population variances, exactly
+        return (1.0 - lam) * gram + lam * nV, lambda beta: lam * (beta @ (nV - gram) @ beta)
+
+    return _closed_form(d, lam, CCP, system)
 
 
 def fit_ml2p(d: Dataset, lam: float) -> RegularizedFit:
@@ -154,15 +164,11 @@ def fit_ml2p(d: Dataset, lam: float) -> RegularizedFit:
     On standardized data (zero means, unit variances) this is classical
     ridge with parameter n*lam/(1-lam).
     """
-    check_lambda(lam)
-    Xc, yc, mu, ybar = _centered(d)
-    n = d.n
-    gram = Xc.T @ Xc
-    second_moments = np.diag(gram) / n + mu**2  # v_j + mu_j^2
-    ratio = lam / (1.0 - lam)
-    A = gram + n * ratio * np.diag(second_moments)
-    beta = _solve_system(A, Xc.T @ yc, d.column_names, "fit_ml2p")
-    resid = yc - Xc @ beta
-    objective = float(resid @ resid + n * ratio * np.sum(second_moments * beta**2))
-    model = LinearModel(beta=beta, intercept=ybar - mu @ beta)
-    return RegularizedFit(model=model, lam=lam, penalty_kind=ML2P, objective_value=objective)
+
+    def system(gram, mu):
+        n, ratio = d.n, lam / (1.0 - lam)
+        second_moments = np.diag(gram) / n + mu**2  # v_j + mu_j^2
+        return (gram + n * ratio * np.diag(second_moments),
+                lambda beta: n * ratio * np.sum(second_moments * beta**2))
+
+    return _closed_form(d, lam, ML2P, system)

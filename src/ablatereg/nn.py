@@ -76,6 +76,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be positive")
         if self.early_stop_patience < 1:

@@ -25,6 +25,7 @@ from ablatereg.augment import (
     pattern_counts,
     reduced_blocks,
     synthetic_values,
+    weighted_blocks,
 )
 from ablatereg.dataset import synth_correlated
 
@@ -349,6 +350,58 @@ class TestPatternCounts:
         assert not counted(synth_correlated((BLOCK_ROWS >> 3) + 1, 3, 0.0, (1, 1, 1), 1.0, seed=0))
         assert counted(synth_correlated(1, 16, 0.0, (1,) * 16, 1.0, seed=0))
         assert not counted(synth_correlated(1, 17, 0.0, (1,) * 17, 1.0, seed=0))
+
+
+def sorted_rows(z):
+    return z[np.lexsort(z.T[::-1])]
+
+
+class TestWeightedBlocks:
+    """The one source of the Monte-Carlo reductions: each row weighted by how
+    many synthetic rows it stands for, the set of augmented_chunks."""
+
+    @pytest.mark.parametrize("block_rows", [BLOCK_ROWS, 64])
+    @pytest.mark.parametrize("mode", ["mean", "iid"])
+    def test_the_weighted_rows_are_the_chunks(self, mode, block_rows, monkeypatch):
+        # 23 x 2^3 = 184 possible rows: counted in one block of BLOCK_ROWS,
+        # streamed in blocks of 64
+        d = synth_correlated(23, 3, 0.4, (1, -1, 2), 1.0, seed=13)
+        spec = AugmentSpec(mode, 0.4, 301, seed=14)
+        monkeypatch.setattr(augment, "BLOCK_ROWS", block_rows)
+        blocks = list(weighted_blocks(d, spec)(
+            lambda z, scratch, weights: (z.copy(), scratch.shape, weights)))
+        assert all(shape == (z.shape[0],) for z, shape, _ in blocks)
+        if counted(d):
+            [(z, _, weights)] = blocks
+            assert weights.sum() == 301 and weights.min() >= 1
+            z = np.repeat(z, weights.astype(np.int64), axis=0)
+            assert sorted_rows(z).tobytes() == sorted_rows(chunked_set(d, spec, 301)).tobytes()
+        else:
+            assert [z.shape[0] for z, _, _ in blocks] == [64] * 4 + [45]
+            assert all(weights is None for _, _, weights in blocks)
+            z = np.concatenate([z for z, _, _ in blocks])
+            assert z.tobytes() == chunked_set(d, spec, 64).tobytes()
+
+    def test_a_counted_set_is_drawn_once_and_copied_for_each_reduction(self, monkeypatch):
+        d = synth_correlated(23, 3, 0.4, (1, -1, 2), 1.0, seed=13)
+        calls = []
+        reduced = augment.reduced_blocks
+
+        def recording(d, spec, step):
+            calls.append(step)
+            return reduced(d, spec, step)
+
+        monkeypatch.setattr(augment, "reduced_blocks", recording)
+        blocks = weighted_blocks(d, AugmentSpec("mean", 0.4, 301, seed=14))
+
+        def zeroed(z, scratch, weights):
+            first = z.copy()
+            z[:] = 0.0
+            return first
+
+        first, second = list(blocks(zeroed)), list(blocks(zeroed))
+        assert len(first) == 1 and np.array_equal(first[0], second[0]) and first[0].any()
+        assert calls == [count_patterns]
 
 
 class TestBuildAugmented:

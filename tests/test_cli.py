@@ -647,6 +647,10 @@ class TestFlagValues:
         "train --batch-size 0",
         "train --hidden-width 0",
         "train --depth -1",
+        "train --learning-rate 0",
+        "train --learning-rate -0.001",
+        "train --learning-rate nan",
+        "train --learning-rate inf",
         "fit --seed -1",
     ])
     def test_rejected_at_parse_time(self, csv_path, tmp_path, capsys, command):

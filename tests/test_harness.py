@@ -207,24 +207,18 @@ def serial_block(features, response):
 
 
 def serial_moments(d, spec):
-    """Reference for the block pipeline: one thread walks augmented_chunks and
-    merges each block's centered moments with the Chan update."""
-    n = 0
+    """Reference for the block pipeline: one thread walks augmented_chunks,
+    shifts each block by the source column means and adds up the blocks'
+    sums and cross-products."""
+    shift = np.append(d.features.mean(axis=0), d.response.mean())
+    total = cross = 0.0
     for features, response in augmented_chunks(d, spec):
         z = serial_block(features, response)
-        rows = z.shape[0]
-        block_mean = z.mean(axis=0)
-        zc = z - block_mean
-        block_cross = zc.T @ zc
-        if n == 0:
-            mean, cross = block_mean, block_cross
-        else:
-            delta = block_mean - mean
-            total = n + rows
-            mean = mean + delta * (rows / total)
-            cross += block_cross + np.outer(delta, delta) * (n * rows / total)
-        n += rows
-    return mean, cross / n
+        z -= shift
+        total = total + z.sum(axis=0)
+        cross = cross + z.T @ z
+    offset = total / spec.n_synthetic
+    return shift + offset, cross / spec.n_synthetic - np.outer(offset, offset)
 
 
 def two_pass_moments(d, spec):
@@ -261,6 +255,30 @@ def serial_moment_sigmas(d, mode, lam, n_synthetic, seed, moments_of=serial_mome
     sigmas[rows, cols] = sigmas[cols, rows] = np.divide(
         err, se, out=np.zeros_like(err), where=se > 0)
     return sigmas[:k, :k], sigmas[:k, k]
+
+
+class TestLargeFeatureMeans:
+    """On a rows-path design whose features sit near 1e8 the moments and the
+    moment check keep the precision of a two-pass reduction of the
+    materialized set."""
+
+    N = 3 * BLOCK_ROWS + 17
+
+    @pytest.mark.parametrize("lam", [0.4, 0.9])
+    def test_moments(self, wide_data, lam):
+        d = replace(wide_data, features=wide_data.features + 1e8)
+        spec = AugmentSpec("mean", lam, self.N, seed=11)
+        _, cross = _streamed_moments(d, spec)
+        assert_close_to_scale(cross, two_pass_moments(d, spec)[1], rtol=2e-14)
+
+    @pytest.mark.parametrize("lam", [0.4, 0.9])
+    def test_moment_check_sigmas(self, wide_data, lam):
+        d = replace(wide_data, features=wide_data.features + 1e8)
+        check = check_moment_limits(d, "mean", lam, self.N, seed=11)
+        gram, cross = serial_moment_sigmas(d, "mean", lam, self.N, seed=11,
+                                           moments_of=two_pass_moments)
+        assert_close_to_scale(np.append(check.gram_sigmas, check.cross_sigmas),
+                              np.append(gram, cross))
 
 
 class TestBlockPipelineBytes:
@@ -329,11 +347,12 @@ def report_columns(text, fmt):
 class TestCountPath:
     """On a counted design the moments, the moment-check sigmas and the
     converge reports match the streamed references within 1e-12 of each
-    quantity's scale.  At a feature shift of 1e6 the Chan merge's mean is off
-    by up to about 6e-11 (an ulp of 1e6 is 1.2e-10), which moves the sigmas
-    by up to 4e-11 of their scale and the distances by up to 3e-12, so there
-    they are held to the two-pass reference, whose mean the count path's
-    equals."""
+    quantity's scale.  The counted set is one block of distinct rows
+    weighted by their counts, so its sums are added in another order than
+    the serial loop's, and match to rounding, not bytes.  Both references
+    hold at a feature shift of 1e6 too: the serial loop shifts each block
+    by the source means, and the two-pass reference centres the
+    materialized set."""
 
     @pytest.mark.parametrize("reference", [serial_moments, two_pass_moments])
     @pytest.mark.parametrize("shift", [0.0, 1e6])
@@ -354,8 +373,7 @@ class TestCountPath:
         d = replace(small_data, features=small_data.features + shift)
         n = 3 * BLOCK_ROWS + 17
         check = check_moment_limits(d, mode, lam, n, seed=6)
-        references = [two_pass_moments] + ([serial_moments] if shift == 0.0 else [])
-        for moments in references:
+        for moments in (two_pass_moments, serial_moments):
             gram, cross = serial_moment_sigmas(d, mode, lam, n, seed=6, moments_of=moments)
             assert_close_to_scale(np.append(check.gram_sigmas, check.cross_sigmas),
                                   np.append(gram, cross))
@@ -367,7 +385,7 @@ class TestCountPath:
         converge = converge_theorem1 if theorem == 1 else converge_theorem2
         schedule = (1000, BLOCK_ROWS, 3 * BLOCK_ROWS + 17)
         run = converge(d, 0.5, schedule, seeds=(0, 1))
-        for moments in [two_pass_moments] + ([serial_moments] if shift == 0.0 else []):
+        for moments in (two_pass_moments, serial_moments):
             monkeypatch.setattr(harness, "_streamed_moments", moments)
             self.assert_reports_close(run, converge(d, 0.5, schedule, seeds=(0, 1)))
 
@@ -401,7 +419,6 @@ class TestCountPath:
             return reduced_blocks(d, spec, step)
 
         monkeypatch.setattr(augment, "reduced_blocks", recording)
-        monkeypatch.setattr(harness, "reduced_blocks", recording)
         for n, counted in ((BLOCK_ROWS >> 3, True), ((BLOCK_ROWS >> 3) + 1, False)):
             d = synth_correlated(n, 3, 0.6, (1.0, -2.0, 1.5), 1.0, seed=54)
             steps.clear()

@@ -395,6 +395,13 @@ class TestTrain:
         assert log.stopped_early
         assert len(log.epochs) < 200
 
+    @pytest.mark.parametrize("learning_rate", [0.0, -1e-3, float("nan"), float("inf")])
+    def test_learning_rate_must_be_finite_and_positive(self, learning_rate):
+        # a rate of 0 would train nothing and a NaN one fails on its first
+        # loss, outside the divergence rule's message
+        with pytest.raises(ValueError, match="learning_rate must be finite and > 0"):
+            TrainConfig(learning_rate=learning_rate)
+
     def test_divergence_detected(self):
         tr, va = self._splits()
         bad = init([3, 8, 1], seed=9)
