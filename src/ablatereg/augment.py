@@ -10,28 +10,24 @@ hands them to :func:`ablate`: bootstrap-then-ablate synthetic datasets
 (:func:`ablated_copy`) and fresh per-batch masks for SGD training
 (:func:`batch_masks`).
 
-Nothing in the package holds a whole synthetic set.  A set is drawn block
-by block from its spec's BOOTSTRAP and MASK streams, and is consumed in one
-of two ways:
+Nothing in the package holds a whole synthetic set.  There is one source of
+synthetic rows, :func:`augmented_chunks`: it draws a set block by block from
+its spec's BOOTSTRAP and MASK streams and yields ``(features, response)``
+blocks on the calling thread.  The ``augment`` command writes them out,
+:func:`build_augmented` materializes the same draws as one block, and
+:func:`weighted_blocks` hands them to the Monte-Carlo reductions as
+``[X | y]`` blocks with a weight per row.
 
-- :func:`augmented_chunks` yields ``(features, response)`` blocks on the
-  calling thread; the ``augment`` command writes them out, and
-  :func:`build_augmented` materializes the same draws as one block.
-- :func:`weighted_blocks` hands the Monte-Carlo reductions the set as
-  ``[X | y]`` blocks with a weight per row.  Every synthetic row is one of
-  at most n*2^k distinct values, a source row under one of the 2^k
-  ablation patterns, and one rule (:func:`counted`) picks the source: when
-  they fit in one block, the distinct rows drawn weighted by their counts;
-  otherwise the streamed rows, weight one each.
-
-Either source of :func:`weighted_blocks` draws through
-:func:`reduced_blocks`.  The calling thread draws the bootstrap indices in
-block order; up to two worker threads draw each block's mask uniforms from
-their slot's MASK generator, advanced to the block's place in the stream,
-and run a step on the block: counting its (row, pattern) codes
-(:func:`count_patterns`) or gathering and ablating its rows in place
-(:func:`gathered`).  Results come back in block order and depend only on
-their block's draws, so nothing consumed depends on scheduling.
+Every synthetic row is one of at most n*2^k distinct values, a source row
+under one of the 2^k ablation patterns, and one rule (:func:`counted`)
+decides how :func:`weighted_blocks` gives a set: when those values fit in
+one block, as the distinct rows drawn weighted by their counts
+(:func:`pattern_counts`); otherwise as the streamed rows, weight one each.
+Counting is the only work done off the calling thread.  The calling thread
+draws the bootstrap indices in block order; up to two worker threads draw
+each block's mask uniforms from their slot's MASK generator, advanced to the
+block's place in the stream, and count its (row, pattern) codes.  The
+counts add up exactly, so they do not depend on scheduling.
 """
 
 from __future__ import annotations
@@ -178,13 +174,12 @@ def synthetic_values(d: Dataset, spec: AugmentSpec) -> np.ndarray:
 BLOCK_ROWS = 1 << 16
 
 
-def _bootstrap_and_means(d: Dataset, spec: AugmentSpec):
-    """What a synthetic set is drawn from, besides its MASK stream: the
-    spec's BOOTSTRAP generator, and the frozen feature means (mean ablation
-    only)."""
+def _bootstrap(d: Dataset, spec: AugmentSpec) -> np.random.Generator:
+    """The spec's BOOTSTRAP generator, which draws the source row of every
+    synthetic row."""
     if d.n == 0:
         raise AugmentError("cannot augment an empty dataset")
-    return _streams.stream(spec.seed, _streams.BOOTSTRAP), _frozen_means(d, spec)
+    return _streams.stream(spec.seed, _streams.BOOTSTRAP)
 
 
 def augmented_chunks(d: Dataset, spec: AugmentSpec, block_rows: int = BLOCK_ROWS):
@@ -197,7 +192,7 @@ def augmented_chunks(d: Dataset, spec: AugmentSpec, block_rows: int = BLOCK_ROWS
     at once or block by block, so the concatenated blocks are the same sample
     for any ``block_rows``, while only one block is held in memory at a time.
     """
-    bootstrap, means = _bootstrap_and_means(d, spec)
+    bootstrap, means = _bootstrap(d, spec), _frozen_means(d, spec)
     masks = _streams.stream(spec.seed, _streams.MASK)
     for start in range(0, spec.n_synthetic, block_rows):
         rows = min(block_rows, spec.n_synthetic - start)
@@ -208,32 +203,18 @@ def augmented_chunks(d: Dataset, spec: AugmentSpec, block_rows: int = BLOCK_ROWS
 
 
 class _BlockSlot:
-    """Buffers for one block in flight, made once and reused: the uniform
-    mask draws, and for the rows step the ablated ``[X | y]`` rows
-    (column-major) and a scratch column, made on the step's first use so
-    that the count step's slots hold no rows; and the slot's own generator
-    on the spec's MASK stream.  The views of ``rows`` rows are contiguous,
-    laid out as fresh arrays of that shape would be."""
+    """What one block in flight of :func:`pattern_counts` needs, made once
+    and reused: a buffer for its uniform mask draws, and the slot's own
+    generator on the spec's MASK stream."""
 
     def __init__(self, rows: int, k: int, masks: np.random.Generator):
-        self.capacity = rows
         self.k = k
         self.draws = np.empty(rows * k)
-        self.z = self.scratch = None
         self.masks = masks
         self.masks_start = masks.bit_generator.state
 
     def draws_view(self, rows: int) -> np.ndarray:
         return self.draws[:rows * self.k].reshape(rows, self.k)
-
-    def views(self, rows: int):
-        k = self.k
-        if self.z is None:
-            self.z = np.empty(self.capacity * (k + 1))
-            self.scratch = np.empty(self.capacity)
-        return (self.z[:rows * (k + 1)].reshape((rows, k + 1), order="F"),
-                self.draws_view(rows),
-                self.scratch[:rows])
 
     def draw_masks(self, start: int, draws: np.ndarray) -> None:
         """Fill ``draws`` with the mask uniforms of the block at row
@@ -248,43 +229,12 @@ class _BlockSlot:
         self.masks.random(out=draws)
 
 
-def gathered(reduce):
-    """The rows step of :func:`reduced_blocks`, for any design: draw the
-    block's mask uniforms, gather its bootstrap rows into the slot column by
-    column and ablate each column in place, then return ``reduce(z,
-    scratch)``.  ``z`` holds the block's ablated rows as a column-major
-    ``[X | y]`` array, and ``scratch`` is a float column of the same length
-    that ``reduce`` may overwrite.  Both are reused for a later block once
-    the consumer has taken the result, so the result must not refer to them.
-    ``reduce`` runs on the workers, so it must not draw."""
-
-    def step(d: Dataset, spec: AugmentSpec, means, start, idx, slot):
-        z, draws, scratch = slot.views(idx.size)
-        slot.draw_masks(start, draws)
-        # take(mode="clip") writes straight into its output but would clip a
-        # bad index instead of raising, so the bounds are checked here
-        if idx.min() < 0 or idx.max() >= d.n:
-            raise IndexError(f"bootstrap index out of range for {d.n} rows")
-        k = d.k
-        for j in range(k):
-            column = z[:, j:j + 1]
-            np.take(d.features[:, j], idx, out=z[:, j], mode="clip")
-            np.copyto(scratch, draws[:, j])  # the select is fastest in matching layouts
-            ablate(column, scratch[:, None], spec, None if means is None else means[j:j + 1],
-                   out=column)
-        np.take(d.response, idx, out=z[:, k], mode="clip")
-        return reduce(z, scratch)
-
-    return step
-
-
-def count_patterns(d: Dataset, spec: AugmentSpec, means, start, idx, slot) -> np.ndarray:
-    """The count step of :func:`reduced_blocks`, for a :func:`counted`
-    design: how often the block drew each code ``row << k | pattern``, as an
-    int64 vector of length n*2^k.  Bit j of a row's pattern is set exactly
-    where :func:`ablate` ablates feature j: where its draw, which lies in
-    [0, 1), is below lam (never at a lam of 0.0 or -0.0).  ``idx`` is
-    overwritten."""
+def _block_counts(d: Dataset, spec: AugmentSpec, start, idx, slot) -> np.ndarray:
+    """How often the block at row ``start``, with bootstrap indices ``idx``,
+    drew each code ``row << k | pattern``, as an int64 vector of length
+    n*2^k.  Bit j of a row's pattern is set exactly where :func:`ablate`
+    ablates feature j: where its draw, which lies in [0, 1), is below lam
+    (never at a lam of 0.0 or -0.0).  ``idx`` is overwritten."""
     draws = slot.draws_view(idx.size)
     slot.draw_masks(start, draws)
     ablated = (draws < spec.lam).view(np.uint8)
@@ -292,50 +242,6 @@ def count_patterns(d: Dataset, spec: AugmentSpec, means, start, idx, slot) -> np
         np.left_shift(idx, 1, out=idx)
         np.bitwise_or(idx, ablated[:, j], out=idx)
     return np.bincount(idx, minlength=d.n << d.k)
-
-
-def reduced_blocks(d: Dataset, spec: AugmentSpec, step):
-    """Yield the worker ``step``'s result for each ``BLOCK_ROWS``-row block
-    of the synthetic set of :func:`augmented_chunks`, in block order.
-
-    The step is :func:`gathered` or :func:`count_patterns`; it is called as
-    ``step(d, spec, means, start, idx, slot)`` with the block's first row,
-    its bootstrap indices and its :class:`_BlockSlot`, and draws the block's
-    mask uniforms from the slot (:meth:`_BlockSlot.draw_masks`).
-
-    The calling thread makes every generator and every bootstrap draw, in
-    block order.  Up to two worker threads run the step: each block slot
-    owns a generator on the spec's MASK stream, and the worker advances it to
-    its block's draws, so every block is ablated with the numbers of
-    :func:`augmented_chunks`.  Results come back in block order, and each is
-    a function of its own block's draws alone, so what the consumer sees does
-    not depend on thread scheduling.  There is one more block slot than there
-    are workers, so the next block's bootstrap rows are drawn while the
-    workers reduce; a slot is reused only after the consumer has taken its
-    block's result.
-    """
-    bootstrap, means = _bootstrap_and_means(d, spec)
-    block_rows = BLOCK_ROWS
-    workers = min(2, len(os.sched_getaffinity(0)))
-    free = [_BlockSlot(min(block_rows, spec.n_synthetic), d.k,
-                       _streams.stream(spec.seed, _streams.MASK))
-            for _ in range(workers + 1)]
-    in_flight = collections.deque()
-    pool = ThreadPoolExecutor(workers)
-    try:
-        for start in range(0, spec.n_synthetic, block_rows):
-            if not free:
-                future, slot = in_flight.popleft()
-                yield future.result()
-                free.append(slot)
-            slot = free.pop()
-            idx = bootstrap.integers(0, d.n, size=min(block_rows, spec.n_synthetic - start))
-            future = pool.submit(step, d, spec, means, start, idx, slot)
-            in_flight.append((future, slot))
-        while in_flight:
-            yield in_flight.popleft()[0].result()
-    finally:
-        pool.shutdown(cancel_futures=True)
 
 
 def counted(d: Dataset) -> bool:
@@ -346,11 +252,39 @@ def counted(d: Dataset) -> bool:
 
 def pattern_counts(d: Dataset, spec: AugmentSpec) -> np.ndarray:
     """How often the synthetic set of :func:`augmented_chunks` holds each
-    code ``row << k | pattern`` (:func:`count_patterns`), summed exactly
-    over the blocks; the entries add up to N."""
+    code ``row << k | pattern`` (:func:`_block_counts`), summed exactly over
+    its ``BLOCK_ROWS``-row blocks; the entries add up to N.
+
+    The calling thread makes every generator and every bootstrap draw, in
+    block order.  Up to two worker threads count the blocks: each block slot
+    owns a generator on the spec's MASK stream, and the worker advances it
+    to its block's draws, so every block is counted with the numbers of
+    :func:`augmented_chunks`.  There is one more block slot than there are
+    workers, so the next block's bootstrap rows are drawn while the workers
+    count; a slot is reused only after its block's counts have been added.
+    """
+    bootstrap = _bootstrap(d, spec)
+    block_rows = BLOCK_ROWS
+    workers = min(2, len(os.sched_getaffinity(0)))
+    free = [_BlockSlot(min(block_rows, spec.n_synthetic), d.k,
+                       _streams.stream(spec.seed, _streams.MASK))
+            for _ in range(workers + 1)]
     counts = np.zeros(d.n << d.k, dtype=np.int64)
-    for block_counts in reduced_blocks(d, spec, count_patterns):
-        counts += block_counts
+    in_flight = collections.deque()
+    pool = ThreadPoolExecutor(workers)
+    try:
+        for start in range(0, spec.n_synthetic, block_rows):
+            if not free:
+                future, slot = in_flight.popleft()
+                counts += future.result()
+                free.append(slot)
+            slot = free.pop()
+            idx = bootstrap.integers(0, d.n, size=min(block_rows, spec.n_synthetic - start))
+            in_flight.append((pool.submit(_block_counts, d, spec, start, idx, slot), slot))
+        while in_flight:
+            counts += in_flight.popleft()[0].result()
+    finally:
+        pool.shutdown(cancel_futures=True)
     return counts
 
 
@@ -370,25 +304,32 @@ def distinct_rows(d: Dataset, spec: AugmentSpec, codes) -> np.ndarray:
 
 def weighted_blocks(d: Dataset, spec: AugmentSpec):
     """The synthetic set of :func:`augmented_chunks` as a function that
-    yields ``reduce(z, scratch, weights)`` per block, in block order: ``z``
-    the block's column-major ``[X | y]`` rows, each standing for
-    ``weights[i]`` synthetic rows (one if ``weights`` is None), and
-    ``scratch`` a float column; ``reduce`` may overwrite both.
+    yields its ``(z, weights)`` blocks afresh on each call, in block order:
+    ``z`` a new column-major ``[X | y]`` array, which the caller may
+    overwrite, whose row i stands for ``weights[i]`` synthetic rows (one
+    each if ``weights`` is None).
 
     A :func:`counted` set is drawn once, here, into one block of its
-    distinct rows weighted by their counts, and each reduction gets its own
-    copy.  Any other set is streamed again for each reduction, with
-    ``reduce`` on the worker threads.
+    distinct rows weighted by their counts (:func:`pattern_counts`), and
+    each call yields a copy of it.  Any other set is drawn again by
+    :func:`augmented_chunks` on each call, on the calling thread, and each
+    of its blocks is copied into ``z``.
     """
     if not counted(d):
-        return lambda reduce: reduced_blocks(
-            d, spec, gathered(lambda z, scratch: reduce(z, scratch, None)))
+        def blocks():
+            for features, response in augmented_chunks(d, spec, BLOCK_ROWS):
+                z = np.empty((len(response), d.k + 1), order="F")
+                z[:, :-1] = features
+                z[:, -1] = response
+                yield z, None
+
+        return blocks
     counts = pattern_counts(d, spec)
     codes = np.flatnonzero(counts)
     rows, weights = distinct_rows(d, spec, codes), counts[codes].astype(np.float64)
 
-    def blocks(reduce):
-        yield reduce(rows.copy(order="F"), np.empty(len(rows)), weights)
+    def blocks():
+        yield rows.copy(order="F"), weights
 
     return blocks
 

@@ -180,29 +180,42 @@ def _correlation(text: str) -> float:
     return _number(text, -1.0, 1.0, "a number in [-1, 1]")
 
 
-def _parse_lambdas(text: str) -> tuple[float, ...]:
-    """``start:stop:step`` or a comma list; the range of each λ is left to
-    :func:`~ablatereg.augment.check_lambda`."""
+def _checked(check, values, *args):
+    """``values``, once the library's ``check`` passes them; its error is a
+    usage error."""
     try:
-        if ":" not in text:
-            return tuple(float(v) for v in text.split(","))
-        start, stop, step = (float(v) for v in text.split(":"))
+        check(values, *args)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
+    return values
+
+
+def _parse_lambdas(text: str) -> tuple[float, ...]:
+    """``start:stop:step`` or a comma list, strictly increasing; the range
+    of each λ is left to :func:`~ablatereg.augment.check_lambda`."""
+    try:
+        if ":" in text:
+            start, stop, step = (float(v) for v in text.split(":"))
+        else:
+            grid = tuple(float(v) for v in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"{text!r} is neither start:stop:step nor a comma list of numbers") from None
-    try:
-        count = int(round((stop - start) / step)) + 1
-    except (ArithmeticError, ValueError):  # a zero, infinite or NaN step or bound
-        count = 0
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"the range {text!r} holds no lambda")
-    return tuple(round(start + i * step, 10) for i in range(count))
+    if ":" in text:
+        try:
+            count = int(round((stop - start) / step)) + 1
+        except (ArithmeticError, ValueError):  # a zero, infinite or NaN step or bound
+            count = 0
+        if count < 1:
+            raise argparse.ArgumentTypeError(f"the range {text!r} holds no lambda")
+        grid = tuple(round(start + i * step, 10) for i in range(count))
+    return _checked(harness.check_increasing, grid, "lambda grid")
 
 
 def _parse_seeds(text: str) -> tuple[int, ...]:
-    """A seed count, or a comma list of non-negative seeds."""
+    """A seed count, or a comma list of distinct non-negative seeds."""
     if "," in text:
-        return tuple(_non_negative(v) for v in text.split(","))
+        return _checked(harness.check_distinct, tuple(_non_negative(v) for v in text.split(",")))
     return tuple(range(_count(text)))
 
 
@@ -211,10 +224,8 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 
 
 def _parse_schedule(text: str) -> tuple[int, ...]:
-    sizes = tuple(_count(v) for v in text.split(","))
-    if any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise argparse.ArgumentTypeError(f"N schedule must be strictly increasing, got {text!r}")
-    return sizes
+    return _checked(harness.check_increasing, tuple(_count(v) for v in text.split(",")),
+                    "N schedule")
 
 
 def _load_dataset(args, default_builder) -> Dataset:

@@ -199,6 +199,9 @@ def load_csv(path, response_column: str, task: str = REGRESSION) -> Dataset:
       cell is not a number, or the response is missing; for regression also
       when the response is not a number.  Classification labels are any
       non-missing strings, coded over their sorted list.
+    * A feature column, or a regression response, whose mean of squares or
+      variance overflows float64 is an error: its scale or second moment
+      would be infinite.
 
     The number of dropped rows is logged as a warning and recorded on the
     returned dataset as ``n_dropped``.
@@ -274,6 +277,10 @@ def load_csv(path, response_column: str, task: str = REGRESSION) -> Dataset:
     else:
         _, codes = _category_codes(list(compress(resp_cells, keep.tolist())))
         response = np.array(codes, dtype=np.float64)
+    if task == REGRESSION:
+        _check_squares(np.column_stack([features, response]), [*names, response_column])
+    else:
+        _check_squares(features, names)
 
     return Dataset(
         features=features,
@@ -284,6 +291,18 @@ def load_csv(path, response_column: str, task: str = REGRESSION) -> Dataset:
         categories=categories,
         n_dropped=n_dropped,
     )
+
+
+def _check_squares(columns: np.ndarray, names) -> None:
+    """Raise :class:`DatasetError` naming every column whose mean of squares
+    or variance is not finite in float64, computed without numpy's overflow
+    warnings."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(np.square(columns).mean(axis=0)) & np.isfinite(columns.var(axis=0))
+    bad = list(compress(names, (~finite).tolist()))
+    if bad:
+        raise DatasetError(f"the squares of column(s) {', '.join(map(repr, bad))} overflow "
+                           "float64: their mean of squares or variance is not finite")
 
 
 def one_hot_encode(d: Dataset) -> Dataset:

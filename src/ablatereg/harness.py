@@ -12,18 +12,17 @@ moments: each block's rows, shifted by the source column means, are
 reduced to their weighted sum and weighted cross-products
 (:func:`_shifted_sums`), the blocks' sums are added in block order, and
 the moments are the shifted cross-products over N less the outer product
-of the shifted mean (:func:`_moments`).  The moment check runs a second
-reduction over the same blocks for the spread of each centered product
-(:func:`_block_square_deviations`).  Where the blocks come from, the
-distinct drawn rows weighted by their counts or the streamed rows on
-worker threads, is decided in :mod:`ablatereg.augment` alone.
-
-A block's result is a function of its own draws alone, computed by the same
-operations on arrays of the same layout as a serial loop would use, and the
-sums are added in a fixed order, so the reports are the same bytes
-whichever thread reduced which block.  The ``augment`` command streams the
-same draws to disk through :func:`augmented_lines` and :func:`write_text`,
-so nothing here materializes a synthetic set.
+of the shifted mean (:func:`_moments`).  The moment check loops over the
+same blocks again for the spread of each centered product
+(:func:`_block_square_deviations`).  Whether the blocks are the distinct
+drawn rows weighted by their counts or the streamed rows of
+:func:`~ablatereg.augment.augmented_chunks` is decided in
+:mod:`ablatereg.augment` alone; either way the reductions run on the
+calling thread, and only the counting of a counted set uses worker
+threads.  The sums are added in a fixed order, so the reports are the same
+bytes on every run.  The ``augment`` command streams the same draws to disk
+through :func:`augmented_lines` and :func:`write_text`, so nothing here
+materializes a synthetic set.
 
 Every file the package writes goes through :func:`write_text`, which writes
 atomically.  Numeric CSV bodies that repeat values come from one text
@@ -39,7 +38,6 @@ write each float as its ``repr``.
 from __future__ import annotations
 
 import contextlib
-import functools
 import itertools
 import json
 import math
@@ -91,6 +89,21 @@ LINF_TOLERANCE = 0.02  # final-N L-infinity distance to the closed form
 SLOPE_BAND = (-0.7, -0.3)  # log-log slope of median L2 against N; 1/sqrt(N) is -0.5
 SPEARMAN_THRESHOLD = -0.8  # Spearman(lambda, own penalty), at most
 ML2P_RISE_MIN = 0.5  # Spearman(lambda, ML2P) under mean ablation, at least
+
+
+def check_increasing(values, what: str) -> None:
+    """The one order rule for an N schedule and a lambda grid: strictly
+    increasing, so that a trend read from the first entry to the last runs
+    from the smallest to the largest."""
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ValueError(f"{what} must be strictly increasing, got {list(values)}")
+
+
+def check_distinct(seeds) -> None:
+    """The seeds of a run must differ: each stands for an independent
+    replicate, and a repeated one would shrink the spread over seeds."""
+    if len(set(seeds)) != len(seeds):
+        raise ValueError(f"seeds must be distinct, got {list(seeds)}")
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +191,7 @@ def _moment_limits(d: Dataset, mode: str, lam: float) -> tuple[np.ndarray, np.nd
     return gram_limit, cross_limit
 
 
-def _shifted_sums(z, scratch, weights, *, shift):
+def _shifted_sums(z, weights, shift):
     """The weighted sums of the rows of one ``[X | y]`` block shifted by
     ``shift``, and of their outer products; z is shifted in place."""
     z -= shift
@@ -196,7 +209,8 @@ def _moments(d: Dataset, spec: AugmentSpec, blocks) -> tuple[np.ndarray, np.ndar
     block order."""
     shift = np.append(d.features.mean(axis=0), d.response.mean())
     total = cross = 0.0
-    for block_total, block_cross in blocks(functools.partial(_shifted_sums, shift=shift)):
+    for z, weights in blocks():
+        block_total, block_cross = _shifted_sums(z, weights, shift)
         total = total + block_total
         cross = cross + block_cross
     offset = total / spec.n_synthetic
@@ -216,9 +230,9 @@ def _converge(d: Dataset, theorem: int, lam: float, n_schedule, seeds) -> Conver
     of :func:`~ablatereg.augment.build_augmented`; only the summation order
     differs from fitting the materialized set."""
     n_schedule = tuple(int(v) for v in n_schedule)
-    if any(b <= a for a, b in zip(n_schedule, n_schedule[1:])):
-        raise ValueError("N schedule must be strictly increasing")
+    check_increasing(n_schedule, "N schedule")
     seeds = tuple(int(s) for s in seeds)
+    check_distinct(seeds)
     if theorem == 1:
         mode = MEAN_ABLATION
         target = fit_ccp(d, lam).model.beta
@@ -301,12 +315,13 @@ class MomentCheck:
         return float(max(self.gram_sigmas.max(), self.cross_sigmas.max()))
 
 
-def _block_square_deviations(z, product, weights, *, mean, pairs, observed):
+def _block_square_deviations(z, weights, mean, pairs, observed):
     """Per pair (a, b), the sum over the rows of z of the squared deviation
     of the centered product ``z[:, a] * z[:, b]`` from its moment, each row
     counted ``weights`` times (once if None), built one column at a time in
-    the ``product`` scratch column.  z is centered in place."""
+    one product column.  z is centered in place."""
     z -= mean
+    product = np.empty(len(z))
     sums = np.empty(len(pairs))
     for p, (a, b) in enumerate(pairs):
         np.multiply(z[:, a], z[:, b], out=product)
@@ -337,10 +352,9 @@ def check_moment_limits(
     mean, moments = _moments(d, spec, blocks)
     observed = moments[rows, cols]
     sq_dev = np.zeros(rows.size)
-    reduce = functools.partial(_block_square_deviations, mean=mean,
-                               pairs=tuple(zip(rows, cols)), observed=observed)
-    for block_sq_dev in blocks(reduce):
-        sq_dev += block_sq_dev
+    pairs = tuple(zip(rows, cols))
+    for z, weights in blocks():
+        sq_dev += _block_square_deviations(z, weights, mean, pairs, observed)
     se = np.sqrt(sq_dev / n_synthetic) / math.sqrt(n_synthetic)
 
     limits = np.zeros((k + 1, k + 1))
@@ -460,6 +474,8 @@ def lambda_sweep(
     seeds = tuple(int(s) for s in seeds)
     for lam in lambda_grid:
         check_lambda(lam)
+    check_increasing(lambda_grid, "lambda grid")
+    check_distinct(seeds)
     if d.task == CLASSIFICATION:
         n_out = int(d.response.max()) + 1
         output_indices = tuple(range(n_out))
@@ -971,6 +987,8 @@ def sweep_from_payload(payload) -> SweepResult:
             seeds=tuple(meta["seeds"]),
             hidden_width=meta["hidden_width"],
         )
+        check_increasing(result.lambda_grid, "lambda grid")
+        check_distinct(result.seeds)
         for row in rows:
             if row[col["kind"]] != "cell":
                 continue

@@ -135,15 +135,24 @@ def forward(m: MlpModel, X) -> tuple[np.ndarray, dict]:
     return outputs, {"inputs": inputs, "preacts": preacts}
 
 
-def predict(m: MlpModel, X) -> np.ndarray:
-    """The outputs of :func:`forward`, bit for bit, without keeping a cache:
-    each layer's activations overwrite its pre-activations."""
-    act = _as_rows(m, X)
+def _hidden(m: MlpModel, act: np.ndarray, masks: list | None = None) -> np.ndarray:
+    """The last hidden layer's activations for the rows ``act``, as
+    :func:`forward` computes them, without keeping a cache: each layer's
+    activations overwrite its pre-activations and die once the next layer's
+    are formed.  Each layer's ReLU mask (pre-activation > 0) is appended to
+    ``masks`` when a list is given."""
     for w, b in zip(m.weights[:-1], m.biases[:-1]):
         z = act @ w
         z += b
+        if masks is not None:
+            masks.append(z > 0)
         act = np.maximum(z, 0.0, out=z)
-    outputs = act @ m.weights[-1]
+    return act
+
+
+def predict(m: MlpModel, X) -> np.ndarray:
+    """The outputs of :func:`forward`, bit for bit, without keeping a cache."""
+    outputs = _hidden(m, _as_rows(m, X)) @ m.weights[-1]
     outputs += m.biases[-1]
     return outputs
 
@@ -197,22 +206,6 @@ def param_gradients(m: MlpModel, X, targets, task: str):
     return grads_w, grads_b
 
 
-def _relu_masks(m: MlpModel, X: np.ndarray) -> list[np.ndarray]:
-    """The hidden layers' ReLU masks (pre-activation > 0) for the rows X.
-
-    Each layer's activations overwrite its pre-activations, as in
-    :func:`predict`, and die once the next layer's are formed, so only the
-    masks outlive the call."""
-    act = X
-    masks = []
-    for w, b in zip(m.weights[:-1], m.biases[:-1]):
-        z = act @ w
-        z += b
-        masks.append(z > 0)
-        act = np.maximum(z, 0.0, out=z)
-    return masks
-
-
 def input_gradients(m: MlpModel, X, output_index: int = 0) -> np.ndarray:
     """Row-wise gradient of the selected output component w.r.t. the input.
 
@@ -228,7 +221,8 @@ def input_gradients(m: MlpModel, X, output_index: int = 0) -> np.ndarray:
     n_out = m.weights[-1].shape[1]
     if not 0 <= output_index < n_out:
         raise ValueError(f"output_index {output_index} out of range")
-    masks = _relu_masks(m, X)
+    masks = []
+    _hidden(m, X, masks)
     g = np.zeros((X.shape[0], n_out))
     g[:, output_index] = 1.0
     for layer in range(len(m.weights) - 1, 0, -1):

@@ -18,12 +18,9 @@ from ablatereg.augment import (
     augmented_chunks,
     batch_masks,
     build_augmented,
-    count_patterns,
     counted,
     distinct_rows,
-    gathered,
     pattern_counts,
-    reduced_blocks,
     synthetic_values,
     weighted_blocks,
 )
@@ -217,7 +214,7 @@ class TestBlockSlotDraws:
         slot = augment._BlockSlot(BLOCK_ROWS, k, _streams.stream(9, _streams.MASK))
         for start in (2 * BLOCK_ROWS, 0, BLOCK_ROWS):
             rows = min(BLOCK_ROWS, n - start)
-            draws = slot.views(rows)[1]
+            draws = slot.draws_view(rows)
             slot.draw_masks(start, draws)
             np.testing.assert_array_equal(draws, expected[start:start + rows])
 
@@ -229,30 +226,37 @@ def chunked_set(d, spec, block_rows):
 
 
 class TestReducedBlocks:
+    """The two ways a synthetic set is reduced: the rows path of
+    weighted_blocks streams augmented_chunks on the calling thread, and
+    pattern_counts counts the blocks on worker threads."""
+
     @pytest.mark.parametrize("mode", ["mean", "iid"])
     @pytest.mark.parametrize("block_rows", [1, 7, 64, 1000])
     def test_blocks_arrive_in_draw_order(self, mode, block_rows, monkeypatch):
-        # the reducer sees each block of augmented_chunks, whatever thread runs it
-        d = synth_correlated(23, 3, 0.4, (1, -1, 2), 1.0, seed=13)
+        # 130 x 2^3 = 1040 possible rows: the rows path at every block size;
+        # the reducer sees each block of augmented_chunks, column-major
+        d = synth_correlated(130, 3, 0.4, (1, -1, 2), 1.0, seed=13)
         spec = AugmentSpec(mode, 0.4, 301, seed=14)
         monkeypatch.setattr(augment, "BLOCK_ROWS", block_rows)
-        blocks = list(reduced_blocks(d, spec, gathered(lambda z, scratch: z.copy(order="F"))))
-        assert [b.shape[0] for b in blocks] == [
+        assert not counted(d)
+        blocks = list(weighted_blocks(d, spec)())
+        assert [z.shape[0] for z, _ in blocks] == [
             min(block_rows, 301 - start) for start in range(0, 301, block_rows)]
-        assert all(b.flags.f_contiguous for b in blocks)
-        np.testing.assert_array_equal(np.concatenate(blocks), chunked_set(d, spec, block_rows))
+        assert all(z.flags.f_contiguous and weights is None for z, weights in blocks)
+        z = np.concatenate([z for z, _ in blocks])
+        assert z.tobytes() == chunked_set(d, spec, block_rows).tobytes()
 
     def test_concurrent_pipelines_under_fast_thread_switching(self, monkeypatch):
-        # two pipelines at once run four workers and two drawing threads on the
-        # host's cores; a slot reused before its block was reduced would show
+        # two count pipelines at once run four workers and two drawing threads
+        # on the host's cores; a slot reused before its block was counted
+        # would show
         d = synth_correlated(23, 3, 0.4, (1, -1, 2), 1.0, seed=13)
-        specs = [AugmentSpec(mode, 0.4, 3001, seed=15) for mode in ("mean", "iid")]
+        specs = [AugmentSpec("iid", lam, 3001, seed=15) for lam in (0.4, 0.7)]
         results = [None] * len(specs)
         monkeypatch.setattr(augment, "BLOCK_ROWS", 7)
 
         def run(i):
-            results[i] = np.concatenate(list(reduced_blocks(
-                d, specs[i], gathered(lambda z, scratch: z.copy()))))
+            results[i] = pattern_counts(d, specs[i])
 
         threads = [threading.Thread(target=run, args=(i,)) for i in range(len(specs))]
         interval = sys.getswitchinterval()
@@ -266,13 +270,14 @@ class TestReducedBlocks:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         for spec, result in zip(specs, results):
-            np.testing.assert_array_equal(result, chunked_set(d, spec, 7))
+            assert np.array_equal(result, np.bincount(serial_codes(d, spec),
+                                                      minlength=d.n << d.k))
 
     def test_empty_dataset_is_rejected(self):
         d = synth_correlated(5, 2, 0.0, (1, 1), 1.0, seed=1)
         empty = replace(d, features=d.features[:0], response=d.response[:0])
         with pytest.raises(AugmentError, match="empty"):
-            list(reduced_blocks(empty, AugmentSpec("iid", 0.5, 10, seed=0), count_patterns))
+            pattern_counts(empty, AugmentSpec("iid", 0.5, 10, seed=0))
 
 
 def serial_codes(d, spec):
@@ -332,11 +337,6 @@ class TestPatternCounts:
     def test_one_worker_and_two_give_the_same_counts(self, monkeypatch):
         d = synth_correlated(40, 4, 0.4, (1, -1, 2, 0.5), 1.0, seed=21)
         spec = AugmentSpec("iid", 0.3, 5 * BLOCK_ROWS + 3, seed=22)
-
-        def no_rows(slot, rows):
-            raise AssertionError("the count path made a rows buffer")
-
-        monkeypatch.setattr(augment._BlockSlot, "views", no_rows)
         counts = {}
         for cpus in ({0}, {0, 1}):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
@@ -368,40 +368,41 @@ class TestWeightedBlocks:
         d = synth_correlated(23, 3, 0.4, (1, -1, 2), 1.0, seed=13)
         spec = AugmentSpec(mode, 0.4, 301, seed=14)
         monkeypatch.setattr(augment, "BLOCK_ROWS", block_rows)
-        blocks = list(weighted_blocks(d, spec)(
-            lambda z, scratch, weights: (z.copy(), scratch.shape, weights)))
-        assert all(shape == (z.shape[0],) for z, shape, _ in blocks)
+        blocks = list(weighted_blocks(d, spec)())
+        assert all(z.flags.f_contiguous for z, _ in blocks)
         if counted(d):
-            [(z, _, weights)] = blocks
+            [(z, weights)] = blocks
             assert weights.sum() == 301 and weights.min() >= 1
             z = np.repeat(z, weights.astype(np.int64), axis=0)
             assert sorted_rows(z).tobytes() == sorted_rows(chunked_set(d, spec, 301)).tobytes()
         else:
-            assert [z.shape[0] for z, _, _ in blocks] == [64] * 4 + [45]
-            assert all(weights is None for _, _, weights in blocks)
-            z = np.concatenate([z for z, _, _ in blocks])
+            assert [z.shape[0] for z, _ in blocks] == [64] * 4 + [45]
+            assert all(weights is None for _, weights in blocks)
+            z = np.concatenate([z for z, _ in blocks])
             assert z.tobytes() == chunked_set(d, spec, 64).tobytes()
 
     def test_a_counted_set_is_drawn_once_and_copied_for_each_reduction(self, monkeypatch):
         d = synth_correlated(23, 3, 0.4, (1, -1, 2), 1.0, seed=13)
         calls = []
-        reduced = augment.reduced_blocks
+        counts = augment.pattern_counts
 
-        def recording(d, spec, step):
-            calls.append(step)
-            return reduced(d, spec, step)
+        def recording(d, spec):
+            calls.append(spec)
+            return counts(d, spec)
 
-        monkeypatch.setattr(augment, "reduced_blocks", recording)
-        blocks = weighted_blocks(d, AugmentSpec("mean", 0.4, 301, seed=14))
+        monkeypatch.setattr(augment, "pattern_counts", recording)
+        spec = AugmentSpec("mean", 0.4, 301, seed=14)
+        blocks = weighted_blocks(d, spec)
 
-        def zeroed(z, scratch, weights):
+        def zeroed():
+            [(z, weights)] = blocks()
             first = z.copy()
             z[:] = 0.0
-            return first
+            return first, weights
 
-        first, second = list(blocks(zeroed)), list(blocks(zeroed))
-        assert len(first) == 1 and np.array_equal(first[0], second[0]) and first[0].any()
-        assert calls == [count_patterns]
+        (first, weights), (second, _) = zeroed(), zeroed()
+        assert np.array_equal(first, second) and first.any() and weights.sum() == 301
+        assert calls == [spec]
 
 
 class TestBuildAugmented:

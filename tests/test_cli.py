@@ -494,6 +494,27 @@ class TestErrorReporting:
                                  b"overflow encountered in reduce\n")
         assert not (tmp_path / "ckpt.json").exists()
 
+    @pytest.mark.parametrize("command", [
+        ["train"],
+        ["sweep", "--mode", "mean", "--depths", "0", "--seeds", "2"],
+        ["fit", "--method", "ols"],
+        ["fit", "--method", "ml2p", "--lambda", "0.3"],
+        ["converge", "--theorem", "1"],
+    ])
+    def test_column_whose_squares_overflow_is_one_error_line(self, tmp_path, command):
+        # one value of 1e200 in column a: its scale and second moment overflow
+        rng = np.random.default_rng(4)
+        rows = rng.normal(size=(100, 3))
+        rows[7, 0] = 1e200
+        path = tmp_path / "big.csv"
+        path.write_text("a,b,y\n" + "".join(f"{a!r},{b!r},{y!r}\n" for a, b, y in rows.tolist()))
+        result = run_in_subprocess([*command, "--data", path, "--response", "y",
+                                    "--out", tmp_path / "out"], subprocess.DEVNULL)
+        assert result.returncode == 1
+        assert result.stderr == (b"error: the squares of column(s) 'a' overflow float64: "
+                                 b"their mean of squares or variance is not finite\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command, model, message", [
         # a depth-1 net whose outputs overflow on the built-in 8-column data
         ("attribute", {"weights": [[[1e200] * 4] * 8, [[1e200]] * 4],
@@ -638,6 +659,11 @@ class TestFlagValues:
         "sweep --mode mean --lambdas 0:0.5:0",
         "sweep --mode mean --lambdas 0.5:0:0.1",
         "sweep --mode mean --lambdas 0,x",
+        "sweep --mode mean --lambdas 0.9,0.0",
+        "sweep --mode mean --lambdas 0.9:0:-0.3",
+        "sweep --mode mean --lambdas 0.3,0.3",
+        "sweep --mode mean --seeds 1,1",
+        "converge --theorem 1 --seeds 4,4,4",
         "sweep --mode mean --depths 0,-1",
         "sweep --mode mean --steps 0",
         "sweep --mode mean --check --spearman-threshold nan",

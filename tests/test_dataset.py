@@ -15,6 +15,7 @@ from ablatereg.dataset import (
     Dataset,
     DatasetError,
     SplitSpec,
+    _check_squares,
     feature_stats,
     load_csv,
     one_hot_encode,
@@ -170,6 +171,17 @@ class TestIngestionRules:
         with pytest.raises(DatasetError, match="all rows dropped"):
             self.load(tmp_path, "a,b,y\n1,NA,3\nNA,2,4\n")
 
+    def test_columns_whose_squares_overflow_are_named(self, tmp_path):
+        # a's squares overflow; b is 1e200 in every row, so its variance is 0
+        # but its mean of squares is not finite; c's squares fit
+        with pytest.raises(DatasetError, match=r"column\(s\) 'a', 'b', 'y' overflow"):
+            self.load(tmp_path, "a,b,c,y\n1e200,1e200,1e150,1e200\n1,1e200,2,3\n")
+        # the square of 2^512 is just above the largest double
+        with pytest.raises(DatasetError, match=r"column\(s\) 'y' overflow"):
+            self.load(tmp_path, "y\n1.3407807929942597e+154\n")
+        d = self.load(tmp_path, "a,y\n1e150,1e200\n2,cat\n", task=CLASSIFICATION)
+        np.testing.assert_array_equal(d.features, [[1e150], [2.0]])
+
     def test_drop_count_is_logged(self, tmp_path, caplog):
         with caplog.at_level(logging.WARNING, logger="ablatereg.dataset"):
             self.load(tmp_path, "a,y\n1,2\nx,3\n4,5\n6\n")
@@ -265,6 +277,12 @@ def reference_load_csv(path, response_column, task):
         labels = sorted({row[resp_idx] for row in kept})
         code = {c: i for i, c in enumerate(labels)}
         response = np.array([code[row[resp_idx]] for row in kept], dtype=np.float64)
+    # the overflow rule is one numeric check on the parsed columns, not a
+    # parsing rule: the reference applies load_csv's own
+    if task == REGRESSION:
+        _check_squares(np.column_stack([features, response]), [*names, response_column])
+    else:
+        _check_squares(features, names)
     return Dataset(features=features, response=response, column_names=tuple(names),
                    column_kinds=tuple(kinds), task=task, categories=categories,
                    n_dropped=n_dropped)

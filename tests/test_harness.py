@@ -81,6 +81,11 @@ class TestConvergence:
         with pytest.raises(ValueError):
             converge_theorem1(small_data, 0.3, (1000, 1000), seeds=(0,))
 
+    def test_seeds_must_differ(self, small_data):
+        # a repeated seed is the same replicate again, not an independent one
+        with pytest.raises(ValueError, match="seeds must be distinct"):
+            converge_theorem2(small_data, 0.3, (1000, 2000), seeds=(4, 4, 4))
+
     def test_check_flags_large_distance(self, small_data):
         run = converge_theorem1(small_data, 0.5, (200, 500), seeds=(0, 1))
         ok, problems = run.check(linf_tolerance=1e-9)
@@ -411,22 +416,23 @@ class TestCountPath:
         assert check_moment_limits(small_data, "mean", lam, 10_000, seed=10).ok
 
     def test_the_path_rule_picks_the_step(self, monkeypatch):
-        steps = []
-        reduced_blocks = augment.reduced_blocks
+        # a counted set is counted once per reduction; any other is streamed
+        calls = []
+        pattern_counts = augment.pattern_counts
 
-        def recording(d, spec, step):
-            steps.append(step is augment.count_patterns)
-            return reduced_blocks(d, spec, step)
+        def recording(d, spec):
+            calls.append(spec)
+            return pattern_counts(d, spec)
 
-        monkeypatch.setattr(augment, "reduced_blocks", recording)
+        monkeypatch.setattr(augment, "pattern_counts", recording)
         for n, counted in ((BLOCK_ROWS >> 3, True), ((BLOCK_ROWS >> 3) + 1, False)):
             d = synth_correlated(n, 3, 0.6, (1.0, -2.0, 1.5), 1.0, seed=54)
-            steps.clear()
+            calls.clear()
             _streamed_moments(d, AugmentSpec("mean", 0.5, 1000, seed=0))
-            assert steps == [counted]
-            steps.clear()
+            assert len(calls) == counted
+            calls.clear()
             check_moment_limits(d, "iid", 0.5, 1000, seed=0)
-            assert steps == [counted] if counted else steps == [False, False]
+            assert len(calls) == counted
 
 
 class RecordingGenerator:
@@ -448,10 +454,10 @@ class RecordingGenerator:
 
 class TestBlockPipelineThreads:
     @staticmethod
-    def check_draw_threads(data, bootstrap_draws, monkeypatch):
+    def check_draw_threads(data, bootstrap_draws, streams, monkeypatch):
         """A converge run and a moment check on ``data`` make every generator
-        and bootstrap draw on the calling thread, ``bootstrap_draws`` of
-        them, and leave no thread behind."""
+        and bootstrap draw on the calling thread, ``bootstrap_draws`` draws
+        from at least ``streams`` generators, and leave no thread behind."""
         stream_threads, bootstrap_threads = [], []
         stream = _streams.stream
 
@@ -467,20 +473,36 @@ class TestBlockPipelineThreads:
         converge_theorem1(data, 0.5, (1000, 3 * BLOCK_ROWS + 17), seeds=(0,))
         check_moment_limits(data, "iid", 0.5, 3 * BLOCK_ROWS + 17, seed=1)
         assert threading.active_count() == before
-        # each set has a BOOTSTRAP generator and at least two slots' MASK ones
-        assert len(stream_threads) >= 3 * (bootstrap_draws // 4)
+        assert len(stream_threads) >= streams
         assert len(bootstrap_threads) == bootstrap_draws
         assert set(stream_threads + bootstrap_threads) == {threading.get_ident()}
 
     def test_streams_and_bootstrap_draws_happen_on_the_calling_thread(self, wide_data,
                                                                       monkeypatch):
-        # four sets (two converge cells, two passes of the check), one
-        # bootstrap draw per block: 1 + 4 + 4 + 4
-        self.check_draw_threads(wide_data, 13, monkeypatch)
+        # four streamed sets (two converge cells, two passes of the check),
+        # one bootstrap draw per block: 1 + 4 + 4 + 4; each set has a
+        # BOOTSTRAP and a MASK generator
+        self.check_draw_threads(wide_data, 13, 8, monkeypatch)
 
     def test_a_counted_moment_check_reads_its_stream_once(self, small_data, monkeypatch):
-        # two converge cells and one pass of the check: 1 + 4 + 4
-        self.check_draw_threads(small_data, 9, monkeypatch)
+        # three counted sets (two converge cells, one pass of the check):
+        # 1 + 4 + 4; each set has a BOOTSTRAP generator and at least two
+        # slots' MASK ones
+        self.check_draw_threads(small_data, 9, 9, monkeypatch)
+
+    def test_a_streamed_set_starts_no_thread(self, wide_data, monkeypatch):
+        started = []
+        start = threading.Thread.start
+
+        def recording_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        n = 3 * BLOCK_ROWS + 17
+        _streamed_moments(wide_data, AugmentSpec("mean", 0.5, n, seed=4))
+        check_moment_limits(wide_data, "iid", 0.5, n, seed=5)
+        assert started == []
 
     def test_each_block_draws_its_rows_of_the_mask_stream(self, small_data, monkeypatch):
         drawn = []
@@ -493,13 +515,11 @@ class TestBlockPipelineThreads:
         monkeypatch.setattr(augment._BlockSlot, "draw_masks", recording_draw_masks)
         n = 3 * BLOCK_ROWS + 17
         expected = _streams.stream(3, _streams.MASK).random((n, small_data.k))
-        for step in (augment.gathered(lambda z, scratch: None), augment.count_patterns):
-            drawn.clear()
-            list(augment.reduced_blocks(small_data, AugmentSpec("iid", 0.5, n, seed=3), step))
-            assert sorted(start for _, start, _ in drawn) == list(range(0, n, BLOCK_ROWS))
-            for thread, start, draws in drawn:
-                assert thread != threading.get_ident()
-                np.testing.assert_array_equal(draws, expected[start:start + BLOCK_ROWS])
+        augment.pattern_counts(small_data, AugmentSpec("iid", 0.5, n, seed=3))
+        assert sorted(start for _, start, _ in drawn) == list(range(0, n, BLOCK_ROWS))
+        for thread, start, draws in drawn:
+            assert thread != threading.get_ident()
+            np.testing.assert_array_equal(draws, expected[start:start + BLOCK_ROWS])
 
     def test_error_in_a_block_surfaces_with_its_type(self, wide_data, monkeypatch):
         ablate = augment.ablate
@@ -513,18 +533,23 @@ class TestBlockPipelineThreads:
             converge_theorem1(wide_data, 0.5, (1000, 3 * BLOCK_ROWS + 17), seeds=(0,))
         assert threading.active_count() == before
 
-    def test_error_in_a_later_block_surfaces_after_the_earlier_results(self, small_data):
-        def reduce(z, scratch):
-            if z.shape[0] == 5:
-                raise FloatingPointError("last block")
-            return z.shape[0]
+    def test_error_in_a_later_block_surfaces_after_the_earlier_results(self, small_data,
+                                                                       monkeypatch):
+        block_counts = augment._block_counts
+        results = []
 
+        def failing_last_block(d, spec, start, idx, slot):
+            if idx.size == 5:
+                raise FloatingPointError("last block")
+            counts = block_counts(d, spec, start, idx, slot)
+            results.append(int(counts.sum()))
+            return counts
+
+        monkeypatch.setattr(augment, "_block_counts", failing_last_block)
         before = threading.active_count()
         spec = AugmentSpec("mean", 0.5, 2 * BLOCK_ROWS + 5, seed=0)
-        results = []
         with pytest.raises(FloatingPointError, match="last block"):
-            for rows in augment.reduced_blocks(small_data, spec, augment.gathered(reduce)):
-                results.append(rows)
+            augment.pattern_counts(small_data, spec)
         assert results == [BLOCK_ROWS, BLOCK_ROWS]
         assert threading.active_count() == before
 
@@ -536,6 +561,18 @@ class TestLambdaSweep:
                              dataset_id="unit")
         assert len(sweep.cells) == len(grid) * 2
         assert all(c.error is None for c in sweep.cells)
+
+    @pytest.mark.parametrize("grid, seeds, message", [
+        # the trend gates read the first and the last lambda as the least
+        # and the greatest
+        ((0.8, 0.0), (0, 1), "lambda grid must be strictly increasing"),
+        ((0.0, 0.4, 0.4), (0, 1), "lambda grid must be strictly increasing"),
+        ((0.0, 0.4), (1, 1), "seeds must be distinct"),
+    ])
+    def test_unordered_grids_and_repeated_seeds_are_rejected(self, small_data, grid, seeds,
+                                                            message):
+        with pytest.raises(ValueError, match=message):
+            lambda_sweep(small_data, [0], "mean", grid, seeds=seeds)
 
     def test_depth0_sgd_matches_closed_form_ccp(self):
         # the spec's 5%-relative oracle example, on a reduced instance: the
@@ -809,6 +846,17 @@ class TestEmitReport:
     def test_payload_missing_a_meta_key_is_a_report_error(self, sweep_payload):
         meta = {k: v for k, v in sweep_payload["meta"].items() if k != "seeds"}
         with pytest.raises(ReportError, match="meta 'seeds'"):
+            sweep_from_payload(dict(sweep_payload, meta=meta))
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("lambda_grid", [0.4, 0.0], "lambda grid must be strictly increasing"),
+        ("lambda_grid", [0.0, 0.0], "lambda grid must be strictly increasing"),
+        ("seeds", [0, 0], "seeds must be distinct"),
+    ])
+    def test_payload_with_an_unordered_grid_or_repeated_seeds_is_a_report_error(
+            self, sweep_payload, key, value, message):
+        meta = dict(sweep_payload["meta"], **{key: value})
+        with pytest.raises(ReportError, match=message):
             sweep_from_payload(dict(sweep_payload, meta=meta))
 
     def test_payload_with_a_short_row_is_a_report_error(self, sweep_payload):

@@ -1,0 +1,56 @@
+"""One digest over the Monte-Carlo outputs of a source tree.
+
+    python3 tools/converge_bytes.py SRC
+
+Imports ``ablatereg`` from the directory SRC (a checkout's ``src``) and
+prints one sha256 over the CSV converge reports of both theorems and the
+moment-check sigmas of both modes.  They cover a counted design (200x3) and
+a rows design (10,000x9), each as generated and with its features shifted
+by 1e6, at N from under one block to several blocks.  Two trees whose
+digests agree give the same bytes on all of them.  BLAS and OpenMP are
+pinned to one thread before numpy loads, as the benchmark does.
+"""
+
+import os
+
+# Pin the BLAS and OpenMP pools before numpy loads.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import dataclasses  # noqa: E402
+import hashlib  # noqa: E402
+import sys  # noqa: E402
+
+
+def main(argv) -> int:
+    if len(argv) != 1:
+        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        return 2
+    sys.path.insert(0, os.path.abspath(argv[0]))
+    from ablatereg import harness
+    from ablatereg.augment import BLOCK_ROWS
+    from ablatereg.dataset import synth_correlated
+
+    designs = {
+        "counted 200x3": synth_correlated(200, 3, 0.8, (1.0, -2.0, 3.0), 1.0, seed=0),
+        "rows 10000x9": synth_correlated(10_000, 9, 0.6, [(-1.0) ** j * (1 + j / 4)
+                                                          for j in range(9)], 1.0, seed=1),
+    }
+    schedule = (1000, BLOCK_ROWS, 3 * BLOCK_ROWS + 17)
+    digest = hashlib.sha256()
+    for name, d in designs.items():
+        for shift in (0.0, 1e6):
+            shifted = dataclasses.replace(d, features=d.features + shift)
+            for converge in (harness.converge_theorem1, harness.converge_theorem2):
+                run = converge(shifted, 0.5, schedule, seeds=(0, 1))
+                digest.update(harness.render_report(run, "csv").encode())
+            for mode in ("mean", "iid"):
+                check = harness.check_moment_limits(shifted, mode, 0.5, schedule[-1], seed=2)
+                digest.update(check.gram_sigmas.tobytes() + check.cross_sigmas.tobytes())
+            print(f"{name}, shift {shift:g}: done", file=sys.stderr)
+    print(digest.hexdigest())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
