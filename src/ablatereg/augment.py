@@ -13,28 +13,24 @@ hands them to :func:`ablate`: bootstrap-then-ablate synthetic datasets
 Nothing in the package holds a whole synthetic set.  There is one source of
 synthetic rows, :func:`augmented_chunks`: it draws a set block by block from
 its spec's BOOTSTRAP and MASK streams and yields ``(features, response)``
-blocks on the calling thread.  The ``augment`` command writes them out,
-:func:`build_augmented` materializes the same draws as one block, and
-:func:`weighted_blocks` hands them to the Monte-Carlo reductions as
-``[X | y]`` blocks with a weight per row.
+blocks.  The ``augment`` command writes them out, and
+:func:`build_augmented` materializes the same draws as one block.
 
-Every synthetic row is one of at most n*2^k distinct values, a source row
-under one of the 2^k ablation patterns, and one rule (:func:`counted`)
-decides how :func:`weighted_blocks` gives a set: when those values fit in
-one block, as the distinct rows drawn weighted by their counts
-(:func:`pattern_counts`); otherwise as the streamed rows, weight one each.
-Counting is the only work done off the calling thread.  The calling thread
-draws the bootstrap indices in block order; up to two worker threads draw
-each block's mask uniforms from their slot's MASK generator, advanced to the
-block's place in the stream, and count its (row, pattern) codes.  The
-counts add up exactly, so they do not depend on scheduling.
+The Monte-Carlo reductions take a set from :func:`weighted_blocks`, as
+``[X | y]`` blocks with a weight per row.  Every synthetic row is one of at
+most n*2^k distinct values, a source row under one of the 2^k ablation
+patterns, and one rule (:func:`counted`) decides how a set is given: when
+those values fit in one block, as the distinct rows weighted by how often
+each was drawn; otherwise as the rows of :func:`augmented_chunks`, weight
+one each.  There is one way to count: N i.i.d. rows hold each (row,
+pattern) code a Multinomial(N, p) number of times, with p the law of one
+row (:func:`pattern_probabilities`), so :func:`pattern_counts` makes that
+one draw.  A counted set thus has the law of the streamed rows, not their
+draws.  Everything runs on the calling thread.
 """
 
 from __future__ import annotations
 
-import collections
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -202,90 +198,31 @@ def augmented_chunks(d: Dataset, spec: AugmentSpec, block_rows: int = BLOCK_ROWS
         yield features, d.response.take(idx)
 
 
-class _BlockSlot:
-    """What one block in flight of :func:`pattern_counts` needs, made once
-    and reused: a buffer for its uniform mask draws, and the slot's own
-    generator on the spec's MASK stream."""
-
-    def __init__(self, rows: int, k: int, masks: np.random.Generator):
-        self.k = k
-        self.draws = np.empty(rows * k)
-        self.masks = masks
-        self.masks_start = masks.bit_generator.state
-
-    def draws_view(self, rows: int) -> np.ndarray:
-        return self.draws[:rows * self.k].reshape(rows, self.k)
-
-    def draw_masks(self, start: int, draws: np.ndarray) -> None:
-        """Fill ``draws`` with the mask uniforms of the block at row
-        ``start``: the MASK stream's numbers from the ``start * k``-th on, as
-        a serial run draws them.  ``Generator.random`` takes one 64-bit
-        output per double, so rewinding the generator to the stream's start
-        and advancing it that many outputs skips exactly the earlier
-        blocks' draws."""
-        bit_generator = self.masks.bit_generator
-        bit_generator.state = self.masks_start
-        bit_generator.advance(start * self.k)
-        self.masks.random(out=draws)
-
-
-def _block_counts(d: Dataset, spec: AugmentSpec, start, idx, slot) -> np.ndarray:
-    """How often the block at row ``start``, with bootstrap indices ``idx``,
-    drew each code ``row << k | pattern``, as an int64 vector of length
-    n*2^k.  Bit j of a row's pattern is set exactly where :func:`ablate`
-    ablates feature j: where its draw, which lies in [0, 1), is below lam
-    (never at a lam of 0.0 or -0.0).  ``idx`` is overwritten."""
-    draws = slot.draws_view(idx.size)
-    slot.draw_masks(start, draws)
-    ablated = (draws < spec.lam).view(np.uint8)
-    for j in reversed(range(d.k)):  # idx = idx << k | pattern, bit by bit
-        np.left_shift(idx, 1, out=idx)
-        np.bitwise_or(idx, ablated[:, j], out=idx)
-    return np.bincount(idx, minlength=d.n << d.k)
-
-
 def counted(d: Dataset) -> bool:
     """The one path rule: the synthetic sets of d are reduced to pattern
     counts when their n*2^k possible rows fit in one block."""
     return d.n << d.k <= BLOCK_ROWS
 
 
-def pattern_counts(d: Dataset, spec: AugmentSpec) -> np.ndarray:
-    """How often the synthetic set of :func:`augmented_chunks` holds each
-    code ``row << k | pattern`` (:func:`_block_counts`), summed exactly over
-    its ``BLOCK_ROWS``-row blocks; the entries add up to N.
+def pattern_probabilities(d: Dataset, spec: AugmentSpec) -> np.ndarray:
+    """The law of one synthetic row of d: the probability of each code
+    ``row << k | pattern``, (1/n) * prod_j lam^bit_j (1-lam)^(1-bit_j) with
+    lam = |spec.lam|, where bit j is set when feature j is ablated, as in
+    :func:`distinct_rows`."""
+    lam = abs(spec.lam)
+    ablated = (np.arange(1 << d.k)[:, None] >> np.arange(d.k)) & 1
+    pattern = np.where(ablated == 1, lam, 1.0 - lam).prod(axis=1)
+    return np.tile(pattern / d.n, d.n)
 
-    The calling thread makes every generator and every bootstrap draw, in
-    block order.  Up to two worker threads count the blocks: each block slot
-    owns a generator on the spec's MASK stream, and the worker advances it
-    to its block's draws, so every block is counted with the numbers of
-    :func:`augmented_chunks`.  There is one more block slot than there are
-    workers, so the next block's bootstrap rows are drawn while the workers
-    count; a slot is reused only after its block's counts have been added.
-    """
+
+def pattern_counts(d: Dataset, spec: AugmentSpec) -> np.ndarray:
+    """How often a synthetic set of N i.i.d. rows holds each code
+    ``row << k | pattern``: one Multinomial(N, p) draw from the spec's
+    BOOTSTRAP stream, p from :func:`pattern_probabilities`.  The entries
+    add up to N.  The set has the law of the rows of
+    :func:`augmented_chunks`, not their draws."""
     bootstrap = _bootstrap(d, spec)
-    block_rows = BLOCK_ROWS
-    workers = min(2, len(os.sched_getaffinity(0)))
-    free = [_BlockSlot(min(block_rows, spec.n_synthetic), d.k,
-                       _streams.stream(spec.seed, _streams.MASK))
-            for _ in range(workers + 1)]
-    counts = np.zeros(d.n << d.k, dtype=np.int64)
-    in_flight = collections.deque()
-    pool = ThreadPoolExecutor(workers)
-    try:
-        for start in range(0, spec.n_synthetic, block_rows):
-            if not free:
-                future, slot = in_flight.popleft()
-                counts += future.result()
-                free.append(slot)
-            slot = free.pop()
-            idx = bootstrap.integers(0, d.n, size=min(block_rows, spec.n_synthetic - start))
-            in_flight.append((pool.submit(_block_counts, d, spec, start, idx, slot), slot))
-        while in_flight:
-            counts += in_flight.popleft()[0].result()
-    finally:
-        pool.shutdown(cancel_futures=True)
-    return counts
+    return bootstrap.multinomial(spec.n_synthetic, pattern_probabilities(d, spec))
 
 
 def distinct_rows(d: Dataset, spec: AugmentSpec, codes) -> np.ndarray:
@@ -303,16 +240,16 @@ def distinct_rows(d: Dataset, spec: AugmentSpec, codes) -> np.ndarray:
 
 
 def weighted_blocks(d: Dataset, spec: AugmentSpec):
-    """The synthetic set of :func:`augmented_chunks` as a function that
-    yields its ``(z, weights)`` blocks afresh on each call, in block order:
-    ``z`` a new column-major ``[X | y]`` array, which the caller may
-    overwrite, whose row i stands for ``weights[i]`` synthetic rows (one
-    each if ``weights`` is None).
+    """The synthetic set of spec as a function that yields its ``(z,
+    weights)`` blocks afresh on each call, in block order: ``z`` a new
+    column-major ``[X | y]`` array, which the caller may overwrite, whose
+    row i stands for ``weights[i]`` synthetic rows (one each if ``weights``
+    is None).
 
-    A :func:`counted` set is drawn once, here, into one block of its
-    distinct rows weighted by their counts (:func:`pattern_counts`), and
-    each call yields a copy of it.  Any other set is drawn again by
-    :func:`augmented_chunks` on each call, on the calling thread, and each
+    A :func:`counted` set is drawn once, here, as its pattern counts
+    (:func:`pattern_counts`), into one block of its distinct rows weighted
+    by their counts, and each call yields a copy of it.  Any other set is
+    the set of :func:`augmented_chunks`, drawn again on each call, and each
     of its blocks is copied into ``z``.
     """
     if not counted(d):

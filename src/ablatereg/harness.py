@@ -4,24 +4,23 @@ sweeps that trace how the two penalties respond to each augmentation mode,
 and deterministic CSV/JSON report emission.
 
 The Monte-Carlo checks never hold a synthetic set in memory, and they
-solve OLS from centered sufficient statistics of ``[X | y]``; the random
-draws are the ones :func:`~ablatereg.augment.build_augmented` makes.  Each
-set is one source of weighted blocks
-(:func:`~ablatereg.augment.weighted_blocks`), and one reduction gives its
-moments: each block's rows, shifted by the source column means, are
-reduced to their weighted sum and weighted cross-products
-(:func:`_shifted_sums`), the blocks' sums are added in block order, and
-the moments are the shifted cross-products over N less the outer product
-of the shifted mean (:func:`_moments`).  The moment check loops over the
-same blocks again for the spread of each centered product
+solve OLS from centered sufficient statistics of ``[X | y]``.  Each set is
+one source of weighted blocks (:func:`~ablatereg.augment.weighted_blocks`),
+and one reduction gives its moments: each block's rows, shifted by the
+source column means, are reduced to their weighted sum and weighted
+cross-products (:func:`_shifted_sums`), the blocks' sums are added in block
+order, and the moments are the shifted cross-products over N less the outer
+product of the shifted mean (:func:`_moments`).  The moment check loops over
+the same blocks again for the spread of each centered product
 (:func:`_block_square_deviations`).  Whether the blocks are the distinct
-drawn rows weighted by their counts or the streamed rows of
-:func:`~ablatereg.augment.augmented_chunks` is decided in
-:mod:`ablatereg.augment` alone; either way the reductions run on the
-calling thread, and only the counting of a counted set uses worker
-threads.  The sums are added in a fixed order, so the reports are the same
-bytes on every run.  The ``augment`` command streams the same draws to disk
-through :func:`augmented_lines` and :func:`write_text`, so nothing here
+rows of a counted set weighted by their multinomial counts, or the streamed
+rows of :func:`~ablatereg.augment.augmented_chunks`, is decided in
+:mod:`ablatereg.augment` alone; only in the second case are the draws those
+of :func:`~ablatereg.augment.build_augmented`.  Everything runs on the
+calling thread and the sums are added in a fixed order, so the reports are
+the same bytes on every run.  The ``augment`` command streams the draws of
+:func:`~ablatereg.augment.augmented_chunks` to disk through
+:func:`augmented_lines` and :func:`write_text`, so nothing here
 materializes a synthetic set.
 
 Every file the package writes goes through :func:`write_text`, which writes
@@ -226,9 +225,10 @@ def _streamed_moments(d: Dataset, spec: AugmentSpec) -> tuple[np.ndarray, np.nda
 def _converge(d: Dataset, theorem: int, lam: float, n_schedule, seeds) -> ConvergenceRun:
     """Reduces each (seed, N) synthetic set through :func:`_streamed_moments`
     and solves OLS from its centered Gram system, behind the same 1e12
-    condition gate as :func:`~ablatereg.linear.fit_ols`.  The draws are those
-    of :func:`~ablatereg.augment.build_augmented`; only the summation order
-    differs from fitting the materialized set."""
+    condition gate as :func:`~ablatereg.linear.fit_ols`.  On a rows-path
+    design the draws are those of :func:`~ablatereg.augment.build_augmented`,
+    and only the summation order differs from fitting the materialized set;
+    a counted set is drawn as its pattern counts, with the same law."""
     n_schedule = tuple(int(v) for v in n_schedule)
     check_increasing(n_schedule, "N schedule")
     seeds = tuple(int(s) for s in seeds)
@@ -337,7 +337,9 @@ def check_moment_limits(
     """Verify the augmented Gram and cross moments against their limits,
     elementwise, within ``n_sigma`` empirical standard errors.
 
-    The draws are those of :func:`~ablatereg.augment.build_augmented`.  Two
+    The set is that of :func:`~ablatereg.augment.weighted_blocks`: on a
+    rows-path design the draws of :func:`~ablatereg.augment.build_augmented`,
+    and on a counted one its pattern counts, with the same law.  Two
     reductions run over the same weighted blocks: the first gives the
     moments, the observed values (:func:`_moments`); the second the spread
     of each centered product around its moment, whose standard deviation

@@ -88,8 +88,16 @@ def _check_condition(M: np.ndarray, power: int, names, what: str) -> None:
 
     The error names every column that loads (above rounding level) on the
     right singular vectors whose singular values break the gate; the SVD
-    with vectors runs only then.
+    with vectors runs only then.  A system that is not finite, M itself or
+    for power 2 the Gram M'M (whose diagonal holds the squared column
+    norms), is an error naming its non-finite columns, before any SVD.
     """
+    with np.errstate(over="ignore", invalid="ignore"):
+        size = np.abs(M).max(axis=0) if power == 1 else np.einsum("ij,ij->j", M, M)
+    cols = tuple(name for name, finite in zip(names, np.isfinite(size)) if not finite)
+    if cols:
+        raise SingularModelError(f"{what} is not finite (columns: {', '.join(cols)})",
+                                 columns=cols)
     s = np.linalg.svd(M, compute_uv=False)
     condition = float(_ratios(s[0], s[-1], power))
     if condition <= _MAX_CONDITION:
@@ -134,8 +142,9 @@ def _closed_form(d: Dataset, lam: float, kind: str, system) -> RegularizedFit:
     and the penalty as a function of beta, both from the centered Gram."""
     check_lambda(lam)
     Xc, yc, mu, ybar = _centered(d)
-    gram = Xc.T @ Xc
-    A, penalty = system(gram, mu)
+    with np.errstate(over="ignore", invalid="ignore"):  # the gate names an overflowed system
+        gram = Xc.T @ Xc
+        A, penalty = system(gram, mu)
     beta = _solve_system(A, Xc.T @ yc, d.column_names, f"fit_{kind}")
     resid = yc - Xc @ beta
     objective = float(resid @ resid + penalty(beta))

@@ -1,6 +1,4 @@
-import os
-import sys
-import threading
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +19,7 @@ from ablatereg.augment import (
     counted,
     distinct_rows,
     pattern_counts,
+    pattern_probabilities,
     synthetic_values,
     weighted_blocks,
 )
@@ -204,21 +203,6 @@ class TestAblateBits:
             ablate(np.ones((2, 2)), draws, AugmentSpec(mode, 0.5, 1, seed=0), np.zeros(2))
 
 
-class TestBlockSlotDraws:
-    @pytest.mark.parametrize("k", [1, 3, 8])
-    def test_advancing_finds_each_blocks_draws(self, k):
-        # a short tail block, then the first block, then one block in: each
-        # equals its rows of the whole stream drawn at once
-        n = 2 * BLOCK_ROWS + 5
-        expected = mask_draws(n, k, seed=9)
-        slot = augment._BlockSlot(BLOCK_ROWS, k, _streams.stream(9, _streams.MASK))
-        for start in (2 * BLOCK_ROWS, 0, BLOCK_ROWS):
-            rows = min(BLOCK_ROWS, n - start)
-            draws = slot.draws_view(rows)
-            slot.draw_masks(start, draws)
-            np.testing.assert_array_equal(draws, expected[start:start + rows])
-
-
 def chunked_set(d, spec, block_rows):
     """The blocks of augmented_chunks, joined into one [X | y] array."""
     features, response = zip(*augmented_chunks(d, spec, block_rows=block_rows))
@@ -227,8 +211,8 @@ def chunked_set(d, spec, block_rows):
 
 class TestReducedBlocks:
     """The two ways a synthetic set is reduced: the rows path of
-    weighted_blocks streams augmented_chunks on the calling thread, and
-    pattern_counts counts the blocks on worker threads."""
+    weighted_blocks streams augmented_chunks, and pattern_counts draws a
+    counted set's counts at once."""
 
     @pytest.mark.parametrize("mode", ["mean", "iid"])
     @pytest.mark.parametrize("block_rows", [1, 7, 64, 1000])
@@ -245,33 +229,6 @@ class TestReducedBlocks:
         assert all(z.flags.f_contiguous and weights is None for z, weights in blocks)
         z = np.concatenate([z for z, _ in blocks])
         assert z.tobytes() == chunked_set(d, spec, block_rows).tobytes()
-
-    def test_concurrent_pipelines_under_fast_thread_switching(self, monkeypatch):
-        # two count pipelines at once run four workers and two drawing threads
-        # on the host's cores; a slot reused before its block was counted
-        # would show
-        d = synth_correlated(23, 3, 0.4, (1, -1, 2), 1.0, seed=13)
-        specs = [AugmentSpec("iid", lam, 3001, seed=15) for lam in (0.4, 0.7)]
-        results = [None] * len(specs)
-        monkeypatch.setattr(augment, "BLOCK_ROWS", 7)
-
-        def run(i):
-            results[i] = pattern_counts(d, specs[i])
-
-        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(specs))]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        for spec, result in zip(specs, results):
-            assert np.array_equal(result, np.bincount(serial_codes(d, spec),
-                                                      minlength=d.n << d.k))
 
     def test_empty_dataset_is_rejected(self):
         d = synth_correlated(5, 2, 0.0, (1, 1), 1.0, seed=1)
@@ -292,15 +249,46 @@ def serial_codes(d, spec):
     return idx << k | (ablated @ (1 << np.arange(k)))
 
 
+def pearson_chi2(counts, p):
+    """Pearson's statistic of ``counts`` against their expectation N*p, and
+    its degrees of freedom.  The codes expected least often are pooled into
+    one cell until it is expected at least 5 times, so every cell is, and
+    the statistic is close to its chi-square law."""
+    n = counts.sum()
+    order = np.argsort(n * p, kind="stable")
+    expected, observed = n * p[order], counts[order]
+    pooled = int(np.searchsorted(np.cumsum(expected), 5.0)) + 1
+    expected = np.append(expected[:pooled].sum(), expected[pooled:])
+    observed = np.append(observed[:pooled].sum(), observed[pooled:])
+    return float(((observed - expected) ** 2 / expected).sum()), expected.size - 1
+
+
+# A correct draw fails one check of assert_multinomial at most about once in
+# FALSE_ALARM**-1 tries.
+FALSE_ALARM = 1e-6
+
+
+def assert_multinomial(counts, p):
+    """Pearson's statistic within the bound that a chi-square variable with
+    its degrees of freedom exceeds with probability at most FALSE_ALARM:
+    P(X >= df + 2 sqrt(df t) + 2t) <= exp(-t) (Laurent & Massart 2000)."""
+    statistic, df = pearson_chi2(counts, p)
+    t = math.log(1 / FALSE_ALARM)
+    assert statistic <= df + 2 * math.sqrt(df * t) + 2 * t, f"chi2 {statistic:.1f} on {df} df"
+
+
 class TestPatternCounts:
     """The count path reduces a small design's synthetic set to how often each
-    (row, mask pattern) was drawn; with its table of distinct rows it is the
-    same sample as augmented_chunks."""
+    (row, mask pattern) was drawn: one Multinomial(N, p) draw, p the law of
+    one row of augmented_chunks.  Its table of distinct rows holds the
+    chunks' rows bit for bit."""
 
     @pytest.mark.parametrize("lam", [0.0, -0.0, 0.35])
     @pytest.mark.parametrize("n_synthetic", [1000, 3 * BLOCK_ROWS + 17])
     @pytest.mark.parametrize("mode", ["mean", "iid"])
     def test_counts_and_table_are_the_chunks(self, mode, n_synthetic, lam):
+        # the counts and the chunks' codes are two samples of one law; every
+        # drawn row of the chunks is its code's row of the table
         d = synth_correlated(60, 3, 0.4, (1, -1, 2), 1.0, seed=18)
         features = d.features.copy()
         features[:3, 0] = -0.0
@@ -309,12 +297,40 @@ class TestPatternCounts:
         counts = pattern_counts(d, spec)
         codes = serial_codes(d, spec)
         assert counts.dtype == np.int64 and counts.sum() == n_synthetic
-        assert np.array_equal(counts, np.bincount(codes, minlength=d.n << d.k))
+        p = pattern_probabilities(d, spec)
+        for sample in (counts, np.bincount(codes, minlength=d.n << d.k)):
+            assert_multinomial(sample, p)
         if lam == 0.0:
-            assert not (codes & 7).any()
-        # every drawn row is its code's row of the table, bit for bit
+            assert not (codes & 7).any() and not counts.reshape(d.n, 8)[:, 1:].any()
         chunks = np.concatenate([np.column_stack(block) for block in augmented_chunks(d, spec)])
         assert distinct_rows(d, spec, codes).tobytes() == chunks.tobytes()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 12), k=st.integers(1, 5),
+           lam=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.0, 0.99)),
+           n_synthetic=st.integers(1, 200_000), seed=st.integers(0, 2**32),
+           mode=st.sampled_from(["mean", "iid"]))
+    def test_counts_are_one_multinomial_draw(self, n, k, lam, n_synthetic, seed, mode):
+        d = synth_correlated(n, k, 0.0, (1.0,) * k, 1.0, seed=23)
+        spec = AugmentSpec(mode, lam, n_synthetic, seed)
+        counts = pattern_counts(d, spec)
+        p = pattern_probabilities(d, spec)
+        assert counts.dtype == np.int64 and counts.shape == (n << k,)
+        assert counts.sum() == n_synthetic and counts.min() >= 0
+        assert p.sum() == pytest.approx(1.0, abs=1e-12)
+        if lam == 0.0:  # -0.0 too: every count on pattern 0
+            assert not counts.reshape(n, 1 << k)[:, 1:].any()
+        assert_multinomial(counts, p)
+        assert np.array_equal(counts, pattern_counts(d, spec))
+
+    @pytest.mark.parametrize("lam", [0.0, 0.3, 0.9])
+    def test_probabilities_are_the_mask_law(self, lam):
+        # p[row << k | pattern]: 1/n for the row times lam per ablated
+        # feature (bit j set) and 1 - lam per kept one
+        d = synth_correlated(3, 2, 0.0, (1.0, 1.0), 1.0, seed=24)
+        p = pattern_probabilities(d, AugmentSpec("iid", lam, 1, seed=0))
+        per_pattern = [(1 - lam) ** 2, lam * (1 - lam), (1 - lam) * lam, lam**2]
+        np.testing.assert_allclose(p, np.tile(per_pattern, 3) / 3, rtol=1e-15, atol=0)
 
     @pytest.mark.parametrize("lam", [0.0, 0.5])
     @pytest.mark.parametrize("mode", ["mean", "iid"])
@@ -334,16 +350,6 @@ class TestPatternCounts:
             assert table[code, :-1].tobytes() == expected.tobytes()
             assert table[code, -1] == d.response[row]
 
-    def test_one_worker_and_two_give_the_same_counts(self, monkeypatch):
-        d = synth_correlated(40, 4, 0.4, (1, -1, 2, 0.5), 1.0, seed=21)
-        spec = AugmentSpec("iid", 0.3, 5 * BLOCK_ROWS + 3, seed=22)
-        counts = {}
-        for cpus in ({0}, {0, 1}):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
-            counts[len(cpus)] = pattern_counts(d, spec)
-        assert np.array_equal(counts[1], counts[2])
-        assert np.array_equal(counts[1], np.bincount(serial_codes(d, spec), minlength=d.n << d.k))
-
     def test_the_path_rule(self):
         # n * 2^k possible rows: at most one block's worth is counted
         assert counted(synth_correlated(BLOCK_ROWS >> 3, 3, 0.0, (1, 1, 1), 1.0, seed=0))
@@ -356,9 +362,18 @@ def sorted_rows(z):
     return z[np.lexsort(z.T[::-1])]
 
 
+def counted_set(d, spec):
+    """The counted synthetic set, one row per draw: the distinct row of each
+    drawn code repeated as often as pattern_counts drew it."""
+    counts = pattern_counts(d, spec)
+    codes = np.flatnonzero(counts)
+    return np.repeat(distinct_rows(d, spec, codes), counts[codes], axis=0)
+
+
 class TestWeightedBlocks:
     """The one source of the Monte-Carlo reductions: each row weighted by how
-    many synthetic rows it stands for, the set of augmented_chunks."""
+    many synthetic rows it stands for, the counted set on a counted design
+    and the set of augmented_chunks on any other."""
 
     @pytest.mark.parametrize("block_rows", [BLOCK_ROWS, 64])
     @pytest.mark.parametrize("mode", ["mean", "iid"])
@@ -374,7 +389,7 @@ class TestWeightedBlocks:
             [(z, weights)] = blocks
             assert weights.sum() == 301 and weights.min() >= 1
             z = np.repeat(z, weights.astype(np.int64), axis=0)
-            assert sorted_rows(z).tobytes() == sorted_rows(chunked_set(d, spec, 301)).tobytes()
+            assert sorted_rows(z).tobytes() == sorted_rows(counted_set(d, spec)).tobytes()
         else:
             assert [z.shape[0] for z, _ in blocks] == [64] * 4 + [45]
             assert all(weights is None for _, weights in blocks)

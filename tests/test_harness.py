@@ -37,9 +37,10 @@ from ablatereg.harness import (
     _matrix_lines,
     augmented_lines,
     _moment_limits,
+    _moments,
     _streamed_moments,
 )
-from ablatereg.linear import _solve_system, fit_ccp, fit_ols
+from ablatereg.linear import _solve_system, fit_ccp, fit_ml2p, fit_ols
 from ablatereg.nn import TrainConfig, init, train
 from ablatereg.penalty import ccp_pairwise, ccp_variance_form, contributions_linear
 
@@ -162,11 +163,12 @@ class TestMomentLimits:
         assert np.abs(emp_gram - gram_limit).max() > 0.01
 
     @pytest.mark.parametrize("mode", ["mean", "iid"])
-    def test_sigmas_match_elementwise_reference(self, small_data, mode):
-        # reference: the per-entry loop over the materialized synthetic set
-        check = check_moment_limits(small_data, mode, 0.3, 150_000, seed=6)
-        aug = build_augmented(small_data, AugmentSpec(mode, 0.3, 150_000, seed=6))
-        gram_limit, cross_limit = _moment_limits(small_data, mode, 0.3)
+    def test_sigmas_match_elementwise_reference(self, wide_data, mode):
+        # reference: the per-entry loop over the materialized synthetic set,
+        # on a rows-path design, whose streamed rows are that set's
+        check = check_moment_limits(wide_data, mode, 0.3, 150_000, seed=6)
+        aug = build_augmented(wide_data, AugmentSpec(mode, 0.3, 150_000, seed=6))
+        gram_limit, cross_limit = _moment_limits(wide_data, mode, 0.3)
         Xc = aug.features - aug.features.mean(axis=0)
         yc = aug.response - aug.response.mean()
         k = aug.k
@@ -182,19 +184,22 @@ class TestMomentLimits:
 
 
 class TestStreamedMoments:
+    """Streaming against materialization, on a rows-path design: the
+    streamed rows are those of build_augmented."""
+
     N = 3 * BLOCK_ROWS + 17
 
     @pytest.mark.parametrize("mode", ["mean", "iid"])
-    def test_streamed_beta_matches_materialized_ols(self, small_data, mode):
+    def test_streamed_beta_matches_materialized_ols(self, wide_data, mode):
         spec = AugmentSpec(mode, 0.4, self.N, seed=7)
-        _, moments = _streamed_moments(small_data, spec)
-        beta = _solve_system(moments[:-1, :-1], moments[:-1, -1], small_data.column_names, "t")
-        reference = fit_ols(build_augmented(small_data, spec)).beta
+        _, moments = _streamed_moments(wide_data, spec)
+        beta = _solve_system(moments[:-1, :-1], moments[:-1, -1], wide_data.column_names, "t")
+        reference = fit_ols(build_augmented(wide_data, spec)).beta
         np.testing.assert_allclose(beta, reference, rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("mode", ["mean", "iid"])
-    def test_stable_under_large_feature_means(self, small_data, mode):
-        shifted = replace(small_data, features=small_data.features + 1e6)
+    def test_stable_under_large_feature_means(self, wide_data, mode):
+        shifted = replace(wide_data, features=wide_data.features + 1e6)
         spec = AugmentSpec(mode, 0.4, self.N, seed=8)
         _, moments = _streamed_moments(shifted, spec)
         aug = build_augmented(shifted, spec)
@@ -211,14 +216,29 @@ def serial_block(features, response):
     return z
 
 
+def synthetic_blocks(d, spec):
+    """The synthetic set as [X | y] blocks of at most BLOCK_ROWS rows, one
+    row per synthetic row: on a counted design the expanded counted set,
+    each drawn code's distinct row repeated as often as it was drawn; on any
+    other the blocks of augmented_chunks."""
+    if not augment.counted(d):
+        for features, response in augmented_chunks(d, spec):
+            yield serial_block(features, response)
+        return
+    counts = augment.pattern_counts(d, spec)
+    codes = np.flatnonzero(counts)
+    z = np.repeat(augment.distinct_rows(d, spec, codes), counts[codes], axis=0)
+    for start in range(0, len(z), BLOCK_ROWS):
+        yield z[start:start + BLOCK_ROWS]
+
+
 def serial_moments(d, spec):
-    """Reference for the block pipeline: one thread walks augmented_chunks,
-    shifts each block by the source column means and adds up the blocks'
-    sums and cross-products."""
+    """Reference for the block pipeline: walk the synthetic blocks, shift
+    each by the source column means and add up the blocks' sums and
+    cross-products."""
     shift = np.append(d.features.mean(axis=0), d.response.mean())
     total = cross = 0.0
-    for features, response in augmented_chunks(d, spec):
-        z = serial_block(features, response)
+    for z in synthetic_blocks(d, spec):
         z -= shift
         total = total + z.sum(axis=0)
         cross = cross + z.T @ z
@@ -230,12 +250,11 @@ def two_pass_moments(d, spec):
     """Reference on the materialized set: its mean, corrected by the mean of
     its rows centered on it, then the cross-products of the rows centered on
     that."""
-    aug = build_augmented(d, spec)
-    z = serial_block(aug.features, aug.response)
+    z = np.concatenate(list(synthetic_blocks(d, spec)))
     mean = z.mean(axis=0)
     mean += (z - mean).mean(axis=0)
     zc = z - mean
-    return mean, zc.T @ zc / aug.n
+    return mean, zc.T @ zc / len(z)
 
 
 def serial_moment_sigmas(d, mode, lam, n_synthetic, seed, moments_of=serial_moments):
@@ -248,8 +267,8 @@ def serial_moment_sigmas(d, mode, lam, n_synthetic, seed, moments_of=serial_mome
     rows, cols = (idx[:-1] for idx in np.triu_indices(k + 1))
     observed = moments[rows, cols]
     sq_dev = np.zeros(rows.size)
-    for features, response in augmented_chunks(d, spec):
-        zc = serial_block(features, response) - mean
+    for z in synthetic_blocks(d, spec):
+        zc = z - mean
         sq_dev += ((zc[:, rows] * zc[:, cols] - observed) ** 2).sum(axis=0)
     se = np.sqrt(sq_dev / n_synthetic) / math.sqrt(n_synthetic)
     limits = np.zeros((k + 1, k + 1))
@@ -351,12 +370,13 @@ def report_columns(text, fmt):
 
 class TestCountPath:
     """On a counted design the moments, the moment-check sigmas and the
-    converge reports match the streamed references within 1e-12 of each
-    quantity's scale.  The counted set is one block of distinct rows
-    weighted by their counts, so its sums are added in another order than
-    the serial loop's, and match to rounding, not bytes.  Both references
-    hold at a feature shift of 1e6 too: the serial loop shifts each block
-    by the source means, and the two-pass reference centres the
+    converge reports match references over the expanded counted set (each
+    drawn code's distinct row repeated as often as it was drawn) within
+    1e-12 of each quantity's scale.  The counted set is one block of
+    distinct rows weighted by their counts, so its sums are added in another
+    order than the serial loop's, and match to rounding, not bytes.  Both
+    references hold at a feature shift of 1e6 too: the serial loop shifts
+    each block by the source means, and the two-pass reference centres the
     materialized set."""
 
     @pytest.mark.parametrize("reference", [serial_moments, two_pass_moments])
@@ -454,26 +474,34 @@ class RecordingGenerator:
 
 class TestBlockPipelineThreads:
     @staticmethod
-    def check_draw_threads(data, bootstrap_draws, streams, monkeypatch):
+    def check_draw_threads(data, bootstrap_draws, purposes, monkeypatch):
         """A converge run and a moment check on ``data`` make every generator
-        and bootstrap draw on the calling thread, ``bootstrap_draws`` draws
-        from at least ``streams`` generators, and leave no thread behind."""
-        stream_threads, bootstrap_threads = [], []
+        and bootstrap draw on the calling thread, start no thread, make
+        ``bootstrap_draws`` BOOTSTRAP draws and make generators for exactly
+        ``purposes``."""
+        stream_threads, bootstrap_threads, made, started = [], [], [], []
         stream = _streams.stream
 
         def recording_stream(seed, purpose, *step):
             stream_threads.append(threading.get_ident())
+            made.append(purpose)
             generator = stream(seed, purpose, *step)
             if purpose == _streams.BOOTSTRAP:
                 return RecordingGenerator(generator, bootstrap_threads)
             return generator
 
+        start = threading.Thread.start
+
+        def recording_start(thread):
+            started.append(thread)
+            start(thread)
+
         monkeypatch.setattr(_streams, "stream", recording_stream)
-        before = threading.active_count()
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
         converge_theorem1(data, 0.5, (1000, 3 * BLOCK_ROWS + 17), seeds=(0,))
         check_moment_limits(data, "iid", 0.5, 3 * BLOCK_ROWS + 17, seed=1)
-        assert threading.active_count() == before
-        assert len(stream_threads) >= streams
+        assert started == []
+        assert sorted(made) == sorted(purposes)
         assert len(bootstrap_threads) == bootstrap_draws
         assert set(stream_threads + bootstrap_threads) == {threading.get_ident()}
 
@@ -482,13 +510,14 @@ class TestBlockPipelineThreads:
         # four streamed sets (two converge cells, two passes of the check),
         # one bootstrap draw per block: 1 + 4 + 4 + 4; each set has a
         # BOOTSTRAP and a MASK generator
-        self.check_draw_threads(wide_data, 13, 8, monkeypatch)
+        streams = [_streams.BOOTSTRAP, _streams.MASK] * 4
+        self.check_draw_threads(wide_data, 13, streams, monkeypatch)
 
     def test_a_counted_moment_check_reads_its_stream_once(self, small_data, monkeypatch):
-        # three counted sets (two converge cells, one pass of the check):
-        # 1 + 4 + 4; each set has a BOOTSTRAP generator and at least two
-        # slots' MASK ones
-        self.check_draw_threads(small_data, 9, 9, monkeypatch)
+        # three counted sets (two converge cells, one pass of the check),
+        # each one multinomial draw from its own BOOTSTRAP generator, and no
+        # MASK generator
+        self.check_draw_threads(small_data, 3, [_streams.BOOTSTRAP] * 3, monkeypatch)
 
     def test_a_streamed_set_starts_no_thread(self, wide_data, monkeypatch):
         started = []
@@ -504,23 +533,6 @@ class TestBlockPipelineThreads:
         check_moment_limits(wide_data, "iid", 0.5, n, seed=5)
         assert started == []
 
-    def test_each_block_draws_its_rows_of_the_mask_stream(self, small_data, monkeypatch):
-        drawn = []
-        draw_masks = augment._BlockSlot.draw_masks
-
-        def recording_draw_masks(slot, start, draws):
-            draw_masks(slot, start, draws)
-            drawn.append((threading.get_ident(), start, draws.copy()))
-
-        monkeypatch.setattr(augment._BlockSlot, "draw_masks", recording_draw_masks)
-        n = 3 * BLOCK_ROWS + 17
-        expected = _streams.stream(3, _streams.MASK).random((n, small_data.k))
-        augment.pattern_counts(small_data, AugmentSpec("iid", 0.5, n, seed=3))
-        assert sorted(start for _, start, _ in drawn) == list(range(0, n, BLOCK_ROWS))
-        for thread, start, draws in drawn:
-            assert thread != threading.get_ident()
-            np.testing.assert_array_equal(draws, expected[start:start + BLOCK_ROWS])
-
     def test_error_in_a_block_surfaces_with_its_type(self, wide_data, monkeypatch):
         ablate = augment.ablate
 
@@ -533,25 +545,71 @@ class TestBlockPipelineThreads:
             converge_theorem1(wide_data, 0.5, (1000, 3 * BLOCK_ROWS + 17), seeds=(0,))
         assert threading.active_count() == before
 
-    def test_error_in_a_later_block_surfaces_after_the_earlier_results(self, small_data,
-                                                                       monkeypatch):
-        block_counts = augment._block_counts
-        results = []
 
-        def failing_last_block(d, spec, start, idx, slot):
-            if idx.size == 5:
-                raise FloatingPointError("last block")
-            counts = block_counts(d, spec, start, idx, slot)
-            results.append(int(counts.sum()))
-            return counts
+ORACLE_DESIGNS = {
+    "seed12": synth_correlated(200, 3, 0.6, (1.0, -2.0, 1.5), 1.0, seed=12),
+    "seed60": synth_correlated(80, 3, 0.5, (1.0, 0.8, 2.0), 0.5, seed=60),
+}
+ORACLE_DESIGNS["seed60+50"] = replace(ORACLE_DESIGNS["seed60"],
+                                      features=ORACLE_DESIGNS["seed60"].features + 50.0)
 
-        monkeypatch.setattr(augment, "_block_counts", failing_last_block)
-        before = threading.active_count()
-        spec = AugmentSpec("mean", 0.5, 2 * BLOCK_ROWS + 5, seed=0)
-        with pytest.raises(FloatingPointError, match="last block"):
-            augment.pattern_counts(small_data, spec)
-        assert results == [BLOCK_ROWS, BLOCK_ROWS]
-        assert threading.active_count() == before
+
+def exact_law(d, mode, lam):
+    """The N -> infinity limit of a counted design's synthetic set, without
+    sampling: its mean and centered moments, and the OLS solution on them.
+    The one block holds every (row, pattern) code's distinct row, weighted
+    by that code's probability, so the moments of a set of one row are the
+    expectations."""
+    spec = AugmentSpec(mode, lam, 1, seed=0)
+    rows = augment.distinct_rows(d, spec, np.arange(d.n << d.k))
+    p = augment.pattern_probabilities(d, spec)
+    _, moments = _moments(d, spec, lambda: iter([(rows.copy(order="F"), p)]))
+    k = d.k
+    return moments, _solve_system(moments[:k, :k], moments[:k, k], d.column_names, "exact")
+
+
+def relative_gap(got, reference):
+    return np.abs(got - reference).max() / np.abs(reference).max()
+
+
+class TestExactOracle:
+    """Theorems 1 and 2 at rounding level: OLS on the exact law of the
+    synthetic set is the closed-form CCP (mean ablation) and ML2P (inverted
+    dropout) solution, within 1e-12 of max|beta|, and the plain
+    variance-scaled L2, the penalty ML2P is distinguished from, is not."""
+
+    BOUND = 1e-12
+
+    @pytest.mark.parametrize("lam", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("design", sorted(ORACLE_DESIGNS))
+    @pytest.mark.parametrize("mode, fit", [("mean", fit_ccp), ("iid", fit_ml2p)])
+    def test_exact_solution_is_the_closed_form(self, mode, fit, design, lam):
+        d = ORACLE_DESIGNS[design]
+        _, beta = exact_law(d, mode, lam)
+        assert relative_gap(beta, fit(d, lam).model.beta) <= self.BOUND
+
+    @pytest.mark.parametrize("lam", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("design", sorted(ORACLE_DESIGNS))
+    @pytest.mark.parametrize("mode", ["mean", "iid"])
+    def test_exact_moments_are_the_limits(self, mode, design, lam):
+        d = ORACLE_DESIGNS[design]
+        moments, _ = exact_law(d, mode, lam)
+        gram_limit, cross_limit = _moment_limits(d, mode, lam)
+        k = d.k
+        assert relative_gap(moments[:k, :k], gram_limit) <= self.BOUND
+        assert relative_gap(moments[:k, k], cross_limit) <= self.BOUND
+
+    @pytest.mark.parametrize("lam", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("design", sorted(ORACLE_DESIGNS))
+    def test_plain_l2_is_rejected(self, design, lam):
+        # D = diag(v) in place of ML2P's diag(v + mu^2)
+        d = ORACLE_DESIGNS[design]
+        _, beta = exact_law(d, "iid", lam)
+        Xc = d.features - d.features.mean(axis=0)
+        yc = d.response - d.response.mean()
+        gram = Xc.T @ Xc
+        plain = np.linalg.solve(gram + lam / (1 - lam) * np.diag(np.diag(gram)), Xc.T @ yc)
+        assert relative_gap(beta, plain) > self.BOUND
 
 
 class TestLambdaSweep:

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -222,3 +226,35 @@ class TestSolverInvariants:
             warnings.simplefilter("error")
             with pytest.raises(SingularModelError, match=r"condition estimate inf\)"):
                 fit_ccp(d, 0.5)
+
+
+NON_FINITE_FITS = """
+from dataclasses import replace
+from ablatereg.dataset import synth_correlated
+from ablatereg.linear import SingularModelError, fit_ccp, fit_ml2p, fit_ols
+d = synth_correlated(200, 3, 0.5, (1, 0.8, 2), 0.5, seed=3)
+features = d.features.copy()
+features[0, 0] = 1e200  # its square overflows
+d = replace(d, features=features)
+for fit in (fit_ols, lambda d: fit_ccp(d, 0.3), lambda d: fit_ml2p(d, 0.3)):
+    try:
+        fit(d)
+        print("fitted")
+    except SingularModelError as err:
+        print(",".join(err.columns), err, sep="|")
+"""
+
+
+def test_a_non_finite_system_is_named_before_any_svd():
+    # the SVD of a system with an infinite entry need not return, so the
+    # fits run in a fresh interpreter under a time limit: a hang fails here
+    # instead of stalling the suite
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", NON_FINITE_FITS],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert [line.split("|")[0] for line in lines] == ["x0"] * 3
+    assert lines[0].endswith("fit_ols: centered Gram matrix is not finite (columns: x0)")
+    assert lines[1].endswith("fit_ccp: system matrix is not finite (columns: x0)")
+    assert lines[2].endswith("fit_ml2p: system matrix is not finite (columns: x0)")

@@ -1,14 +1,15 @@
-"""One digest over the Monte-Carlo outputs of a source tree.
+"""One digest per path over the Monte-Carlo outputs of a source tree.
 
     python3 tools/converge_bytes.py SRC
 
 Imports ``ablatereg`` from the directory SRC (a checkout's ``src``) and
-prints one sha256 over the CSV converge reports of both theorems and the
-moment-check sigmas of both modes.  They cover a counted design (200x3) and
-a rows design (10,000x9), each as generated and with its features shifted
-by 1e6, at N from under one block to several blocks.  Two trees whose
-digests agree give the same bytes on all of them.  BLAS and OpenMP are
-pinned to one thread before numpy loads, as the benchmark does.
+prints, for a counted design (200x3) and a rows design (10,000x9), one
+sha256 over the CSV converge reports of both theorems and the moment-check
+sigmas of both modes, each line the design's name and its digest.  Each
+design is run as generated and with its features shifted by 1e6, at N from
+under one block to several blocks.  Two trees whose digests for a design
+agree give the same bytes on all of its runs.  BLAS and OpenMP are pinned to
+one thread before numpy loads, as the benchmark does.
 """
 
 import os
@@ -37,8 +38,8 @@ def main(argv) -> int:
                                                           for j in range(9)], 1.0, seed=1),
     }
     schedule = (1000, BLOCK_ROWS, 3 * BLOCK_ROWS + 17)
-    digest = hashlib.sha256()
     for name, d in designs.items():
+        digest = hashlib.sha256()
         for shift in (0.0, 1e6):
             shifted = dataclasses.replace(d, features=d.features + shift)
             for converge in (harness.converge_theorem1, harness.converge_theorem2):
@@ -48,7 +49,7 @@ def main(argv) -> int:
                 check = harness.check_moment_limits(shifted, mode, 0.5, schedule[-1], seed=2)
                 digest.update(check.gram_sigmas.tobytes() + check.cross_sigmas.tobytes())
             print(f"{name}, shift {shift:g}: done", file=sys.stderr)
-    print(digest.hexdigest())
+        print(f"{name}: {digest.hexdigest()}")
     return 0
 
 
