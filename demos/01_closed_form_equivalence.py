@@ -9,9 +9,12 @@ Two ablation modes, two equivalent penalties:
   matches least squares plus the second-moment-scaled L2 penalty, solved by
   ``fit_ml2p``.
 
-This script builds a correlated synthetic dataset, materializes synthetic
-sets of growing size N, fits plain OLS on each, and watches the coefficients
-walk into the closed-form solutions at the Monte-Carlo rate ~1/sqrt(N).
+This script builds a correlated synthetic dataset, draws synthetic sets of
+growing size N (on this 200-row, 3-feature design, as counts of each
+(row, mask pattern) pair; larger designs stream their rows, and neither
+materializes the set), solves plain OLS from each set's centered moments,
+and watches the coefficients walk into the closed-form solutions at the
+Monte-Carlo rate ~1/sqrt(N).
 """
 
 import numpy as np

@@ -67,7 +67,7 @@ from .dataset import (
     split,
     standardize,
 )
-from .linear import SingularModelError, _solve_system, fit_ccp, fit_ml2p, fit_ols
+from .linear import SingularModelError, _solve_system, fit_ccp, fit_ml2p
 from .nn import (
     MlpModel,
     TrainConfig,
@@ -224,8 +224,8 @@ def _streamed_moments(d: Dataset, spec: AugmentSpec) -> tuple[np.ndarray, np.nda
 
 def _converge(d: Dataset, theorem: int, lam: float, n_schedule, seeds) -> ConvergenceRun:
     """Reduces each (seed, N) synthetic set through :func:`_streamed_moments`
-    and solves OLS from its centered Gram system, behind the same 1e12
-    condition gate as :func:`~ablatereg.linear.fit_ols`.  On a rows-path
+    and solves OLS from its centered Gram system through the one gated
+    solve of :func:`~ablatereg.linear.fit_ols`.  On a rows-path
     design the draws are those of :func:`~ablatereg.augment.build_augmented`,
     and only the summation order differs from fitting the materialized set;
     a counted set is drawn as its pattern counts, with the same law."""
@@ -535,9 +535,6 @@ def _fit_cell(
     d_train, d_val, depth, lam, mode, cfg, cell_seed, hidden_width, n_out
 ) -> MlpModel:
     if depth == 0 and d_train.task == REGRESSION:
-        if lam == 0.0:
-            fit = fit_ols(d_train)
-            return linear_as_mlp(fit.beta, fit.intercept)
         solver = fit_ccp if mode == MEAN_ABLATION else fit_ml2p
         fit = solver(d_train, lam)
         return linear_as_mlp(fit.model.beta, fit.model.intercept)

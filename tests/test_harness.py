@@ -41,7 +41,7 @@ from ablatereg.harness import (
     _streamed_moments,
 )
 from ablatereg.linear import _solve_system, fit_ccp, fit_ml2p, fit_ols
-from ablatereg.nn import TrainConfig, init, train
+from ablatereg.nn import TrainConfig, init, linear_as_mlp, train
 from ablatereg.penalty import ccp_pairwise, ccp_variance_form, contributions_linear
 
 
@@ -619,6 +619,26 @@ class TestLambdaSweep:
                              dataset_id="unit")
         assert len(sweep.cells) == len(grid) * 2
         assert all(c.error is None for c in sweep.cells)
+
+    @pytest.mark.parametrize("mode", ["mean", "iid"])
+    def test_depth0_lambda_zero_cell_is_ols(self, small_data, mode, monkeypatch):
+        # the cell calls its mode's solver at every lambda; at lambda = 0 its
+        # system is the Gram matrix itself
+        fit_cell, cells = harness._fit_cell, []
+
+        def recording(d_train, d_val, depth, lam, *args):
+            model = fit_cell(d_train, d_val, depth, lam, *args)
+            cells.append((d_train, lam, model))
+            return model
+
+        monkeypatch.setattr(harness, "_fit_cell", recording)
+        lambda_sweep(small_data, [0], mode, (0.0, 0.5), seeds=(0,), attribution_steps=10)
+        d_train, lam, model = cells[0]
+        ols = fit_ols(d_train)
+        expected = linear_as_mlp(ols.beta, ols.intercept)
+        assert lam == 0.0
+        for got, want in zip(model.weights + model.biases, expected.weights + expected.biases):
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("grid, seeds, message", [
         # the trend gates read the first and the last lambda as the least

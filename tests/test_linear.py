@@ -2,6 +2,8 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +27,34 @@ def make_dataset(X, y):
 def centered(d):
     X, y = d.features, d.response
     return X - X.mean(axis=0), y - y.mean()
+
+
+def exact_centered_moments(d):
+    """The centered Gram, cross moments and means of ``d``, exactly, as
+    rationals."""
+    X = [[Fraction(v) for v in row] for row in d.features.tolist()]
+    y = [Fraction(v) for v in d.response.tolist()]
+    mu = [sum(column) / d.n for column in zip(*X)]
+    ybar = sum(y) / d.n
+    Xc = [[x - m for x, m in zip(row, mu)] for row in X]
+    yc = [v - ybar for v in y]
+    gram = [[sum(row[i] * row[j] for row in Xc) for j in range(d.k)] for i in range(d.k)]
+    cross = [sum(row[i] * v for row, v in zip(Xc, yc)) for i in range(d.k)]
+    return gram, cross, mu
+
+
+def exact_solve(A, b):
+    """Gauss-Jordan elimination over the rationals, rounded to float64 at the end."""
+    M = [list(row) + [v] for row, v in zip(A, b)]
+    k = len(b)
+    for i in range(k):
+        pivot = next(r for r in range(i, k) if M[r][i] != 0)
+        M[i], M[pivot] = M[pivot], M[i]
+        for r in range(k):
+            if r != i and M[r][i] != 0:
+                factor = M[r][i] / M[i][i]
+                M[r] = [a - factor * c for a, c in zip(M[r], M[i])]
+    return np.array([float(M[i][k] / M[i][i]) for i in range(k)])
 
 
 class TestFitOls:
@@ -227,6 +257,84 @@ class TestSolverInvariants:
             with pytest.raises(SingularModelError, match=r"condition estimate inf\)"):
                 fit_ccp(d, 0.5)
 
+    @pytest.mark.parametrize("n", [3, 10])
+    @pytest.mark.parametrize("value", [0.1, 3.7])
+    def test_constant_column_with_inexact_mean_is_named(self, value, n):
+        # the computed mean of a column of 0.1 or 3.7 is not the value, so
+        # centering leaves rounding that Jacobi scaling would blow up to unit size
+        X = np.column_stack([np.full(n, value), np.arange(n, dtype=np.float64) ** 1.5])
+        d = make_dataset(X, np.arange(n, dtype=np.float64))
+        for fit in (fit_ols, lambda d: fit_ccp(d, 0.5)):
+            with pytest.raises(SingularModelError, match=r"condition estimate inf\)") as err:
+                fit(d)
+            assert err.value.columns == ("c0",)
+        # ML2P's penalty keeps the system regular; the constant column gets no weight
+        assert fit_ml2p(d, 0.5).model.beta[0] == 0.0
+
+
+class TestOneSolve:
+    """OLS, CCP and ML2P are one Jacobi-scaled Gram solve with different
+    penalties; the gate reads the scaled system."""
+
+    FITS = {
+        "ols": fit_ols,
+        "ccp": lambda d: fit_ccp(d, 0.3).model,
+        "ml2p": lambda d: fit_ml2p(d, 0.3).model,
+    }
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    @pytest.mark.parametrize("fit", [fit_ccp, fit_ml2p])
+    def test_lambda_zero_is_ols_bit_for_bit(self, fit, seed):
+        # (1 - 0) G + 0 nV and G + 0 D are G itself
+        d = synth_correlated(200, 3, 0.5, (1, 0.8, 2), 0.5, seed=seed)
+        model, ols = fit(d, 0.0).model, fit_ols(d)
+        assert np.array_equal(model.beta, ols.beta) and model.intercept == ols.intercept
+
+    @pytest.mark.parametrize("exponent", [20, -20])
+    @pytest.mark.parametrize("name", sorted(FITS))
+    def test_a_power_of_two_column_scale_scales_its_coefficient_exactly(self, name, exponent):
+        # the fits are equivariant under column scaling, and a power of two
+        # rescales every rounding with it, so the bits follow
+        scale = np.array([2.0**exponent, 1.0, 1.0])
+        for seed in (3, 4, 5):
+            d = synth_correlated(200, 3, 0.5, (1, 0.8, 2), 0.5, seed=seed)
+            model = self.FITS[name](d)
+            scaled = self.FITS[name](replace(d, features=d.features * scale))
+            assert np.array_equal(scaled.beta, model.beta / scale)
+            assert scaled.intercept == model.intercept
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_ml2p_fits_a_column_with_mean_1e8(self, seed):
+        # D = diag(v + mu^2) puts 1e16 on one diagonal entry; unscaled, the
+        # gate read that as a condition of about 5e15
+        d = synth_correlated(50, 3, 0.5, (1, 0.8, 2), 0.5, seed=seed)
+        X = np.round(d.features * 2**10) / 2**10  # dyadic, so the shift is exact
+        X[-1, 1] = -X[:-1, 1].sum()  # and the mean is exactly 1e8
+        X[:, 1] += 1e8
+        d = replace(d, features=X)
+        lam = 0.3
+        gram, cross, mu = exact_centered_moments(d)
+        ratio = Fraction(lam) / (1 - Fraction(lam))
+        for j in range(d.k):
+            gram[j][j] += d.n * ratio * (gram[j][j] / d.n + mu[j] ** 2)
+        exact = exact_solve(gram, cross)
+        beta = fit_ml2p(d, lam).model.beta
+        assert np.abs(beta - exact).max() <= 1e-14 * np.abs(exact).max()
+
+    @pytest.mark.parametrize("correlation", [1 - 1e-6, 1 - 1e-11])
+    def test_ols_accuracy_is_bounded_by_the_gated_condition(self, correlation):
+        # the cost of solving the normal equations: OLS's error grows with
+        # cond(S G S), about cond(Xc)^2, not with cond(Xc); 1 - 1e-11 puts
+        # cond(S G S) at 4.3e11, near the 1e12 gate
+        d = synth_correlated(120, 4, correlation, (1, -2, 3, 0.5), 1, seed=5)
+        gram, cross, _ = exact_centered_moments(d)
+        exact = exact_solve(gram, cross)
+        G = np.array([[float(v) for v in row] for row in gram])
+        s = 1 / np.sqrt(np.diag(G))
+        condition = np.linalg.cond(s[:, None] * G * s)
+        error = np.abs(fit_ols(d).beta - exact).max() / np.abs(exact).max()
+        assert error <= 10 * condition * 2.0**-52
+
 
 NON_FINITE_FITS = """
 from dataclasses import replace
@@ -255,6 +363,6 @@ def test_a_non_finite_system_is_named_before_any_svd():
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert [line.split("|")[0] for line in lines] == ["x0"] * 3
-    assert lines[0].endswith("fit_ols: centered Gram matrix is not finite (columns: x0)")
+    assert lines[0].endswith("fit_ols: system matrix is not finite (columns: x0)")
     assert lines[1].endswith("fit_ccp: system matrix is not finite (columns: x0)")
     assert lines[2].endswith("fit_ml2p: system matrix is not finite (columns: x0)")

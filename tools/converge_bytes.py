@@ -7,9 +7,13 @@ prints, for a counted design (200x3) and a rows design (10,000x9), one
 sha256 over the CSV converge reports of both theorems and the moment-check
 sigmas of both modes, each line the design's name and its digest.  Each
 design is run as generated and with its features shifted by 1e6, at N from
-under one block to several blocks.  Two trees whose digests for a design
-agree give the same bytes on all of its runs.  BLAS and OpenMP are pinned to
-one thread before numpy loads, as the benchmark does.
+under one block to several blocks.  A ``closed forms`` line per design
+digests the ``repr`` of the beta and intercept of ``fit_ols``, and of
+``fit_ccp`` and ``fit_ml2p`` at lam 0, 0.3 and 0.9, on the design as
+generated, shifted by 1e6, and with column 0 scaled by 2**20; a fit that
+raises contributes its message instead.  Two trees whose digests for a
+design agree give the same bytes on all of its runs.  BLAS and OpenMP are
+pinned to one thread before numpy loads, as the benchmark does.
 """
 
 import os
@@ -23,12 +27,31 @@ import hashlib  # noqa: E402
 import sys  # noqa: E402
 
 
+def closed_forms_digest(d, linear) -> str:
+    """sha256 over the closed-form fits of ``d`` and two rescalings of it."""
+    column0 = [2.0**20] + [1.0] * (d.k - 1)
+    fits = [(linear.fit_ols, None)] + [
+        (fit, lam) for fit in (linear.fit_ccp, linear.fit_ml2p) for lam in (0.0, 0.3, 0.9)
+    ]
+    digest = hashlib.sha256()
+    for features in (d.features, d.features + 1e6, d.features * column0):
+        variant = dataclasses.replace(d, features=features)
+        for fit, lam in fits:
+            try:
+                model = fit(variant) if lam is None else fit(variant, lam).model
+                text = repr(model.beta.tolist()) + repr(model.intercept)
+            except linear.SingularModelError as err:
+                text = str(err)
+            digest.update(text.encode() + b"\n")
+    return digest.hexdigest()
+
+
 def main(argv) -> int:
     if len(argv) != 1:
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
         return 2
     sys.path.insert(0, os.path.abspath(argv[0]))
-    from ablatereg import harness
+    from ablatereg import harness, linear
     from ablatereg.augment import BLOCK_ROWS
     from ablatereg.dataset import synth_correlated
 
@@ -50,6 +73,8 @@ def main(argv) -> int:
                 digest.update(check.gram_sigmas.tobytes() + check.cross_sigmas.tobytes())
             print(f"{name}, shift {shift:g}: done", file=sys.stderr)
         print(f"{name}: {digest.hexdigest()}")
+    for name, d in designs.items():
+        print(f"closed forms, {name}: {closed_forms_digest(d, linear)}")
     return 0
 
 
