@@ -25,13 +25,11 @@ c = ar.contributions_linear(m, rng.normal(size=(100, 1)))
 print(f"single feature: ccp = {ar.ccp_pairwise(c)}")
 
 # reinforcing contributions: the penalty is a reward (negative)
-c = ar.ContributionMatrix(values=np.array([[1.0, 1.0], [-1.0, -1.0]]),
-                          predictions=np.array([2.0, -2.0]))
+c = np.array([[1.0, 1.0], [-1.0, -1.0]])
 print(f"perfectly reinforcing pair: ccp = {ar.ccp_variance_form(c)}  (a reward)")
 
 # cancelling contributions: positive penalty
-c = ar.ContributionMatrix(values=np.array([[1.0, -1.0], [-1.0, 1.0]]),
-                          predictions=np.array([0.0, 0.0]))
+c = np.array([[1.0, -1.0], [-1.0, 1.0]])
 print(f"perfectly cancelling pair:  ccp = {ar.ccp_variance_form(c)}")
 print()
 

@@ -8,18 +8,15 @@ F(x) - F(baseline) (completeness).  On a linear model IG reproduces the
 contributions exactly, and the path-averaged gradients reproduce the
 coefficients, so the two penalties extend verbatim:
 
-* CCP with attributions in place of contributions;
+* CCP with attributions in place of contributions (the same n x k array
+  goes to the same penalty function);
 * ML2P with average gradients in place of coefficients.
 """
 
 import numpy as np
 
 import ablatereg as ar
-from ablatereg.attribution import (
-    AttributionConfig,
-    as_contributions,
-    integrated_gradients,
-)
+from ablatereg.attribution import AttributionConfig, integrated_gradients
 
 rng = np.random.default_rng(3)
 
@@ -53,7 +50,7 @@ print()
 # the two penalties evaluated on attribution output
 res = integrated_gradients(net, test.features, AttributionConfig(steps=100))
 test_stats = ar.feature_stats(test.features)
-ccp = ar.ccp_variance_form(as_contributions(res))
+ccp = ar.ccp_variance_form(res.attributions)
 ml2p = ar.ml2p_from_avg_gradients(res.avg_gradients, test_stats)
 print(f"penalties of the trained net on the test split: CCP={ccp:.1f}  ML2P={ml2p:.3f}")
 

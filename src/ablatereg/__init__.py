@@ -37,7 +37,6 @@ from .linear import (
     fit_ols,
 )
 from .penalty import (
-    ContributionMatrix,
     ccp_pairwise,
     ccp_variance_form,
     contributions_linear,
@@ -62,7 +61,6 @@ from .attribution import (
     AttributionConfig,
     AttributionResult,
     CompletenessSummary,
-    as_contributions,
     completeness_report,
     integrated_gradients,
 )

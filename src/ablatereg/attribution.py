@@ -4,8 +4,9 @@
 attributions, the path-averaged gradients (the network analogue of
 coefficients, read as ``result.avg_gradients``), the model outputs at the
 inputs and at the baseline, and each row's completeness gap.
-:func:`completeness_report` summarizes those gaps without recomputing them,
-and :func:`as_contributions` hands the attributions to :mod:`ablatereg.penalty`.
+:func:`completeness_report` summarizes those gaps without recomputing them.
+The attributions stand in for contributions as they are: the penalties of
+:mod:`ablatereg.penalty` take ``result.attributions`` directly.
 
 The average gradients are accumulated directly from path evaluations, never
 recovered by dividing attributions by (x - baseline), so they stay
@@ -19,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nn import MlpModel, _as_rows, input_gradients, predict
-from .penalty import ContributionMatrix
 
 QUADRATURES = ("midpoint", "left", "right", "trapezoid")
 
@@ -131,11 +131,3 @@ def completeness_report(
         flagged_rows=np.flatnonzero(gaps > threshold),
     )
 
-
-def as_contributions(result: AttributionResult) -> ContributionMatrix:
-    """View attributions as a contribution matrix: the decomposed score is
-    the baseline output plus the attribution row sum."""
-    return ContributionMatrix(
-        values=result.attributions,
-        predictions=result.baseline_output + result.attributions.sum(axis=1),
-    )

@@ -55,7 +55,7 @@ import sys
 import numpy as np
 
 from . import harness, nn, penalty as penalty_mod
-from .attribution import AttributionConfig, as_contributions, integrated_gradients
+from .attribution import AttributionConfig, integrated_gradients
 from .augment import AugmentError, AugmentSpec
 from .dataset import (
     Dataset,
@@ -371,13 +371,11 @@ def cmd_penalty(args) -> int:
         d, _ = standardize(d, stats_from_model)
     stats = feature_stats(d.features)
 
-    ccp_value = None
     ml2p_value = None
     with _evaluating(args.model):
+        # exact contributions for a linear model, attributions for a network
         if linear is not None:
-            contrib = penalty_mod.contributions_linear(linear, d.features)
-            if args.kind in ("ccp", "both"):
-                ccp_value = penalty_mod.ccp_variance_form(contrib)
+            contributions = penalty_mod.contributions_linear(linear, d.features)
             if args.kind in ("ml2p", "both"):
                 ml2p_value = penalty_mod.ml2p(linear.beta, stats)
         else:
@@ -385,10 +383,11 @@ def cmd_penalty(args) -> int:
                 model, d.features,
                 AttributionConfig(steps=args.steps, output_index=args.class_index),
             )
-            if args.kind in ("ccp", "both"):
-                ccp_value = penalty_mod.ccp_variance_form(as_contributions(attr))
+            contributions = attr.attributions
             if args.kind in ("ml2p", "both"):
                 ml2p_value = penalty_mod.ml2p_from_avg_gradients(attr.avg_gradients, stats)
+        ccp_value = (penalty_mod.ccp_variance_form(contributions)
+                     if args.kind in ("ccp", "both") else None)
 
     _write_json({
         "ccp": ccp_value,

@@ -47,7 +47,7 @@ from dataclasses import dataclass, field, replace as dc_replace
 
 import numpy as np
 
-from .attribution import AttributionConfig, as_contributions, integrated_gradients
+from .attribution import AttributionConfig, integrated_gradients
 from .augment import (
     BLOCK_ROWS,
     INVERTED_DROPOUT,
@@ -62,6 +62,7 @@ from .dataset import (
     CLASSIFICATION,
     REGRESSION,
     Dataset,
+    DatasetError,
     SplitSpec,
     feature_stats,
     split,
@@ -468,7 +469,8 @@ def lambda_sweep(
     closed-form solution equivalent to the requested augmentation mode.  Each
     seed drives the split, the initialization, the shuffling and the ablation
     masks; failed cells are recorded with their error instead of aborting the
-    sweep.
+    sweep.  A test split of fewer than 2 rows raises
+    :class:`~ablatereg.dataset.DatasetError` before any cell is fitted.
     """
     cfg = cfg or TrainConfig()
     depths = tuple(int(v) for v in depths)
@@ -496,6 +498,9 @@ def lambda_sweep(
     )
     for seed in seeds:
         d_train, d_val, d_test = split(d, SplitSpec(seed=seed))
+        if d_test.n < 2:  # the split sizes are the same for every seed
+            raise DatasetError(f"the test split holds {d_test.n} of the {d.n} rows; "
+                               "CCP needs at least 2")
         d_train, stats = standardize(d_train)
         d_val, _ = standardize(d_val, stats)
         d_test, _ = standardize(d_test, stats)
@@ -525,7 +530,7 @@ def lambda_sweep(
                     result.cells.append(SweepCell(
                         depth=depth, lam=lam, seed=seed, output_index=oi,
                         metric=float(metric),
-                        ccp=ccp_variance_form(as_contributions(attr)),
+                        ccp=ccp_variance_form(attr.attributions),
                         ml2p=ml2p_from_avg_gradients(attr.avg_gradients, test_stats),
                     ))
     return result

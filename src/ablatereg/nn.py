@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _streams
 from .augment import AugmentSpec, ablated_copy, batch_masks
-from .dataset import CLASSIFICATION, REGRESSION, Dataset
+from .dataset import CLASSIFICATION, REGRESSION, Dataset, DatasetError
 
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba, 2015).
@@ -292,7 +292,8 @@ def train(model: MlpModel, d_train: Dataset, d_val: Dataset, cfg: TrainConfig, *
     training minimizes, instead of silently undoing the regularization.
     """
     if d_train.n == 0 or d_val.n == 0:
-        raise ValueError("train and validation splits must be non-empty")
+        raise DatasetError(f"train and validation splits must be non-empty, got "
+                           f"{d_train.n} and {d_val.n} rows")
     X_tr, y_tr = d_train.features, d_train.response
     task = model.task
     train_means = X_tr.mean(axis=0)  # frozen for mean ablation

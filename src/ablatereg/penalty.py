@@ -1,10 +1,16 @@
-"""Penalty evaluation on contribution/attribution matrices.
+"""Penalty evaluation on contribution and attribution matrices.
+
+A contribution matrix is an n x k array whose entry (i, j) is feature j's
+additive share of the score on input i: beta_j * x_ij for a linear model
+(:func:`contributions_linear`), or the integrated-gradients attributions
+``AttributionResult.attributions`` for a network.  The score is the row sum
+plus a constant (the intercept, or the baseline output), and the constant
+changes no variance, so the penalties take the array alone.
 
 The contribution-covariance penalty sums n * -cov over ordered feature pairs
 (anticorrelated contributions are penalized, reinforcing ones rewarded); the
-variance form n*(sum_j var_j - var(score)) is the O(k) way to compute it and
-agrees with the pairwise form identically because the decomposed score is
-the row sum of contributions plus a constant.
+variance form n*(sum_j var_j - var(row sum)) is the O(k) way to compute it
+and agrees with the pairwise form up to rounding.
 
 All variances/covariances are population (divide by n) to keep the matrix
 identity ccp = beta' (nV - Xc'Xc) beta exact.
@@ -12,45 +18,13 @@ identity ccp = beta' (nV - Xc'Xc) beta exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .dataset import FeatureStats
+from .dataset import DatasetError, FeatureStats
 from .linear import LinearModel
 
 
-@dataclass(frozen=True)
-class ContributionMatrix:
-    """Per-input, per-feature additive shares of a decomposed score.
-
-    ``values[i, j]`` is feature j's share on input i; ``predictions[i]`` is
-    the decomposed score (row sum plus the constant term).
-    """
-
-    values: np.ndarray
-    predictions: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        predictions = np.asarray(self.predictions, dtype=np.float64).ravel()
-        if values.ndim != 2:
-            raise ValueError("contribution values must be a 2-D matrix")
-        if predictions.shape[0] != values.shape[0]:
-            raise ValueError("predictions length must match contribution rows")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "predictions", predictions)
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.values.shape[1]
-
-
-def contributions_linear(m: LinearModel, X) -> ContributionMatrix:
+def contributions_linear(m: LinearModel, X) -> np.ndarray:
     """Contribution of feature j on row i is beta_j * x_ij; the row sums plus
     the intercept reproduce the model predictions exactly."""
     X = np.asarray(X, dtype=np.float64)
@@ -58,30 +32,34 @@ def contributions_linear(m: LinearModel, X) -> ContributionMatrix:
         X = X[None, :]
     if X.shape[1] != m.k:
         raise ValueError(f"X has {X.shape[1]} columns, model expects {m.k}")
-    values = X * m.beta
-    return ContributionMatrix(values=values, predictions=m.intercept + values.sum(axis=1))
+    return X * m.beta
 
 
-def ccp_pairwise(c: ContributionMatrix) -> float:
+def _contribution_rows(contributions) -> np.ndarray:
+    """``contributions`` as a float matrix of at least 2 rows; fewer rows
+    raise :class:`~ablatereg.dataset.DatasetError`."""
+    c = np.asarray(contributions, dtype=np.float64)
+    if c.ndim != 2:
+        raise ValueError("contributions must be a 2-D matrix")
+    if c.shape[0] < 2:
+        raise DatasetError(f"CCP needs at least 2 rows to estimate covariances, got {c.shape[0]}")
+    return c
+
+
+def ccp_pairwise(contributions) -> float:
     """n * sum over ordered pairs j != k of -cov(contribution_j, contribution_k)."""
-    if c.n < 2:
-        raise ValueError("need at least 2 rows to estimate covariances")
-    centered = c.values - c.values.mean(axis=0)
-    cov = centered.T @ centered / c.n  # population covariances
-    return float(c.n * (np.trace(cov) - cov.sum()))
+    c = _contribution_rows(contributions)
+    n = c.shape[0]
+    centered = c - c.mean(axis=0)
+    cov = centered.T @ centered / n  # population covariances
+    return float(n * (np.trace(cov) - cov.sum()))
 
 
-def ccp_variance_form(c: ContributionMatrix) -> float:
-    """The O(k) form n*(sum_j var(contribution_j)) - n*var(score).
-
-    The constant term drops out of var(score) automatically, so this equals
-    :func:`ccp_pairwise` up to rounding.  Attributions stand in for
-    contributions through :func:`ablatereg.attribution.as_contributions`.
-    """
-    if c.n < 2:
-        raise ValueError("need at least 2 rows to estimate variances")
-    var_sum = float(c.values.var(axis=0).sum())
-    return float(c.n * (var_sum - c.predictions.var()))
+def ccp_variance_form(contributions) -> float:
+    """The O(k) form n*(sum_j var(contribution_j) - var(sum_j contribution_j)),
+    equal to :func:`ccp_pairwise` up to rounding."""
+    c = _contribution_rows(contributions)
+    return float(c.shape[0] * (c.var(axis=0).sum() - c.sum(axis=1).var()))
 
 
 def ml2p(beta_like, stats: FeatureStats) -> float:

@@ -119,8 +119,7 @@ def test_criterion_4_penalty_identities():
             )
             break
 
-    single = ar.ContributionMatrix(values=np.array([[1.0], [2.0], [4.0]]),
-                                   predictions=np.array([1.0, 2.0, 4.0]))
+    single = np.array([[1.0], [2.0], [4.0]])
     if ar.ccp_pairwise(single) != 0.0:
         problems.append("single-feature CCP is not exactly 0")
 

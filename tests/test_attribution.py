@@ -3,7 +3,6 @@ import pytest
 
 from ablatereg.attribution import (
     AttributionConfig,
-    as_contributions,
     completeness_report,
     integrated_gradients,
 )
@@ -193,14 +192,3 @@ class TestQuadratureConvergence:
                                  AttributionConfig(baseline=baseline + delta, steps=7))
         np.testing.assert_allclose(a.attributions, b.attributions, atol=1e-10)
 
-
-class TestAsContributions:
-    def test_predictions_are_baseline_plus_rowsums(self):
-        model = init([3, 9, 1], seed=18)
-        X = np.random.default_rng(19).normal(size=(12, 3))
-        res = integrated_gradients(model, X, AttributionConfig(steps=21))
-        cm = as_contributions(res)
-        np.testing.assert_allclose(
-            cm.predictions, res.baseline_output + res.attributions.sum(axis=1),
-            atol=1e-12,
-        )

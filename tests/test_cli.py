@@ -15,12 +15,10 @@ from ablatereg.dataset import load_csv, synth_correlated
 from ablatereg.linear import fit_ols
 
 
-@pytest.fixture()
-def csv_path(tmp_path):
+def write_data(path):
     # all-positive coefficients on a positively correlated design keep the
     # cross-trend directions (ML2P up under mean ablation) unambiguous
     d = synth_correlated(80, 3, 0.5, (1.0, 0.8, 2.0), 0.5, seed=60)
-    path = tmp_path / "data.csv"
     header = ",".join(list(d.column_names) + ["y"])
     lines = [header]
     for row, y in zip(d.features, d.response):
@@ -29,8 +27,21 @@ def csv_path(tmp_path):
     return path
 
 
+@pytest.fixture()
+def csv_path(tmp_path):
+    return write_data(tmp_path / "data.csv")
+
+
 def run(args):
     return main([str(a) for a in args])
+
+
+def head_csv(csv_path, path, n_rows):
+    """The header and the first ``n_rows`` data rows of ``csv_path``, written
+    to ``path``."""
+    lines = csv_path.read_text().splitlines()
+    path.write_text("\n".join(lines[: n_rows + 1]) + "\n")
+    return path
 
 
 def run_in_subprocess(args, stdout):
@@ -467,6 +478,41 @@ class TestErrorReporting:
                             "diverged at epoch 0, step 1: overflow encountered in square")
         assert not (tmp_path / "ckpt.json").exists()
 
+    def test_train_without_a_validation_split(self, csv_path, tmp_path, capsys):
+        code = run(["train", "--data", csv_path, "--response", "y", "--val-frac", "0",
+                    "--out", tmp_path / "ckpt.json"])
+        self.one_error_line(capsys, code,
+                            "train and validation splits must be non-empty, got 64 and 0 rows")
+        assert not (tmp_path / "ckpt.json").exists()
+
+    @pytest.mark.parametrize("kind", ["ccp", "both"])
+    @pytest.mark.parametrize("maker", [["fit"], ["train", "--epochs", "1", "--hidden-width", "3"]],
+                             ids=["fit", "train"])
+    def test_ccp_on_one_row(self, csv_path, tmp_path, capsys, maker, kind):
+        """CCP needs 2 rows; ML2P alone is still reported on 1."""
+        model = tmp_path / "model.json"
+        assert run([*maker, "--data", csv_path, "--response", "y", "--out", model]) == 0
+        capsys.readouterr()
+        penalty = ["penalty", "--model", model, "--data",
+                   head_csv(csv_path, tmp_path / "one.csv", 1), "--response", "y"]
+        code = run([*penalty, "--kind", kind, "--out", tmp_path / "penalty.json"])
+        self.one_error_line(capsys, code,
+                            "CCP needs at least 2 rows to estimate covariances, got 1")
+        assert not (tmp_path / "penalty.json").exists()
+        assert run([*penalty, "--kind", "ml2p", "--out", tmp_path / "ml2p.json"]) == 0
+        report = json.loads((tmp_path / "ml2p.json").read_text())
+        assert report["n"] == 1 and report["ccp"] is None and report["ml2p"] >= 0
+
+    @pytest.mark.parametrize("n_rows", [5, 7])
+    def test_sweep_with_one_test_row(self, csv_path, tmp_path, capsys, n_rows):
+        code = run(["sweep", "--mode", "mean", "--depths", "0,1", "--lambdas", "0,0.5",
+                    "--seeds", "1", "--epochs", "1", "--hidden-width", "3", "--steps", "5",
+                    "--data", head_csv(csv_path, tmp_path / "few.csv", n_rows),
+                    "--response", "y", "--out", tmp_path / "sweep.csv"])
+        self.one_error_line(capsys, code,
+                            f"the test split holds 1 of the {n_rows} rows; CCP needs at least 2")
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_diverged_training_writes_no_warning(self, tmp_path):
         # numpy's warnings go to stderr outside pytest's capture, so run it alone
         result = run_in_subprocess(["train", "--depth", "0", "--learning-rate", "1e200",
@@ -755,6 +801,68 @@ class TestOptionDeclarations:
                                                 "--config", config]
         assert run(base + ["--out", tmp_path / "a.csv"]) == 0
         assert run(base + ["--check", "--out", tmp_path / "b.csv"]) == 1
+
+
+@pytest.fixture(scope="module")
+def tiny_inputs(tmp_path_factory):
+    """A fit model and a checkpoint made on the 80 rows of ``write_data``,
+    and those rows (``rows80``) and their first 1, 2 and 6 as CSV files."""
+    root = tmp_path_factory.mktemp("tiny")
+    paths = {"rows80": write_data(root / "rows80.csv"),
+             "model": root / "model.json", "checkpoint": root / "checkpoint.json"}
+    data = ["--data", paths["rows80"], "--response", "y"]
+    assert run(["fit", *data, "--out", paths["model"]]) == 0
+    assert run(["train", *data, "--epochs", "1", "--hidden-width", "3",
+                "--out", paths["checkpoint"]]) == 0
+    for n_rows in (1, 2, 6):
+        paths[f"rows{n_rows}"] = head_csv(paths["rows80"], root / f"rows{n_rows}.csv", n_rows)
+    return paths
+
+
+TINY_COMMANDS = {
+    "fit-ols": ["fit", "--method", "ols"],
+    "fit-ccp": ["fit", "--method", "ccp", "--lambda", "0.5"],
+    "fit-ml2p": ["fit", "--method", "ml2p", "--lambda", "0.5"],
+    "augment-mean": ["augment", "--mode", "mean", "--lambda", "0.5", "--n", "20"],
+    "augment-iid": ["augment", "--mode", "iid", "--lambda", "0.5", "--n", "20"],
+    "penalty-fit": ["penalty", "--model", "{model}"],
+    "penalty-checkpoint": ["penalty", "--model", "{checkpoint}", "--steps", "5"],
+    "train": ["train", "--epochs", "1", "--hidden-width", "3"],
+    "attribute": ["attribute", "--model", "{checkpoint}", "--steps", "5"],
+    "converge-1": ["converge", "--theorem", "1", "--n-schedule", "50,100", "--seeds", "1"],
+    "converge-2": ["converge", "--theorem", "2", "--n-schedule", "50,100", "--seeds", "1"],
+    **{f"sweep-{mode}": ["sweep", "--mode", mode, "--depths", "0,1", "--lambdas", "0,0.5",
+                         "--seeds", "1", "--epochs", "1", "--hidden-width", "3", "--steps", "5"]
+       for mode in ("mean", "iid")},
+}
+
+
+@pytest.mark.parametrize("n_rows, command", [
+    *((n_rows, name) for n_rows in (1, 2, 6) for name in TINY_COMMANDS),
+    (80, "train-val-frac-0"),
+])
+def test_tiny_inputs_exit_cleanly(tiny_inputs, tmp_path, capsys, n_rows, command):
+    """Every command on 1, 2 or 6 rows, and ``train --val-frac 0``, either
+    succeeds, or exits 1 with one ``error:`` line, or is a usage error
+    (exit 2); it raises nothing else and leaves no output on failure."""
+    argv = (["train", "--epochs", "1", "--hidden-width", "3", "--val-frac", "0"]
+            if command == "train-val-frac-0" else TINY_COMMANDS[command])
+    out = tmp_path / "out"
+    argv = [a.format(**tiny_inputs) for a in argv] + [
+        "--data", tiny_inputs[f"rows{n_rows}"], "--response", "y", "--out", out]
+    capsys.readouterr()
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        assert exc.code == 2
+        code = 2
+    assert code in (0, 1, 2)
+    if code:
+        err = capsys.readouterr().err.splitlines()
+        assert len([line for line in err if "error:" in line]) == 1, err
+        if code == 1:
+            assert len(err) == 1 and err[0].startswith("error: "), err
+        assert not out.exists()
 
 
 def test_importing_the_package_loads_no_scipy():

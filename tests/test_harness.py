@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from ablatereg import _streams, augment, harness
 from ablatereg.augment import BLOCK_ROWS, AugmentError, AugmentSpec, augmented_chunks, build_augmented
-from ablatereg.attribution import AttributionConfig, as_contributions, integrated_gradients
-from ablatereg.dataset import SplitSpec, split, standardize, synth_correlated
+from ablatereg.attribution import AttributionConfig, integrated_gradients
+from ablatereg.dataset import DatasetError, SplitSpec, split, standardize, synth_correlated
 from ablatereg.harness import (
     ReportError,
     SweepCell,
@@ -652,6 +652,19 @@ class TestLambdaSweep:
         with pytest.raises(ValueError, match=message):
             lambda_sweep(small_data, [0], "mean", grid, seeds=seeds)
 
+    @pytest.mark.parametrize("n_rows", [5, 7])
+    def test_one_test_row_is_rejected_before_any_cell(self, small_data, n_rows, monkeypatch):
+        # the default split leaves 5 to 7 rows one test row, too few for CCP
+        def no_fit(*args):
+            raise AssertionError("a cell was fitted")
+
+        monkeypatch.setattr(harness, "_fit_cell", no_fit)
+        few = replace(small_data, features=small_data.features[:n_rows],
+                      response=small_data.response[:n_rows])
+        with pytest.raises(DatasetError,
+                           match=f"the test split holds 1 of the {n_rows} rows; CCP needs"):
+            lambda_sweep(few, [0, 1], "mean", (0.0, 0.5), seeds=(0, 1))
+
     def test_depth0_sgd_matches_closed_form_ccp(self):
         # the spec's 5%-relative oracle example, on a reduced instance: the
         # sweep's closed-form depth-0 cell against the same cell trained by
@@ -668,7 +681,7 @@ class TestLambdaSweep:
         run_cfg = replace(cfg, seed=cell_seed, augment=AugmentSpec("mean", lam, 1, cell_seed))
         sgd, _ = train(init([d.k, 1], seed=cell_seed), d_train, d_val, run_cfg)
         attr = integrated_gradients(sgd, d_test.features, AttributionConfig(steps=50))
-        a = ccp_variance_form(as_contributions(attr))
+        a = ccp_variance_form(attr.attributions)
         closed = lambda_sweep(d, [0], "mean", [lam], seeds=(0,),
                               attribution_steps=50)
         b = closed.mean_over_seeds("ccp", 0, lam)

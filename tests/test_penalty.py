@@ -3,12 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ablatereg.attribution import AttributionConfig, as_contributions, integrated_gradients
-from ablatereg.dataset import FeatureStats
+from ablatereg.attribution import AttributionConfig, integrated_gradients
+from ablatereg.dataset import DatasetError, FeatureStats
 from ablatereg.linear import LinearModel
 from ablatereg.nn import init, linear_as_mlp
 from ablatereg.penalty import (
-    ContributionMatrix,
     ccp_pairwise,
     ccp_variance_form,
     contributions_linear,
@@ -21,12 +20,12 @@ class TestContributionsLinear:
     def test_definition(self):
         m = LinearModel(beta=np.array([2.0, -1.0]), intercept=0.0)
         c = contributions_linear(m, [3.0, 4.0])
-        np.testing.assert_allclose(c.values, [[6.0, -4.0]])
+        np.testing.assert_allclose(c, [[6.0, -4.0]])
 
     def test_zero_model(self):
         m = LinearModel(beta=np.zeros(3), intercept=1.0)
         c = contributions_linear(m, np.random.default_rng(0).normal(size=(5, 3)))
-        assert not c.values.any()
+        assert not c.any()
 
     def test_rows_plus_intercept_equal_predictions(self):
         rng = np.random.default_rng(1)
@@ -34,59 +33,49 @@ class TestContributionsLinear:
         X = rng.normal(size=(20, 4))
         c = contributions_linear(m, X)
         np.testing.assert_allclose(
-            c.values.sum(axis=1) + m.intercept, c.predictions, atol=1e-10
+            c.sum(axis=1) + m.intercept, X @ m.beta + m.intercept, atol=1e-10
         )
 
 
 class TestCcpPairwise:
     def test_single_feature_is_zero(self):
-        c = ContributionMatrix(values=np.array([[1.0], [2.0], [5.0]]),
-                               predictions=np.array([1.0, 2.0, 5.0]))
-        assert ccp_pairwise(c) == 0.0
+        assert ccp_pairwise(np.array([[1.0], [2.0], [5.0]])) == 0.0
 
     def test_hand_oracle(self):
         # cov(c1, c2) = -1 over 2 rows; 2 ordered pairs; times n=2 -> 4
-        c = ContributionMatrix(values=np.array([[1.0, -1.0], [-1.0, 1.0]]),
-                               predictions=np.array([0.0, 0.0]))
-        assert ccp_pairwise(c) == 4.0
+        assert ccp_pairwise(np.array([[1.0, -1.0], [-1.0, 1.0]])) == 4.0
 
     def test_independent_columns_near_zero(self):
         rng = np.random.default_rng(2)
         n, k = 100_000, 3
         values = rng.standard_normal((n, k))
-        c = ContributionMatrix(values=values, predictions=values.sum(axis=1))
         # var of the ordered-pair cov sum is ~12/n for unit-variance columns
-        assert abs(ccp_pairwise(c)) / n <= 3 * np.sqrt(12 / n)
+        assert abs(ccp_pairwise(values)) / n <= 3 * np.sqrt(12 / n)
 
     def test_needs_two_rows(self):
-        c = ContributionMatrix(values=np.array([[1.0, 2.0]]), predictions=np.array([3.0]))
-        with pytest.raises(ValueError):
-            ccp_pairwise(c)
+        with pytest.raises(DatasetError, match="at least 2 rows"):
+            ccp_pairwise(np.array([[1.0, 2.0]]))
 
 
 class TestCcpVarianceForm:
+    def test_needs_two_rows(self):
+        with pytest.raises(DatasetError, match="at least 2 rows"):
+            ccp_variance_form(np.array([[1.0, 2.0]]))
+
+    @pytest.mark.parametrize("ccp", [ccp_pairwise, ccp_variance_form])
+    def test_needs_a_matrix(self, ccp):
+        with pytest.raises(ValueError, match="2-D"):
+            ccp(np.array([1.0, 2.0, 3.0]))
+
     def test_matches_pairwise_hand_oracle(self):
-        c = ContributionMatrix(values=np.array([[1.0, -1.0], [-1.0, 1.0]]),
-                               predictions=np.array([0.0, 0.0]))
-        assert ccp_variance_form(c) == 4.0
+        assert ccp_variance_form(np.array([[1.0, -1.0], [-1.0, 1.0]])) == 4.0
 
     def test_reinforcing_contributions_are_rewarded(self):
         # equal contributions with unit variance: n(2v - 4v) = -2nv = -4
-        c = ContributionMatrix(values=np.array([[1.0, 1.0], [-1.0, -1.0]]),
-                               predictions=np.array([2.0, -2.0]))
-        assert ccp_variance_form(c) == -4.0
+        assert ccp_variance_form(np.array([[1.0, 1.0], [-1.0, -1.0]])) == -4.0
 
     def test_constant_contributions_zero(self):
-        c = ContributionMatrix(values=np.full((4, 3), 2.5),
-                               predictions=np.full(4, 7.5))
-        assert ccp_variance_form(c) == 0.0
-
-    def test_intercept_shift_invariant(self):
-        rng = np.random.default_rng(3)
-        values = rng.normal(size=(50, 3))
-        base = ContributionMatrix(values=values, predictions=values.sum(axis=1))
-        shifted = ContributionMatrix(values=values, predictions=values.sum(axis=1) + 13.0)
-        assert abs(ccp_variance_form(base) - ccp_variance_form(shifted)) < 1e-8
+        assert ccp_variance_form(np.full((4, 3), 2.5)) == 0.0
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=25, deadline=None)
@@ -95,8 +84,7 @@ class TestCcpVarianceForm:
         n = int(rng.integers(2, 40))
         k = int(rng.integers(1, 6))
         values = rng.normal(size=(n, k)) * rng.uniform(0.1, 5)
-        c = ContributionMatrix(values=values, predictions=values.sum(axis=1) + 1.3)
-        a, b = ccp_pairwise(c), ccp_variance_form(c)
+        a, b = ccp_pairwise(values), ccp_variance_form(values)
         assert abs(a - b) <= 1e-8 * max(1.0, abs(a))
 
 
@@ -120,10 +108,9 @@ class TestMatrixFormIdentity:
     def test_covariance_matrix_symmetric_and_consistent(self):
         rng = np.random.default_rng(4)
         values = rng.normal(size=(30, 4))
-        c = ContributionMatrix(values=values, predictions=values.sum(axis=1))
         cov = np.cov(values, rowvar=False, bias=True)  # population covariances
-        recomputed = c.n * (np.trace(cov) - cov.sum())
-        assert abs(recomputed - ccp_pairwise(c)) < 1e-10
+        recomputed = values.shape[0] * (np.trace(cov) - cov.sum())
+        assert abs(recomputed - ccp_pairwise(values)) < 1e-10
 
 
 class TestMl2p:
@@ -164,7 +151,7 @@ class TestCcpFromAttributions:
         direct = ccp_pairwise(contributions_linear(m, X))
         attr = integrated_gradients(linear_as_mlp(beta, 0.4), X,
                                     AttributionConfig(steps=25))
-        via_attr = ccp_variance_form(as_contributions(attr))
+        via_attr = ccp_variance_form(attr.attributions)
         assert abs(direct - via_attr) <= 1e-3 * max(1.0, abs(direct))
 
     def test_depth_zero_network_consistent(self):
@@ -172,7 +159,7 @@ class TestCcpFromAttributions:
         net = init([3, 1], seed=8)
         X = rng.normal(size=(40, 3))
         attr = integrated_gradients(net, X, AttributionConfig(steps=10))
-        cm = as_contributions(attr)
+        cm = attr.attributions
         assert abs(ccp_variance_form(cm) - ccp_pairwise(cm)) <= 1e-6
 
     def test_deep_net_variance_form_identity(self):
@@ -180,7 +167,7 @@ class TestCcpFromAttributions:
         net = init([5, 16, 16, 1], seed=10)
         X = rng.normal(size=(1000, 5))
         attr = integrated_gradients(net, X, AttributionConfig(steps=20))
-        cm = as_contributions(attr)
+        cm = attr.attributions
         a, b = ccp_variance_form(cm), ccp_pairwise(cm)
         assert abs(a - b) <= 1e-6 * max(1.0, abs(a))
 

@@ -1,4 +1,4 @@
-"""One digest per path over the Monte-Carlo outputs of a source tree.
+"""One digest per path over the Monte-Carlo, solve and CLI outputs of a tree.
 
     python3 tools/converge_bytes.py SRC
 
@@ -11,9 +11,15 @@ under one block to several blocks.  A ``closed forms`` line per design
 digests the ``repr`` of the beta and intercept of ``fit_ols``, and of
 ``fit_ccp`` and ``fit_ml2p`` at lam 0, 0.3 and 0.9, on the design as
 generated, shifted by 1e6, and with column 0 scaled by 2**20; a fit that
-raises contributes its message instead.  Two trees whose digests for a
-design agree give the same bytes on all of its runs.  BLAS and OpenMP are
-pinned to one thread before numpy loads, as the benchmark does.
+raises contributes its message instead.  A ``penalty cli`` line per design
+digests the files that ``cli.main`` writes, on a CSV written from the
+design, for ``fit --method ccp --lambda 0.5`` then ``penalty`` on that
+model, ``train --depth 1 --epochs 3`` then ``penalty`` on that checkpoint,
+and ``sweep --mode iid --depths 0,1 --lambdas 0,0.5 --epochs 2 --format
+json``.  Two trees
+whose digests for a design agree give the same bytes on all of its runs.
+BLAS and OpenMP are pinned to one thread before numpy loads, as the
+benchmark does.
 """
 
 import os
@@ -24,7 +30,9 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import dataclasses  # noqa: E402
 import hashlib  # noqa: E402
+import logging  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 
 
 def closed_forms_digest(d, linear) -> str:
@@ -46,12 +54,41 @@ def closed_forms_digest(d, linear) -> str:
     return digest.hexdigest()
 
 
+def penalty_cli_digest(d, cli) -> str:
+    """sha256 over the files the CLI writes for the fit, train, penalty and
+    sweep commands on a CSV of ``d``."""
+    digest = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        data = os.path.join(tmp, "data.csv")
+        with open(data, "w", encoding="utf-8") as fh:
+            fh.write(",".join([*d.column_names, "y"]) + "\n")
+            for row, y in zip(d.features.tolist(), d.response.tolist()):
+                fh.write(",".join(map(repr, [*row, y])) + "\n")
+        commands = [
+            ("model.json", ["fit", "--method", "ccp", "--lambda", "0.5"]),
+            ("model_penalty.json", ["penalty", "--model", os.path.join(tmp, "model.json")]),
+            ("checkpoint.json", ["train", "--depth", "1", "--epochs", "3"]),
+            ("checkpoint_penalty.json",
+             ["penalty", "--model", os.path.join(tmp, "checkpoint.json")]),
+            ("sweep.json", ["sweep", "--mode", "iid", "--depths", "0,1", "--lambdas", "0,0.5",
+                            "--epochs", "2", "--format", "json"]),
+        ]
+        for name, command in commands:
+            out = os.path.join(tmp, name)
+            code = cli.main([*command, "--data", data, "--response", "y", "--out", out])
+            if code != 0:
+                raise RuntimeError(f"{command[0]} exited {code}")
+            with open(out, "rb") as fh:
+                digest.update(fh.read())
+    return digest.hexdigest()
+
+
 def main(argv) -> int:
     if len(argv) != 1:
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
         return 2
     sys.path.insert(0, os.path.abspath(argv[0]))
-    from ablatereg import harness, linear
+    from ablatereg import cli, harness, linear
     from ablatereg.augment import BLOCK_ROWS
     from ablatereg.dataset import synth_correlated
 
@@ -75,6 +112,9 @@ def main(argv) -> int:
         print(f"{name}: {digest.hexdigest()}")
     for name, d in designs.items():
         print(f"closed forms, {name}: {closed_forms_digest(d, linear)}")
+    logging.getLogger("ablatereg").setLevel(logging.WARNING)
+    for name, d in designs.items():
+        print(f"penalty cli, {name}: {penalty_cli_digest(d, cli)}")
     return 0
 
 
