@@ -9,7 +9,8 @@ options' long names or dests (dashes or underscores alike).  Its values
 become the command's defaults, so a flag given on the command line wins.
 
 Exit status 2 is a usage error: a bad flag or flag value, a bad config key or
-value, or a config file that cannot be read.  Exit status 1 with one
+value, a config file that cannot be read, or a nonzero ``--lambda`` that
+``--method ols`` or ``--mode none`` ignores.  Exit status 1 with one
 ``error:`` line on stderr is a data, model, report or file error: a
 numerically singular model, an unusable data file or split, an invalid
 augmentation or ablation rate, training that diverged (at an epoch and
@@ -38,8 +39,9 @@ are the library's ``check()`` methods, with the thresholds in
   dropout is no larger at the last lambda than at the first, at every depth
   and output.
 
-All outputs are deterministic given a seed: rerunning a command reproduces
-the emitted file byte for byte.
+Outputs are deterministic given a seed and a BLAS thread count: a rerun
+writes the same bytes, but ``train``, ``attribute`` and ``sweep`` bytes can
+change with ``OPENBLAS_NUM_THREADS``.
 """
 
 from __future__ import annotations
@@ -65,12 +67,11 @@ from .dataset import (
     feature_stats,
     load_csv,
     one_hot_encode,
-    split,
     standardize,
     synth_correlated,
 )
 from .linear import LinearModel, SingularModelError, fit_ccp, fit_ml2p, fit_ols
-from .nn import TrainConfig, evaluate, init, linear_as_mlp, train
+from .nn import TrainConfig, evaluate, linear_as_mlp
 
 logger = logging.getLogger("ablatereg")
 
@@ -402,22 +403,13 @@ def cmd_penalty(args) -> int:
 
 def cmd_train(args) -> int:
     d = _load_dataset(args, lambda: _default_sweep_data(args.seed))
-    spec = SplitSpec(test_fraction=args.test_frac, validation_fraction_of_train=args.val_frac,
-                     seed=args.seed)
-    d_train, d_val, d_test = split(d, spec)
-    d_train, stats = standardize(d_train)
-    d_val, _ = standardize(d_val, stats)
-    d_test, _ = standardize(d_test, stats)
-
-    n_out = 1 if d.task == "regression" else int(d.response.max()) + 1
-    dims = [d.k] + [args.hidden_width] * args.depth + [n_out]
-    model = init(dims, seed=args.seed, task=d.task)
-    augment = None
-    if args.mode != "none":
-        augment = AugmentSpec(mode=args.mode, lam=args.lam, n_synthetic=1, seed=args.seed)
+    d_train, d_val, d_test, stats = harness.standardized_splits(d, SplitSpec(
+        test_fraction=args.test_frac, validation_fraction_of_train=args.val_frac, seed=args.seed))
+    augment = None if args.mode == "none" else AugmentSpec(args.mode, args.lam, 1, args.seed)
     cfg = TrainConfig(learning_rate=args.learning_rate, epochs=args.epochs,
                       batch_size=args.batch_size, augment=augment, seed=args.seed)
-    trained, log = train(model, d_train, d_val, cfg)
+    trained, log = harness.train_cell(d_train, d_val, args.depth, args.hidden_width,
+                                      harness.output_count(d), cfg, log_train_loss=True)
     metrics = evaluate(trained, d_test)
 
     _write_json({
@@ -650,6 +642,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     if getattr(args, "data", None) and not args.response:
         parser.error("--response is required with --data")
+    inert = {"fit": ("method", "ols"), "train": ("mode", "none")}.get(args.command)
+    if inert and getattr(args, inert[0]) == inert[1] and args.lam != 0:
+        parser.exit(2, f"ablatereg {args.command}: error: --lambda {args.lam} has no effect "
+                       f"with --{inert[0]} {inert[1]}\n")
     try:
         return args.func(args)
     except (SingularModelError, DatasetError, AugmentError, harness.ReportError,

@@ -68,11 +68,13 @@ from .dataset import (
     split,
     standardize,
 )
-from .linear import SingularModelError, _solve_system, fit_ccp, fit_ml2p
+from .linear import (CCP, ML2P, SingularModelError, _solve_system, fit_ccp, fit_ml2p,
+                     normal_equations)
 from .nn import (
     MlpModel,
     TrainConfig,
     TrainingDivergedError,
+    TrainLog,
     evaluate,
     init,
     linear_as_mlp,
@@ -175,20 +177,18 @@ class ConvergenceRun:
         return (not problems), problems
 
 
+def _mode_fit(d: Dataset, mode: str, lam: float):
+    """The closed form ``mode`` converges to: CCP (Theorem 1) or ML2P (Theorem 2)."""
+    return (fit_ccp if mode == MEAN_ABLATION else fit_ml2p)(d, lam)
+
+
 def _moment_limits(d: Dataset, mode: str, lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """Almost-sure limits of the augmented per-row centered second moments."""
-    stats = feature_stats(d)
-    Xc = d.features - stats.means
-    yc = d.response - d.response.mean()
-    cov = Xc.T @ Xc / d.n
-    cross = Xc.T @ yc / d.n
-    if mode == MEAN_ABLATION:
-        gram_limit = (1.0 - lam) ** 2 * cov + lam * (1.0 - lam) * np.diag(stats.variances)
-        cross_limit = (1.0 - lam) * cross
-    else:
-        gram_limit = cov + (lam / (1.0 - lam)) * np.diag(stats.second_moments)
-        cross_limit = cross.copy()
-    return gram_limit, cross_limit
+    """Almost-sure limits of the augmented centered Gram and cross moments:
+    the mode's closed-form system (:func:`~ablatereg.linear.normal_equations`)
+    over n, times 1 - lam under mean ablation."""
+    kind, factor = (CCP, 1.0 - lam) if mode == MEAN_ABLATION else (ML2P, 1.0)
+    A, rhs, *_ = normal_equations(d, lam, kind)
+    return factor / d.n * A, factor / d.n * rhs
 
 
 def _shifted_sums(z, weights, shift):
@@ -234,14 +234,10 @@ def _converge(d: Dataset, theorem: int, lam: float, n_schedule, seeds) -> Conver
     check_increasing(n_schedule, "N schedule")
     seeds = tuple(int(s) for s in seeds)
     check_distinct(seeds)
-    if theorem == 1:
-        mode = MEAN_ABLATION
-        target = fit_ccp(d, lam).model.beta
-    elif theorem == 2:
-        mode = INVERTED_DROPOUT
-        target = fit_ml2p(d, lam).model.beta
-    else:
+    if theorem not in (1, 2):
         raise ValueError("theorem must be 1 or 2")
+    mode = MEAN_ABLATION if theorem == 1 else INVERTED_DROPOUT
+    target = _mode_fit(d, mode, lam).model.beta
     gram_limit, cross_limit = _moment_limits(d, mode, lam)
     k = d.k
 
@@ -360,10 +356,7 @@ def check_moment_limits(
         sq_dev += _block_square_deviations(z, weights, mean, pairs, observed)
     se = np.sqrt(sq_dev / n_synthetic) / math.sqrt(n_synthetic)
 
-    limits = np.zeros((k + 1, k + 1))
-    limits[:k, :k] = gram_limit
-    limits[:k, k] = cross_limit
-    err = np.abs(observed - limits[rows, cols])
+    err = np.abs(observed - np.column_stack([gram_limit, cross_limit])[rows, cols])
     sigmas = np.zeros((k + 1, k + 1))
     sigmas[rows, cols] = sigmas[cols, rows] = np.divide(
         err, se, out=np.zeros_like(err), where=se > 0)
@@ -466,10 +459,11 @@ def lambda_sweep(
     standardized features) and ML2P from the path-averaged gradients.
 
     Per the experimental protocol, depth-0 regression models are the
-    closed-form solution equivalent to the requested augmentation mode.  Each
-    seed drives the split, the initialization, the shuffling and the ablation
-    masks; failed cells are recorded with their error instead of aborting the
-    sweep.  A test split of fewer than 2 rows raises
+    closed-form solution equivalent to the requested augmentation mode; every
+    other cell is trained by :func:`train_cell`.  Each seed drives the split,
+    and ``child_seed(seed, depth, lambda-index)`` the cell's initialization,
+    shuffling and ablation masks.  Failed cells are recorded with their error
+    instead of aborting the sweep.  A test split of fewer than 2 rows raises
     :class:`~ablatereg.dataset.DatasetError` before any cell is fitted.
     """
     cfg = cfg or TrainConfig()
@@ -480,12 +474,7 @@ def lambda_sweep(
         check_lambda(lam)
     check_increasing(lambda_grid, "lambda grid")
     check_distinct(seeds)
-    if d.task == CLASSIFICATION:
-        n_out = int(d.response.max()) + 1
-        output_indices = tuple(range(n_out))
-    else:
-        n_out = 1
-        output_indices = (0,)
+    n_out = output_count(d)
 
     result = SweepResult(
         dataset_id=dataset_id,
@@ -497,31 +486,25 @@ def lambda_sweep(
         hidden_width=hidden_width,
     )
     for seed in seeds:
-        d_train, d_val, d_test = split(d, SplitSpec(seed=seed))
+        d_train, d_val, d_test, _ = standardized_splits(d, SplitSpec(seed=seed))
         if d_test.n < 2:  # the split sizes are the same for every seed
             raise DatasetError(f"the test split holds {d_test.n} of the {d.n} rows; "
                                "CCP needs at least 2")
-        d_train, stats = standardize(d_train)
-        d_val, _ = standardize(d_val, stats)
-        d_test, _ = standardize(d_test, stats)
         test_stats = feature_stats(d_test.features)
         for depth in depths:
             for lam_index, lam in enumerate(lambda_grid):
                 cell_seed = child_seed(seed, depth, lam_index)
+                cell_cfg = dc_replace(cfg, seed=cell_seed,
+                                      augment=AugmentSpec(mode, lam, 1, cell_seed))
                 try:
-                    model = _fit_cell(d_train, d_val, depth, lam, mode, cfg, cell_seed,
-                                      hidden_width, n_out)
+                    model = _fit_cell(d_train, d_val, depth, cell_cfg, hidden_width, n_out)
                 except (SingularModelError, TrainingDivergedError) as err:
-                    for oi in output_indices:
-                        result.cells.append(SweepCell(
-                            depth=depth, lam=lam, seed=seed, output_index=oi,
-                            metric=float("nan"), ccp=float("nan"), ml2p=float("nan"),
-                            error=str(err),
-                        ))
+                    result.cells += [SweepCell(depth, lam, seed, oi, math.nan, math.nan, math.nan,
+                                               error=str(err)) for oi in range(n_out)]
                     continue
                 metrics = evaluate(model, d_test)
                 metric = metrics.get("mse", metrics.get("accuracy"))
-                for oi in output_indices:
+                for oi in range(n_out):
                     attr = integrated_gradients(
                         model,
                         d_test.features,
@@ -536,22 +519,35 @@ def lambda_sweep(
     return result
 
 
-def _fit_cell(
-    d_train, d_val, depth, lam, mode, cfg, cell_seed, hidden_width, n_out
-) -> MlpModel:
+def _fit_cell(d_train, d_val, depth, cfg: TrainConfig, hidden_width, n_out) -> MlpModel:
+    """The closed form of ``cfg.augment`` for depth-0 regression, else :func:`train_cell`."""
     if depth == 0 and d_train.task == REGRESSION:
-        solver = fit_ccp if mode == MEAN_ABLATION else fit_ml2p
-        fit = solver(d_train, lam)
+        fit = _mode_fit(d_train, cfg.augment.mode, cfg.augment.lam)
         return linear_as_mlp(fit.model.beta, fit.model.intercept)
-    dims = [d_train.k] + [hidden_width] * depth + [n_out]
-    model = init(dims, seed=cell_seed, task=d_train.task)
-    run_cfg = dc_replace(
-        cfg,
-        seed=cell_seed,
-        augment=AugmentSpec(mode, lam, 1, cell_seed),
-    )
-    trained, _ = train(model, d_train, d_val, run_cfg, log_train_loss=False)
-    return trained
+    return train_cell(d_train, d_val, depth, hidden_width, n_out, cfg, log_train_loss=False)[0]
+
+
+def standardized_splits(d: Dataset, spec: SplitSpec):
+    """The split of d, each part standardized with the training part's stats."""
+    d_train, d_val, d_test = split(d, spec)
+    d_train, stats = standardize(d_train)
+    return d_train, standardize(d_val, stats)[0], standardize(d_test, stats)[0], stats
+
+
+def output_count(d: Dataset) -> int:
+    """One network output per class of all of d, a class no training row holds
+    included, or one for regression."""
+    return int(d.response.max()) + 1 if d.task == CLASSIFICATION else 1
+
+
+def train_cell(d_train, d_val, depth: int, width: int, n_out: int, cfg: TrainConfig, *,
+               log_train_loss: bool) -> tuple[MlpModel, TrainLog]:
+    """Train a ReLU net of ``depth`` hidden layers of ``width`` units from
+    ``cfg.seed`` by :func:`~ablatereg.nn.train`: the model at its best epoch
+    and the training log."""
+    dims = [d_train.k] + [width] * depth + [n_out]
+    model = init(dims, seed=cfg.seed, task=d_train.task)
+    return train(model, d_train, d_val, cfg, log_train_loss=log_train_loss)
 
 
 @dataclass(frozen=True)

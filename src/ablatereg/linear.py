@@ -127,15 +127,35 @@ def _solve_system(A: np.ndarray, rhs: np.ndarray, names, context: str) -> np.nda
     return scale * beta
 
 
-def _closed_form(d: Dataset, lam: float, kind: str, system) -> RegularizedFit:
-    """The one solve of every fit: ``system(gram, mu)`` gives the system
-    matrix and the penalty as a function of beta, both from the centered Gram."""
+def normal_equations(d: Dataset, lam: float, kind: str):
+    """The centered normal equations of the ``kind`` fit ("ols", CCP or ML2P)
+    at ``lam``: the system A, the right-hand side Xc'yc, the penalty as a
+    function of beta, and the centered design ``(Xc, yc, mu, ybar)``.  They
+    also state each theorem's law: a synthetic set's per-row centered Gram
+    and cross moments tend to (1-lam) A/n and (1-lam) Xc'yc/n for CCP under
+    mean ablation (Theorem 1), and to A/n and Xc'yc/n for ML2P under
+    inverted dropout (Theorem 2)."""
     check_lambda(lam)
     Xc, yc, mu, ybar = _centered(d)
     with np.errstate(over="ignore", invalid="ignore"):  # the gate names an overflowed system
         gram = Xc.T @ Xc
-        A, penalty = system(gram, mu)
-    beta = _solve_system(A, Xc.T @ yc, d.column_names, f"fit_{kind}")
+        if kind == CCP:
+            nV = np.diag(np.diag(gram))  # n * population variances, exactly
+            A = (1.0 - lam) * gram + lam * nV
+            penalty = lambda beta: lam * (beta @ (nV - gram) @ beta)
+        elif kind == ML2P:
+            second_moments = np.diag(gram) / d.n + mu**2  # v_j + mu_j^2
+            A = gram + d.n * (lam / (1.0 - lam)) * np.diag(second_moments)
+            penalty = lambda beta: d.n * (lam / (1.0 - lam)) * np.sum(second_moments * beta**2)
+        else:
+            A, penalty = gram, lambda beta: 0.0
+    return A, Xc.T @ yc, penalty, (Xc, yc, mu, ybar)
+
+
+def _closed_form(d: Dataset, lam: float, kind: str) -> RegularizedFit:
+    """The one solve of every fit, of the system :func:`normal_equations` builds."""
+    A, rhs, penalty, (Xc, yc, mu, ybar) = normal_equations(d, lam, kind)
+    beta = _solve_system(A, rhs, d.column_names, f"fit_{kind}")
     resid = yc - Xc @ beta
     objective = float(resid @ resid + penalty(beta))
     model = LinearModel(beta=beta, intercept=ybar - mu @ beta)
@@ -151,7 +171,7 @@ def fit_ols(d: Dataset) -> LinearModel:
     every dummy of a one-hot column whose dummies sum to one.  Its relative
     error is about cond(S G S) * 2^-52, so up to 2e-4 at the gate's edge.
     """
-    return _closed_form(d, 0.0, "ols", lambda gram, mu: (gram, lambda beta: 0.0)).model
+    return _closed_form(d, 0.0, "ols").model
 
 
 def fit_ccp(d: Dataset, lam: float) -> RegularizedFit:
@@ -161,12 +181,7 @@ def fit_ccp(d: Dataset, lam: float) -> RegularizedFit:
     penalty term can be negative (a reward) when contributions reinforce
     each other, and is reported as-is.
     """
-
-    def system(gram, mu):
-        nV = np.diag(np.diag(gram))  # n * population variances, exactly
-        return (1.0 - lam) * gram + lam * nV, lambda beta: lam * (beta @ (nV - gram) @ beta)
-
-    return _closed_form(d, lam, CCP, system)
+    return _closed_form(d, lam, CCP)
 
 
 def fit_ml2p(d: Dataset, lam: float) -> RegularizedFit:
@@ -175,11 +190,4 @@ def fit_ml2p(d: Dataset, lam: float) -> RegularizedFit:
     On standardized data (zero means, unit variances) this is classical
     ridge with parameter n*lam/(1-lam).
     """
-
-    def system(gram, mu):
-        n, ratio = d.n, lam / (1.0 - lam)
-        second_moments = np.diag(gram) / n + mu**2  # v_j + mu_j^2
-        return (gram + n * ratio * np.diag(second_moments),
-                lambda beta: n * ratio * np.sum(second_moments * beta**2))
-
-    return _closed_form(d, lam, ML2P, system)
+    return _closed_form(d, lam, ML2P)

@@ -11,7 +11,7 @@ import pytest
 from ablatereg import harness
 from ablatereg.augment import BLOCK_ROWS, AugmentSpec, build_augmented
 from ablatereg.cli import build_parser, main
-from ablatereg.dataset import load_csv, synth_correlated
+from ablatereg.dataset import SplitSpec, load_csv, split, synth_correlated
 from ablatereg.linear import fit_ols
 
 
@@ -254,6 +254,78 @@ class TestSweepAndCrossCheck:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
         assert json.loads(outs[0])["meta"]["dataset"] == "data.csv"
+
+
+class TestOutputCount:
+    """A network has one output per class of the whole file, so a class that
+    a split leaves out of the training rows keeps its output."""
+
+    @pytest.fixture()
+    def rare_class_csv(self, tmp_path):
+        # 60 rows of classes a and b, and one row of c, which the splits of
+        # seeds 0 and 1 put outside the training rows
+        rng = np.random.default_rng(61)
+        X = rng.normal(size=(60, 2))
+        labels = np.where(X[:, 0] > 0, "a", "b")
+        labels[7] = "c"
+        path = tmp_path / "classes.csv"
+        path.write_text("x0,x1,label\n" + "".join(
+            f"{a!r},{b!r},{label}\n" for (a, b), label in zip(X.tolist(), labels)))
+        d = load_csv(path, "label", "classification")
+        assert d.response.max() == 2
+        for seed in (0, 1):
+            assert split(d, SplitSpec(seed=seed))[0].response.max() == 1
+        return path
+
+    def test_train_keeps_the_output_of_a_class_missing_from_training(self, rare_class_csv,
+                                                                       tmp_path):
+        out = tmp_path / "ckpt.json"
+        assert run(["train", "--task", "classification", "--data", rare_class_csv,
+                    "--response", "label", "--seed", "1", "--epochs", "2",
+                    "--hidden-width", "3", "--out", out]) == 0
+        assert json.loads(out.read_text())["dims"] == [2, 3, 3]
+
+    def test_sweep_emits_every_class(self, rare_class_csv, tmp_path):
+        out = tmp_path / "sweep.json"
+        assert run(["sweep", "--task", "classification", "--mode", "mean",
+                    "--data", rare_class_csv, "--response", "label", "--depths", "0",
+                    "--lambdas", "0,0.5", "--seeds", "0,1", "--epochs", "2", "--steps", "5",
+                    "--format", "json", "--out", out]) == 0
+        payload = json.loads(out.read_text())
+        column = payload["columns"].index("output_index")
+        cells = [row for row in payload["rows"] if row[0] == "cell"]
+        assert len(cells) == 2 * 2 * 3
+        assert sorted({row[column] for row in cells}) == [0, 1, 2]
+
+
+class TestInertLambda:
+    """A nonzero lambda that the command would ignore is a usage error."""
+
+    COMMANDS = {"fit": ["fit", "--method", "ols"],
+                "train": ["train", "--mode", "none", "--epochs", "1", "--hidden-width", "3"]}
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_nonzero_lambda_is_rejected(self, csv_path, tmp_path, capsys, command, source):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"lambda": 0.3}))
+        given = ["--lambda", "0.3"] if source == "flag" else ["--config", config]
+        out = tmp_path / "out.json"
+        with pytest.raises(SystemExit) as exc:
+            run([*self.COMMANDS[command], *given, "--data", csv_path, "--response", "y",
+                 "--out", out])
+        assert exc.value.code == 2
+        flag, value = self.COMMANDS[command][1:3]
+        assert capsys.readouterr().err.splitlines() == [
+            f"ablatereg {command}: error: --lambda 0.3 has no effect with {flag} {value}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_zero_lambda_is_accepted(self, csv_path, tmp_path, command):
+        base = [*self.COMMANDS[command], "--data", csv_path, "--response", "y"]
+        assert run([*base, "--out", tmp_path / "plain.json"]) == 0
+        assert run([*base, "--lambda", "0", "--out", tmp_path / "zero.json"]) == 0
+        assert (tmp_path / "zero.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
 
 
 class TestSplitFlags:

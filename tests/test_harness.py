@@ -626,9 +626,9 @@ class TestLambdaSweep:
         # system is the Gram matrix itself
         fit_cell, cells = harness._fit_cell, []
 
-        def recording(d_train, d_val, depth, lam, *args):
-            model = fit_cell(d_train, d_val, depth, lam, *args)
-            cells.append((d_train, lam, model))
+        def recording(d_train, d_val, depth, cfg, *args):
+            model = fit_cell(d_train, d_val, depth, cfg, *args)
+            cells.append((d_train, cfg.augment.lam, model))
             return model
 
         monkeypatch.setattr(harness, "_fit_cell", recording)
@@ -651,6 +651,12 @@ class TestLambdaSweep:
                                                             message):
         with pytest.raises(ValueError, match=message):
             lambda_sweep(small_data, [0], "mean", grid, seeds=seeds)
+
+    def test_unknown_mode_is_rejected(self, small_data):
+        # a depth-0 regression cell solves a closed form and draws no masks,
+        # yet its mode must still name one
+        with pytest.raises(AugmentError, match="mode must be one of"):
+            lambda_sweep(small_data, [0], "cutout", (0.0, 0.5), seeds=(0,))
 
     @pytest.mark.parametrize("n_rows", [5, 7])
     def test_one_test_row_is_rejected_before_any_cell(self, small_data, n_rows, monkeypatch):

@@ -1,12 +1,14 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import ablatereg.nn as nn_module
-from ablatereg.augment import AugmentSpec
+from ablatereg import _streams
+from ablatereg.augment import AugmentSpec, ablate, batch_masks
 from ablatereg.dataset import Dataset, standardize, synth_correlated
-from ablatereg.linear import fit_ols
+from ablatereg.linear import fit_ccp, fit_ml2p, fit_ols
 from ablatereg.nn import (
     TrainConfig,
     TrainingDivergedError,
@@ -430,6 +432,66 @@ class TestTrain:
         with pytest.raises(TrainingDivergedError) as err:
             train(init([3, 8, 1], seed=9), tr, va, cfg, log_train_loss=False)
         assert str(err.value) == "diverged at epoch 0, step 8: overflow encountered in square"
+
+
+class TestAugmentationPath:
+    """The batches training learns from carry Theorems 1 and 2: ablated to the
+    frozen training means, or dropped out and rescaled by 1/(1-lam)."""
+
+    @staticmethod
+    def design():
+        d = synth_correlated(200, 3, 0.5, (1.0, -2.0, 1.5), 1.0, seed=70)
+        return replace(d, features=d.features + np.array([2.0, -1.0, 3.0]))  # non-zero means
+
+    @pytest.mark.parametrize("mode, fit", [("mean", fit_ccp), ("iid", fit_ml2p)])
+    def test_mode_closed_form_is_stationary_under_batch_masks(self, mode, fit):
+        # the closed form minimizes the augmented risk, so the loss gradient
+        # at it has mean zero over rows and masks; plain dropout, without the
+        # rescale, gives |z| of 71 to 84 here
+        d, lam, batches, size = self.design(), 0.5, 4000, 32
+        closed = fit(d, lam).model
+        model = linear_as_mlp(closed.beta, closed.intercept)
+        spec = AugmentSpec(mode, lam, 1, seed=71)
+        means = d.features.mean(axis=0)
+        rng = np.random.default_rng(72)
+        grads = np.empty((batches, d.k + 1))
+        for step in range(batches):
+            idx = rng.choice(d.n, size, replace=False)
+            xb = batch_masks(d.features[idx], spec, step=step, means=means)
+            grads_w, grads_b = param_gradients(model, xb, d.response[idx], "regression")
+            grads[step] = np.append(grads_w[0], grads_b[0])
+        z = grads.mean(axis=0) / (grads.std(axis=0, ddof=1) / np.sqrt(batches))
+        assert np.abs(z).max() < 6.0, z
+
+    @pytest.mark.parametrize("mode", ["mean", "iid"])
+    def test_training_batches_are_ablated_to_the_training_means(self, monkeypatch, mode):
+        d = self.design()
+        spec = AugmentSpec(mode, 0.5, 1, seed=73)
+        cfg = TrainConfig(epochs=2, batch_size=32, seed=74, augment=spec)
+        seen = []
+        original = nn_module.param_gradients
+
+        def recording(m, X, targets, task):
+            seen.append((X.copy(), np.array(targets)))
+            return original(m, X, targets, task)
+
+        monkeypatch.setattr(nn_module, "param_gradients", recording)
+        train(init([3, 4, 1], seed=75), d, d, cfg)
+        means = d.features.mean(axis=0)
+        shuffle = _streams.stream(cfg.seed, _streams.SHUFFLE)
+        expected = []
+        for _ in range(cfg.epochs):
+            perm = shuffle.permutation(d.n)
+            for start in range(0, d.n, cfg.batch_size):
+                idx = perm[start:start + cfg.batch_size]
+                draws = _streams.stream(spec.seed, _streams.MASK, len(expected)).random(
+                    (len(idx), d.k))
+                expected.append((ablate(d.features[idx], draws, spec, means=means),
+                                 d.response[idx]))
+        assert len(seen) == len(expected) == 14
+        for (X, targets), (want_X, want_targets) in zip(seen, expected):
+            assert np.array_equal(X, want_X)
+            assert np.array_equal(targets, want_targets)
 
 
 class TestDivergenceRule:

@@ -15,9 +15,10 @@ raises contributes its message instead.  A ``penalty cli`` line per design
 digests the files that ``cli.main`` writes, on a CSV written from the
 design, for ``fit --method ccp --lambda 0.5`` then ``penalty`` on that
 model, ``train --depth 1 --epochs 3`` then ``penalty`` on that checkpoint,
-and ``sweep --mode iid --depths 0,1 --lambdas 0,0.5 --epochs 2 --format
-json``.  Two trees
-whose digests for a design agree give the same bytes on all of its runs.
+``sweep --mode iid --depths 0,1 --lambdas 0,0.5 --epochs 2 --format json``,
+and ``train --mode mean --lambda 0.3 --depth 1 --epochs 3`` then
+``attribute --steps 20`` on that checkpoint.  Two trees whose digests for a
+design agree give the same bytes on all of its runs.
 BLAS and OpenMP are pinned to one thread before numpy loads, as the
 benchmark does.
 """
@@ -55,8 +56,8 @@ def closed_forms_digest(d, linear) -> str:
 
 
 def penalty_cli_digest(d, cli) -> str:
-    """sha256 over the files the CLI writes for the fit, train, penalty and
-    sweep commands on a CSV of ``d``."""
+    """sha256 over the files the CLI writes for the fit, train, penalty,
+    sweep and attribute commands on a CSV of ``d``."""
     digest = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         data = os.path.join(tmp, "data.csv")
@@ -72,6 +73,10 @@ def penalty_cli_digest(d, cli) -> str:
              ["penalty", "--model", os.path.join(tmp, "checkpoint.json")]),
             ("sweep.json", ["sweep", "--mode", "iid", "--depths", "0,1", "--lambdas", "0,0.5",
                             "--epochs", "2", "--format", "json"]),
+            ("checkpoint_mean.json", ["train", "--mode", "mean", "--lambda", "0.3", "--depth",
+                                      "1", "--epochs", "3"]),
+            ("attributions.csv", ["attribute", "--model", os.path.join(tmp, "checkpoint_mean.json"),
+                                  "--steps", "20"]),
         ]
         for name, command in commands:
             out = os.path.join(tmp, name)
