@@ -49,12 +49,12 @@ from .nn import (
     TrainLog,
     TrainingDivergedError,
     evaluate,
-    forward,
     init,
     input_gradients,
     linear_as_mlp,
     loss,
     param_gradients,
+    predict,
     train,
 )
 from .attribution import (

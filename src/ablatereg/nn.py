@@ -1,6 +1,7 @@
-"""Feed-forward ReLU networks in plain numpy: forward, exact backprop for
-parameters and inputs, Adam, MSE/softmax cross-entropy, early stopping, and
-minibatch training with optional fresh-mask ablation per step.
+"""Feed-forward ReLU networks in plain numpy: one affine -> ReLU pass that
+serves prediction and exact backprop for parameters and inputs, Adam,
+MSE/softmax cross-entropy, early stopping, and minibatch training with
+optional fresh-mask ablation per step.
 
 Everything is seeded and single-threaded over the optimizer state, so a
 fixed seed reproduces training bit-for-bit on one platform.  Training
@@ -119,29 +120,16 @@ def _as_rows(m: MlpModel, X) -> np.ndarray:
     return X
 
 
-def forward(m: MlpModel, X) -> tuple[np.ndarray, dict]:
-    """Run the network; returns (outputs, cache) where the cache holds the
-    per-layer inputs and hidden pre-activations for backprop."""
-    X = _as_rows(m, X)
-    act = X
-    inputs = [X]
-    preacts = []
+def _hidden(m: MlpModel, act: np.ndarray, masks: list | None = None,
+            inputs: list | None = None) -> np.ndarray:
+    """The last hidden layer's activations for the rows ``act``: the one
+    affine -> ReLU pass.  Each layer's activations overwrite its
+    pre-activations, so no float pre-activation outlives its layer.  When
+    lists are given, each hidden layer's ReLU mask (pre-activation > 0) is
+    appended to ``masks`` and its input to ``inputs``."""
     for w, b in zip(m.weights[:-1], m.biases[:-1]):
-        z = act @ w + b
-        preacts.append(z)
-        act = np.maximum(z, 0.0)
-        inputs.append(act)
-    outputs = act @ m.weights[-1] + m.biases[-1]
-    return outputs, {"inputs": inputs, "preacts": preacts}
-
-
-def _hidden(m: MlpModel, act: np.ndarray, masks: list | None = None) -> np.ndarray:
-    """The last hidden layer's activations for the rows ``act``, as
-    :func:`forward` computes them, without keeping a cache: each layer's
-    activations overwrite its pre-activations and die once the next layer's
-    are formed.  Each layer's ReLU mask (pre-activation > 0) is appended to
-    ``masks`` when a list is given."""
-    for w, b in zip(m.weights[:-1], m.biases[:-1]):
+        if inputs is not None:
+            inputs.append(act)
         z = act @ w
         z += b
         if masks is not None:
@@ -151,7 +139,7 @@ def _hidden(m: MlpModel, act: np.ndarray, masks: list | None = None) -> np.ndarr
 
 
 def predict(m: MlpModel, X) -> np.ndarray:
-    """The outputs of :func:`forward`, bit for bit, without keeping a cache."""
+    """The network's outputs for the rows ``X`` (one row may be a vector)."""
     outputs = _hidden(m, _as_rows(m, X)) @ m.weights[-1]
     outputs += m.biases[-1]
     return outputs
@@ -188,21 +176,27 @@ def _loss_output_grad(outputs: np.ndarray, targets, task: str) -> np.ndarray:
 
 
 def param_gradients(m: MlpModel, X, targets, task: str):
-    """Exact gradients of the mean loss w.r.t. every weight and bias."""
-    outputs, cache = forward(m, X)
+    """Exact gradients of the mean loss w.r.t. every weight and bias.
+
+    The forward pass keeps each layer's input and each hidden layer's ReLU
+    mask; the backward pass masks ``g = g @ W.T`` in place, which gives the
+    bits of ``(g @ W.T) * mask``."""
+    inputs, masks = [], []
+    inputs.append(_hidden(m, _as_rows(m, X), masks, inputs))  # the output layer's input
+    outputs = inputs[-1] @ m.weights[-1]
+    outputs += m.biases[-1]
     value = loss(outputs, targets, task)
     if not np.isfinite(value):
         raise TrainingDivergedError(f"non-finite loss {value}")
-    inputs = cache["inputs"]
-    preacts = cache["preacts"]
     grads_w = [None] * len(m.weights)
     grads_b = [None] * len(m.biases)
     g = _loss_output_grad(outputs, targets, task)
     for layer in range(len(m.weights) - 1, -1, -1):
-        grads_w[layer] = inputs[layer].T @ g
+        grads_w[layer] = inputs.pop().T @ g
         grads_b[layer] = g.sum(axis=0)
         if layer > 0:
-            g = (g @ m.weights[layer].T) * (preacts[layer - 1] > 0)
+            g = g @ m.weights[layer].T
+            g *= masks.pop()
     return grads_w, grads_b
 
 
@@ -210,23 +204,24 @@ def input_gradients(m: MlpModel, X, output_index: int = 0) -> np.ndarray:
     """Row-wise gradient of the selected output component w.r.t. the input.
 
     The forward pass keeps only the hidden layers' ReLU masks, and the
-    backward pass carries the gradient alone, with no parameter gradients:
-    at each hidden layer ``g = g @ W.T`` is masked in place and the mask is
-    dropped.  A bool mask multiplies as 1.0/0.0, so this gives the bits of
-    ``g = (g @ W.T) * mask``, while at most two n-by-width float arrays and
-    the masks are alive at once.  For a depth-0 model every row equals the
-    output's weight column.
+    backward pass carries the gradient alone.  It starts from the output's
+    weight row: the bits of a one-hot seed times ``W.T``, whose sum starts
+    at +0.0 and so turns a -0.0 weight into +0.0, as ``+ 0.0`` does.  Each
+    hidden layer's ``g = g @ W.T`` is masked in place, which gives the bits
+    of ``(g @ W.T) * mask`` with at most two n-by-width float arrays and the
+    masks alive at once.  At depth 0 every row is the output's weight row.
     """
     X = _as_rows(m, X)
-    n_out = m.weights[-1].shape[1]
-    if not 0 <= output_index < n_out:
+    if not 0 <= output_index < m.weights[-1].shape[1]:
         raise ValueError(f"output_index {output_index} out of range")
     masks = []
     _hidden(m, X, masks)
-    g = np.zeros((X.shape[0], n_out))
-    g[:, output_index] = 1.0
-    for layer in range(len(m.weights) - 1, 0, -1):
-        g = g @ m.weights[layer].T
+    row = m.weights[-1][:, output_index] + 0.0
+    if not masks:
+        return np.tile(row, (X.shape[0], 1))
+    g = masks.pop() * row
+    for w in m.weights[-2:0:-1]:
+        g = g @ w.T
         g *= masks.pop()
     return g @ m.weights[0].T
 

@@ -16,7 +16,7 @@ import pytest
 import ablatereg as ar
 from ablatereg.attribution import AttributionConfig, integrated_gradients
 from ablatereg.cli import main as cli_main
-from ablatereg.nn import TrainConfig, forward, init, input_gradients, loss, param_gradients
+from ablatereg.nn import TrainConfig, init, input_gradients, loss, param_gradients, predict
 
 THEOREM_DATA = ar.synth_correlated(
     n=200, k=3, correlation=0.8, true_beta=(1.0, -2.0, 3.0), noise_sd=1.0, seed=12
@@ -34,6 +34,15 @@ def _finish(num, name, problems):
     for p in problems:
         print(f"  - {p}")
     assert not problems, f"criterion {num} failed: {problems}"
+
+
+def preactivations(net, X):
+    """Each hidden layer's pre-activations for the rows ``X``."""
+    act, preacts = X, []
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        preacts.append(act @ w + b)
+        act = np.maximum(preacts[-1], 0.0)
+    return preacts
 
 
 def _labelled(label, outcome):
@@ -204,9 +213,9 @@ def test_criterion_7_nn_numerics():
             j = int(rng.integers(net.weights[layer].shape[1]))
             orig = net.weights[layer][i, j]
             net.weights[layer][i, j] = orig + h
-            up = loss(forward(net, X)[0], y, "regression")
+            up = loss(predict(net, X), y, "regression")
             net.weights[layer][i, j] = orig - h
-            down = loss(forward(net, X)[0], y, "regression")
+            down = loss(predict(net, X), y, "regression")
             net.weights[layer][i, j] = orig
             fd = (up - down) / (2 * h)
             scale = max(abs(fd), abs(grads_w[layer][i, j]), 1e-8)
@@ -215,15 +224,14 @@ def test_criterion_7_nn_numerics():
                 break
 
     # backprop vs central differences: inputs, away from ReLU kinks
-    _, cache = forward(net, X)
-    margins = np.minimum.reduce([np.abs(z).min(axis=1) for z in cache["preacts"]])
+    margins = np.minimum.reduce([np.abs(z).min(axis=1) for z in preactivations(net, X)])
     safe = np.flatnonzero(margins > 1e-3)
     gin = input_gradients(net, X, 0)
     for r in safe[:6]:
         for c in range(5):
             up = X.copy(); up[r, c] += h
             down = X.copy(); down[r, c] -= h
-            fd = (forward(net, up)[0][r, 0] - forward(net, down)[0][r, 0]) / (2 * h)
+            fd = (predict(net, up)[r, 0] - predict(net, down)[r, 0]) / (2 * h)
             scale = max(abs(fd), abs(gin[r, c]), 1e-8)
             if abs(fd - gin[r, c]) / scale > 1e-4:
                 problems.append(f"input gradient mismatch at row {r}")

@@ -14,7 +14,6 @@ from ablatereg.nn import (
     TrainingDivergedError,
     _adam_update,
     evaluate,
-    forward,
     init,
     input_gradients,
     linear_as_mlp,
@@ -46,6 +45,33 @@ def regression_dataset(X, y):
     )
 
 
+def reference_forward(m, X):
+    """The forward pass with every layer's arrays kept and each one formed
+    out of place: (outputs, each layer's input, each hidden layer's
+    pre-activations)."""
+    act = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    inputs, preacts = [act], []
+    for w, b in zip(m.weights[:-1], m.biases[:-1]):
+        preacts.append(act @ w + b)
+        act = np.maximum(preacts[-1], 0.0)
+        inputs.append(act)
+    return act @ m.weights[-1] + m.biases[-1], inputs, preacts
+
+
+def reference_param_gradients(m, X, targets, task):
+    """The parameter gradients over :func:`reference_forward`'s arrays, each
+    hidden layer's gradient formed out of place as ``(g @ W.T) * (z > 0)``."""
+    outputs, inputs, preacts = reference_forward(m, X)
+    g = nn_module._loss_output_grad(outputs, targets, task)
+    grads_w, grads_b = [], []
+    for layer in range(len(m.weights) - 1, -1, -1):
+        grads_w.insert(0, inputs[layer].T @ g)
+        grads_b.insert(0, g.sum(axis=0))
+        if layer > 0:
+            g = (g @ m.weights[layer].T) * (preacts[layer - 1] > 0)
+    return grads_w, grads_b
+
+
 class TestInit:
     def test_deterministic(self):
         a = init([4, 10, 1], seed=1)
@@ -71,7 +97,7 @@ class TestForward:
     def test_depth0_affine(self):
         m = init([3, 1], seed=5)
         X = np.random.default_rng(6).normal(size=(8, 3))
-        out, _ = forward(m, X)
+        out = predict(m, X)
         np.testing.assert_allclose(out, X @ m.weights[0] + m.biases[0])
 
     def test_dead_layer_outputs_zero(self):
@@ -79,30 +105,28 @@ class TestForward:
         m.weights[0][:] = -1.0
         m.biases[0][:] = 0.0
         X = np.abs(np.random.default_rng(8).normal(size=(5, 2)))  # positive inputs
-        out, _ = forward(m, X)
+        out = predict(m, X)
         np.testing.assert_allclose(out, np.broadcast_to(m.biases[1], out.shape))
 
     def test_row_duplication(self):
         m = init([3, 6, 1], seed=9)
         X = np.random.default_rng(10).normal(size=(4, 3))
-        out_single, _ = forward(m, X)
-        out_double, _ = forward(m, np.vstack([X, X]))
+        out_single = predict(m, X)
+        out_double = predict(m, np.vstack([X, X]))
         np.testing.assert_array_equal(out_double[:4], out_single)
         np.testing.assert_array_equal(out_double[4:], out_single)
 
     def test_dimension_check(self):
         m = init([3, 1], seed=11)
         with pytest.raises(ValueError):
-            forward(m, np.zeros((2, 4)))
-        with pytest.raises(ValueError):
             predict(m, np.zeros((2, 4)))
 
     @pytest.mark.parametrize("dims", [[4, 3], [4, 9, 3], [4, 9, 7, 5, 3]])
-    def test_predict_is_forward_outputs_bit_for_bit(self, dims):
+    def test_predict_equals_reference_form_bit_for_bit(self, dims):
         m = net_with_biases(dims, seed=12)
         X = np.random.default_rng(13).normal(size=(50, 4))
-        assert np.array_equal(predict(m, X), forward(m, X)[0])
-        assert np.array_equal(predict(m, X[0]), forward(m, X[0])[0])
+        assert np.array_equal(predict(m, X), reference_forward(m, X)[0])
+        assert np.array_equal(predict(m, X[0]), reference_forward(m, X[0])[0])
 
 
 class TestLoss:
@@ -142,9 +166,9 @@ class TestParamGradients:
                 j = int(rng.integers(m.weights[layer].shape[1]))
                 orig = m.weights[layer][i, j]
                 m.weights[layer][i, j] = orig + h
-                up = loss(forward(m, X)[0], y, "regression")
+                up = loss(predict(m, X), y, "regression")
                 m.weights[layer][i, j] = orig - h
-                down = loss(forward(m, X)[0], y, "regression")
+                down = loss(predict(m, X), y, "regression")
                 m.weights[layer][i, j] = orig
                 fd = (up - down) / (2 * h)
                 scale = max(abs(fd), abs(grads_w[layer][i, j]), 1e-8)
@@ -164,9 +188,9 @@ class TestParamGradients:
             j = int(rng.integers(8))
             orig = m.weights[0][i, j]
             m.weights[0][i, j] = orig + h
-            up = loss(forward(m, X)[0], y, "classification")
+            up = loss(predict(m, X), y, "classification")
             m.weights[0][i, j] = orig - h
-            down = loss(forward(m, X)[0], y, "classification")
+            down = loss(predict(m, X), y, "classification")
             m.weights[0][i, j] = orig
             fd = (up - down) / (2 * h)
             scale = max(abs(fd), abs(grads_w[0][i, j]), 1e-8)
@@ -175,10 +199,30 @@ class TestParamGradients:
     def test_zero_residual_zero_gradients(self):
         m = linear_as_mlp(np.array([1.0, 2.0]), 0.5)
         X = np.random.default_rng(16).normal(size=(6, 2))
-        y = forward(m, X)[0].ravel()
+        y = predict(m, X).ravel()
         grads_w, grads_b = param_gradients(m, X, y, "regression")
         assert np.abs(grads_w[0]).max() < 1e-12
         assert np.abs(grads_b[0]).max() < 1e-12
+
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3])
+    @pytest.mark.parametrize("n_out", [1, 3])
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    @pytest.mark.parametrize("rows", [1, 300])
+    def test_equals_reference_form_bit_for_bit(self, depth, n_out, task, rows):
+        m = net_with_signed_zeros([6] + [20] * depth + [n_out], seed=50 + depth)
+        rng = np.random.default_rng(51 + rows)
+        X = rng.normal(size=(rows, 6))
+        X[:, 0] = -0.0
+        if task == "regression":
+            y = rng.normal(size=(rows, n_out))
+        else:
+            y = rng.integers(0, n_out, size=rows)
+        got_w, got_b = param_gradients(m, X, y, task)
+        want_w, want_b = reference_param_gradients(m, X, y, task)
+        assert len(got_w) == len(want_w) == depth + 1
+        for got, want in zip(got_w + got_b, want_w + want_b):
+            assert got.shape == want.shape
+            assert got.view(np.int64).tobytes() == want.view(np.int64).tobytes()
 
     def test_duplicated_batch_same_gradient(self):
         rng = np.random.default_rng(17)
@@ -192,36 +236,31 @@ class TestParamGradients:
 
 
 def full_backprop_input_gradients(m, X, output_index):
-    """The input gradient as the full backprop over :func:`forward`'s cache
-    computed it: every layer's weight and bias gradients, then the input
-    gradient from the float pre-activations."""
-    outputs, cache = forward(m, X)
+    """The input gradient as a full backprop over :func:`reference_forward`'s
+    arrays computes it: every layer's weight and bias gradients, then the
+    input gradient from the float pre-activations."""
+    outputs, inputs, preacts = reference_forward(m, X)
     g = np.zeros_like(outputs)
     g[:, output_index] = 1.0
     for layer in range(len(m.weights) - 1, -1, -1):
-        cache["inputs"][layer].T @ g
+        inputs[layer].T @ g
         g.sum(axis=0)
         if layer > 0:
-            g = (g @ m.weights[layer].T) * (cache["preacts"][layer - 1] > 0)
+            g = (g @ m.weights[layer].T) * (preacts[layer - 1] > 0)
         else:
             g = g @ m.weights[0].T
     return g
 
 
 def reference_input_gradients(m, X, output_index):
-    """The input gradient with every layer's arrays kept: the forward
-    activations stay alive, and each hidden layer's gradient is the
-    out-of-place ``(g @ W.T) * mask``."""
-    act = X
-    masks = []
-    for w, b in zip(m.weights[:-1], m.biases[:-1]):
-        z = act @ w + b
-        masks.append(z > 0)
-        act = np.maximum(z, 0.0)
-    g = np.zeros((X.shape[0], m.weights[-1].shape[1]))
+    """The input gradient over :func:`reference_forward`'s arrays, from a
+    one-hot seed, each hidden layer's gradient the out-of-place
+    ``(g @ W.T) * (z > 0)``."""
+    outputs, _, preacts = reference_forward(m, X)
+    g = np.zeros_like(outputs)
     g[:, output_index] = 1.0
     for layer in range(len(m.weights) - 1, 0, -1):
-        g = (g @ m.weights[layer].T) * masks[layer - 1]
+        g = (g @ m.weights[layer].T) * (preacts[layer - 1] > 0)
     return g @ m.weights[0].T
 
 
@@ -292,8 +331,8 @@ class TestInputGradients:
         rng = np.random.default_rng(21)
         m = init([4, 10, 10, 1], seed=22)
         X = rng.normal(size=(30, 4))
-        _, cache = forward(m, X)
-        margins = np.minimum.reduce([np.abs(z).min(axis=1) for z in cache["preacts"]])
+        _, _, preacts = reference_forward(m, X)
+        margins = np.minimum.reduce([np.abs(z).min(axis=1) for z in preacts])
         safe = np.flatnonzero(margins > 1e-3)
         assert safe.size >= 5
         g = input_gradients(m, X, 0)
@@ -302,7 +341,7 @@ class TestInputGradients:
             for c in range(4):
                 up = X.copy(); up[r, c] += h
                 down = X.copy(); down[r, c] -= h
-                fd = (forward(m, up)[0][r, 0] - forward(m, down)[0][r, 0]) / (2 * h)
+                fd = (predict(m, up)[r, 0] - predict(m, down)[r, 0]) / (2 * h)
                 scale = max(abs(fd), abs(g[r, c]), 1e-8)
                 assert abs(fd - g[r, c]) / scale < 1e-4
 
@@ -381,7 +420,7 @@ class TestTrain:
         tr, va = self._splits(seed=27, noise=1.0)
         cfg = TrainConfig(epochs=30, batch_size=16, seed=5)
         model, log = train(init([3, 16, 1], seed=6), tr, va, cfg)
-        best_val = loss(forward(model, va.features)[0], va.response, "regression")
+        best_val = loss(predict(model, va.features), va.response, "regression")
         assert best_val <= log.epochs[-1]["val_loss"] + 1e-12
         assert log.best_val_loss == min(e["val_loss"] for e in log.epochs)
 
@@ -462,6 +501,21 @@ class TestAugmentationPath:
             grads[step] = np.append(grads_w[0], grads_b[0])
         z = grads.mean(axis=0) / (grads.std(axis=0, ddof=1) / np.sqrt(batches))
         assert np.abs(z).max() < 6.0, z
+
+    @pytest.mark.parametrize("mode, own, other", [("mean", fit_ccp, fit_ml2p),
+                                                  ("iid", fit_ml2p, fit_ccp)])
+    def test_depth0_training_lands_nearest_its_own_closed_form(self, mode, own, other):
+        # end to end: augmented SGD lands 0.03-0.05 in max|dbeta| from its
+        # mode's closed form and 0.53-0.57 from the other mode's
+        ds, _ = standardize(self.design())
+        lam = 0.5
+        cfg = TrainConfig(learning_rate=0.01, epochs=400, batch_size=32, early_stop_patience=400,
+                          seed=76, augment=AugmentSpec(mode, lam, 1, seed=77))
+        model, _ = train(init([3, 1], seed=78), ds, ds, cfg)
+        beta = model.weights[0].ravel()
+        near = np.abs(beta - own(ds, lam).model.beta).max()
+        far = np.abs(beta - other(ds, lam).model.beta).max()
+        assert 4 * near <= far, (near, far)
 
     @pytest.mark.parametrize("mode", ["mean", "iid"])
     def test_training_batches_are_ablated_to_the_training_means(self, monkeypatch, mode):

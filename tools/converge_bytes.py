@@ -16,8 +16,11 @@ digests the files that ``cli.main`` writes, on a CSV written from the
 design, for ``fit --method ccp --lambda 0.5`` then ``penalty`` on that
 model, ``train --depth 1 --epochs 3`` then ``penalty`` on that checkpoint,
 ``sweep --mode iid --depths 0,1 --lambdas 0,0.5 --epochs 2 --format json``,
-and ``train --mode mean --lambda 0.3 --depth 1 --epochs 3`` then
-``attribute --steps 20`` on that checkpoint.  Two trees whose digests for a
+``train --mode mean --lambda 0.3 --depth 1 --epochs 3`` then
+``attribute --steps 20`` on that checkpoint, and, on a 3-class CSV of the
+design's first 300 rows (the response's tertiles as labels), ``train --task
+classification --mode iid --lambda 0.3 --depth 2 --epochs 3`` then
+``attribute --class 2`` on that checkpoint.  Two trees whose digests for a
 design agree give the same bytes on all of its runs.
 BLAS and OpenMP are pinned to one thread before numpy loads, as the
 benchmark does.
@@ -34,6 +37,8 @@ import hashlib  # noqa: E402
 import logging  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
+
+import numpy as np  # noqa: E402
 
 
 def closed_forms_digest(d, linear) -> str:
@@ -55,32 +60,50 @@ def closed_forms_digest(d, linear) -> str:
     return digest.hexdigest()
 
 
+def write_csv(path, d, rows, response) -> None:
+    """Write the features of ``d``'s first ``rows`` rows and ``response`` as
+    a CSV whose response column is ``y``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join([*d.column_names, "y"]) + "\n")
+        for row, y in zip(d.features[:rows].tolist(), response):
+            fh.write(",".join(map(repr, [*row, y])) + "\n")
+
+
 def penalty_cli_digest(d, cli) -> str:
     """sha256 over the files the CLI writes for the fit, train, penalty,
-    sweep and attribute commands on a CSV of ``d``."""
+    sweep and attribute commands on a CSV of ``d``, and for a 3-class train
+    and attribute on a CSV of its first 300 rows."""
     digest = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         data = os.path.join(tmp, "data.csv")
-        with open(data, "w", encoding="utf-8") as fh:
-            fh.write(",".join([*d.column_names, "y"]) + "\n")
-            for row, y in zip(d.features.tolist(), d.response.tolist()):
-                fh.write(",".join(map(repr, [*row, y])) + "\n")
+        write_csv(data, d, d.n, d.response.tolist())
+        classes = os.path.join(tmp, "classes.csv")
+        y = d.response[:300]
+        write_csv(classes, d, 300,
+                  [f"c{c}" for c in np.searchsorted(np.quantile(y, [1 / 3, 2 / 3]), y)])
         commands = [
-            ("model.json", ["fit", "--method", "ccp", "--lambda", "0.5"]),
-            ("model_penalty.json", ["penalty", "--model", os.path.join(tmp, "model.json")]),
-            ("checkpoint.json", ["train", "--depth", "1", "--epochs", "3"]),
-            ("checkpoint_penalty.json",
+            (data, "model.json", ["fit", "--method", "ccp", "--lambda", "0.5"]),
+            (data, "model_penalty.json", ["penalty", "--model", os.path.join(tmp, "model.json")]),
+            (data, "checkpoint.json", ["train", "--depth", "1", "--epochs", "3"]),
+            (data, "checkpoint_penalty.json",
              ["penalty", "--model", os.path.join(tmp, "checkpoint.json")]),
-            ("sweep.json", ["sweep", "--mode", "iid", "--depths", "0,1", "--lambdas", "0,0.5",
-                            "--epochs", "2", "--format", "json"]),
-            ("checkpoint_mean.json", ["train", "--mode", "mean", "--lambda", "0.3", "--depth",
-                                      "1", "--epochs", "3"]),
-            ("attributions.csv", ["attribute", "--model", os.path.join(tmp, "checkpoint_mean.json"),
-                                  "--steps", "20"]),
+            (data, "sweep.json", ["sweep", "--mode", "iid", "--depths", "0,1", "--lambdas",
+                                  "0,0.5", "--epochs", "2", "--format", "json"]),
+            (data, "checkpoint_mean.json", ["train", "--mode", "mean", "--lambda", "0.3",
+                                            "--depth", "1", "--epochs", "3"]),
+            (data, "attributions.csv", ["attribute", "--model",
+                                        os.path.join(tmp, "checkpoint_mean.json"),
+                                        "--steps", "20"]),
+            (classes, "checkpoint_classes.json",
+             ["train", "--task", "classification", "--mode", "iid", "--lambda", "0.3",
+              "--depth", "2", "--epochs", "3"]),
+            (classes, "attributions_classes.csv",
+             ["attribute", "--task", "classification", "--model",
+              os.path.join(tmp, "checkpoint_classes.json"), "--class", "2"]),
         ]
-        for name, command in commands:
+        for source, name, command in commands:
             out = os.path.join(tmp, name)
-            code = cli.main([*command, "--data", data, "--response", "y", "--out", out])
+            code = cli.main([*command, "--data", source, "--response", "y", "--out", out])
             if code != 0:
                 raise RuntimeError(f"{command[0]} exited {code}")
             with open(out, "rb") as fh:
