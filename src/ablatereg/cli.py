@@ -24,16 +24,18 @@ it, or a file that cannot be read or written.
 written first; then each problem the gate finds is printed to stderr as a
 ``CHECK FAILED:`` line, and any problem makes the exit status 1.  The gates
 are the library's ``check()`` methods, with the thresholds in
-:mod:`~ablatereg.harness`:
+:mod:`~ablatereg.harness`; ``converge --check [TOLERANCE]`` and ``sweep
+--check [THRESHOLD]`` take their own, and a config file's ``check`` is
+``true`` (the default threshold), ``false`` or a threshold:
 
-- ``converge``: every final-N fit within ``--tolerance`` of the closed form
-  in L-infinity, a median L2 distance that never grows with N, and a
-  log-log slope of that median against N in ``harness.SLOPE_BAND``; a slope
-  that cannot be fitted fails.  The band is set for schedules of at least 4
-  N values and 3 seeds: on a 2-point schedule the fitted slope is noisy
+- ``converge``: every final-N fit within TOLERANCE of the closed form in
+  L-infinity, a median L2 distance that never grows with N, and a log-log
+  slope of that median against N in ``harness.SLOPE_BAND``; a slope that
+  cannot be fitted fails.  The band is set for schedules of at least 4 N
+  values and 3 seeds: on a 2-point schedule the fitted slope is noisy
   enough to fail on its own where the Monte-Carlo rate holds;
 - ``sweep``: no failed cell, and Spearman(lambda, the mode's own penalty) at
-  or below ``--spearman-threshold`` at every depth;
+  or below THRESHOLD at every depth;
 - ``cross-check``: the two sweeps differ, Spearman(lambda, ML2P) under mean
   ablation is at least ``harness.ML2P_RISE_MIN``, and |CCP| under inverted
   dropout is no larger at the last lambda than at the first, at every depth
@@ -120,9 +122,12 @@ def _config_defaults(path, command: argparse.ArgumentParser, parser) -> dict:
 
 def _config_value(action: argparse.Action, key: str, value, path, parser):
     """A config file's value for ``action``, converted as argparse converts
-    the flag's text.  Switches (``--check``) take the JSON value as it is."""
+    the flag's text.  A switch (``--check``) takes ``true`` or ``false``, and
+    one that carries a threshold also the threshold."""
+    if action.nargs in (0, "?") and isinstance(value, bool):
+        return action.const if value else action.default
     if action.nargs == 0:
-        return value
+        parser.error(f"config key {key!r} in {path}: {value!r} is not true or false")
     # a number or other JSON value is converted from its JSON text, so 3.5
     # or true is rejected where an int is expected, as on the command line
     text = value if isinstance(value, str) else json.dumps(value)
@@ -322,7 +327,7 @@ def _check_inputs(args, model: nn.MlpModel, columns, d: Dataset, baseline=None) 
         if not usable:
             raise harness.ReportError(f"baseline {args.baseline} must be a list of "
                                       f"{width} finite numbers, one per model input")
-    if not 0 <= args.class_index < n_out:
+    if args.class_index >= n_out:
         raise harness.ReportError(f"--class {args.class_index} is out of range: "
                                   f"{args.model} has {n_out} output(s)")
 
@@ -471,7 +476,7 @@ def cmd_converge(args) -> int:
     run = run_fn(d, args.lam, args.n_schedule, args.seeds)
     harness.emit_report(run, args.fmt, args.out)
     logger.info("wrote convergence report to %s", args.out)
-    return _check_exit(run.check(args.tolerance)) if args.check else 0
+    return _check_exit(run.check(args.check)) if args.check is not False else 0
 
 
 def cmd_sweep(args) -> int:
@@ -490,7 +495,7 @@ def cmd_sweep(args) -> int:
     )
     harness.emit_report(sweep, args.fmt, args.out)
     logger.info("wrote sweep report to %s", args.out)
-    return _check_exit(sweep.check(args.spearman_threshold)) if args.check else 0
+    return _check_exit(sweep.check(args.check)) if args.check is not False else 0
 
 
 def cmd_cross_check(args) -> int:
@@ -531,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--mode", choices=["mean", "iid"], required=True)
     p.add_argument("--lambda", type=float, dest="lam", default=0.0)
-    p.add_argument("--n", type=int, default=10000)
+    p.add_argument("--n", type=_count, default=10000)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_augment)
 
@@ -539,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--model", required=True, help="model.json or checkpoint.json")
     p.add_argument("--kind", choices=["ccp", "ml2p", "both"], default="both")
-    p.add_argument("--class", type=int, dest="class_index", default=0)
+    p.add_argument("--class", type=_non_negative, dest="class_index", default=0)
     p.add_argument("--steps", type=_count, default=AttributionConfig.steps)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_penalty)
@@ -565,7 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--steps", type=_count, default=AttributionConfig.steps)
     p.add_argument("--baseline", default="zeros", help="zeros | means | path to a JSON vector")
-    p.add_argument("--class", type=int, dest="class_index", default=0)
+    p.add_argument("--class", type=_non_negative, dest="class_index", default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_attribute)
 
@@ -577,15 +582,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="increasing comma list of synthetic sizes")
     p.add_argument("--seeds", type=_parse_seeds, default="3", help="count or comma list")
     p.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv")
-    p.add_argument("--tolerance", type=_tolerance, default=harness.LINF_TOLERANCE,
-                   help="final-N L-infinity tolerance of --check (default %(default)s)")
     low, high = harness.SLOPE_BAND
-    p.add_argument("--check", action="store_true",
-                   help="exit 1 unless every final-N fit is within --tolerance of the "
-                        "closed form, the median L2 distance never grows with N, and its "
-                        f"log-log slope against N lies in [{low}, {high}]; the band is set "
-                        "for at least 4 N values and 3 seeds, and a 2-point schedule can "
-                        "fail on the slope alone")
+    p.add_argument("--check", nargs="?", type=_tolerance, const=harness.LINF_TOLERANCE,
+                   default=False, metavar="TOLERANCE",
+                   help="exit 1 unless every final-N fit is within TOLERANCE (default "
+                        "%(const)s) of the closed form in L-infinity, the median L2 distance "
+                        f"never grows with N, and its log-log slope against N lies in [{low}, "
+                        f"{high}]; the band is set for at least 4 N values and 3 seeds, and a "
+                        "2-point schedule can fail on the slope alone")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_converge)
 
@@ -602,14 +606,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hidden-width", type=_count, default=100)
     p.add_argument("--steps", type=_count, default=AttributionConfig.steps)
     p.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv")
-    p.add_argument("--spearman-threshold", type=_correlation,
-                   default=harness.SPEARMAN_THRESHOLD,
-                   help="largest Spearman(lambda, own penalty) --check passes "
-                        "(default %(default)s)")
-    p.add_argument("--check", action="store_true",
+    p.add_argument("--check", nargs="?", type=_correlation, const=harness.SPEARMAN_THRESHOLD,
+                   default=False, metavar="THRESHOLD",
                    help="exit 1 if any cell failed, or if Spearman(lambda, the mode's own "
-                        "penalty: CCP for mean, ML2P for iid) exceeds --spearman-threshold "
-                        "at some depth")
+                        "penalty: CCP for mean, ML2P for iid) exceeds THRESHOLD (default "
+                        "%(const)s) at some depth")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
 

@@ -310,7 +310,9 @@ def one_hot_encode(d: Dataset) -> Dataset:
 
     No reference category is dropped, so every category gets its own
     attribution downstream.  Dummy names are ``"<column>=<category>"`` with
-    categories in sorted order; row count and response are untouched.
+    categories in sorted order; row count and response are untouched.  A
+    categorical column needs its table in ``categories``, as
+    :func:`load_csv` records it; one without raises :class:`DatasetError`.
     """
     if CATEGORICAL not in d.column_kinds:
         return d
@@ -326,14 +328,11 @@ def one_hot_encode(d: Dataset) -> Dataset:
         codes = d.features[:, j]
         cats = d.categories.get(name)
         if cats is None:
-            # No category table: treat the distinct code values as categories.
-            code_values = sorted(set(codes.astype(np.int64).tolist()))
-            cats = tuple(str(c) for c in code_values)
-        else:
-            code_values = list(range(len(cats)))
+            raise DatasetError(f"categorical column {name!r} has no category table to "
+                               "encode its codes with")
         if len(cats) > _MAX_CATEGORIES:
             raise DatasetError(f"column {name!r} has too many categories to encode")
-        for cat, value in zip(cats, code_values):
+        for value, cat in enumerate(cats):
             columns.append((codes == value).astype(np.float64))
             names.append(f"{name}={cat}")
             kinds.append(DUMMY)

@@ -84,11 +84,12 @@ from .penalty import ccp_variance_form, ml2p_from_avg_gradients
 from ._streams import child_seed
 
 
-# The gates of :meth:`ConvergenceRun.check`, :meth:`SweepResult.check` and
-# :meth:`CrossTrendReport.check`.  The CLI's ``--tolerance`` and
-# ``--spearman-threshold`` defaults read the first and third.
+# The gates of the ``check()`` methods and :attr:`MomentCheck.ok`.  The CLI's
+# ``converge --check`` and ``sweep --check`` gate at LINF_TOLERANCE and
+# SPEARMAN_THRESHOLD unless given a threshold of their own.
 LINF_TOLERANCE = 0.02  # final-N L-infinity distance to the closed form
 SLOPE_BAND = (-0.7, -0.3)  # log-log slope of median L2 against N; 1/sqrt(N) is -0.5
+MOMENT_SIGMAS = 3.0  # elementwise moment error in Monte-Carlo standard errors, at most
 SPEARMAN_THRESHOLD = -0.8  # Spearman(lambda, own penalty), at most
 ML2P_RISE_MIN = 0.5  # Spearman(lambda, ML2P) under mean ablation, at least
 
@@ -234,8 +235,6 @@ def _converge(d: Dataset, theorem: int, lam: float, n_schedule, seeds) -> Conver
     check_increasing(n_schedule, "N schedule")
     seeds = tuple(int(s) for s in seeds)
     check_distinct(seeds)
-    if theorem not in (1, 2):
-        raise ValueError("theorem must be 1 or 2")
     mode = MEAN_ABLATION if theorem == 1 else INVERTED_DROPOUT
     target = _mode_fit(d, mode, lam).model.beta
     gram_limit, cross_limit = _moment_limits(d, mode, lam)
@@ -298,14 +297,12 @@ class MomentCheck:
     n_synthetic: int
     gram_sigmas: np.ndarray
     cross_sigmas: np.ndarray
-    n_sigma: float
 
     @property
     def ok(self) -> bool:
-        return bool(
-            np.all(self.gram_sigmas <= self.n_sigma)
-            and np.all(self.cross_sigmas <= self.n_sigma)
-        )
+        """Every moment within :data:`MOMENT_SIGMAS` standard errors of its limit."""
+        return bool(np.all(self.gram_sigmas <= MOMENT_SIGMAS)
+                    and np.all(self.cross_sigmas <= MOMENT_SIGMAS))
 
     @property
     def worst_sigma(self) -> float:
@@ -328,11 +325,11 @@ def _block_square_deviations(z, weights, mean, pairs, observed):
     return sums
 
 
-def check_moment_limits(
-    d: Dataset, mode: str, lam: float, n_synthetic: int, seed: int, n_sigma: float = 3.0
-) -> MomentCheck:
-    """Verify the augmented Gram and cross moments against their limits,
-    elementwise, within ``n_sigma`` empirical standard errors.
+def check_moment_limits(d: Dataset, mode: str, lam: float, n_synthetic: int,
+                        seed: int) -> MomentCheck:
+    """Measure the augmented Gram and cross moments against their limits,
+    elementwise, in empirical standard errors; :attr:`MomentCheck.ok` holds
+    when each is within :data:`MOMENT_SIGMAS`.
 
     The set is that of :func:`~ablatereg.augment.weighted_blocks`: on a
     rows-path design the draws of :func:`~ablatereg.augment.build_augmented`,
@@ -366,7 +363,6 @@ def check_moment_limits(
         n_synthetic=n_synthetic,
         gram_sigmas=sigmas[:k, :k],
         cross_sigmas=sigmas[:k, k],
-        n_sigma=n_sigma,
     )
 
 
@@ -659,15 +655,18 @@ def cross_trend_check(sweep_mada: SweepResult, sweep_iid: SweepResult) -> CrossT
             f"{list(sweep_mada.output_indices())}, the dropout sweep "
             f"{list(sweep_iid.output_indices())}")
 
-    cells_a = [(c.depth, c.lam, c.seed, c.output_index, c.metric, c.ccp, c.ml2p)
-               for c in sweep_mada.cells]
-    cells_b = [(c.depth, c.lam, c.seed, c.output_index, c.metric, c.ccp, c.ml2p)
-               for c in sweep_iid.cells]
     return CrossTrendReport(
         ml2p_under_mean_ablation=penalty_trend(sweep_mada, "ml2p")["per_depth"],
         ccp_under_dropout=penalty_trend(sweep_iid, "ccp")["per_depth"],
-        zero_contrast=cells_a == cells_b,
+        zero_contrast=_cell_bits(sweep_mada) == _cell_bits(sweep_iid),
     )
+
+
+def _cell_bits(sweep: SweepResult) -> list[tuple]:
+    """Each cell's key, error and the bits of its metric and penalties, so
+    that two NaNs read back from separate reports compare equal."""
+    return [(c.depth, c.lam, c.seed, c.output_index, c.error,
+             np.array([c.metric, c.ccp, c.ml2p]).tobytes()) for c in sweep.cells]
 
 
 # ---------------------------------------------------------------------------
@@ -676,8 +675,6 @@ def cross_trend_check(sweep_mada: SweepResult, sweep_iid: SweepResult) -> CrossT
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
     if isinstance(value, float):
         return repr(float(value))  # plain-float repr even for numpy scalars
     return str(value)

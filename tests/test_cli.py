@@ -9,10 +9,13 @@ import numpy as np
 import pytest
 
 from ablatereg import harness
+from ablatereg.attribution import AttributionConfig, integrated_gradients
 from ablatereg.augment import BLOCK_ROWS, AugmentSpec, build_augmented
 from ablatereg.cli import build_parser, main
-from ablatereg.dataset import SplitSpec, load_csv, split, synth_correlated
+from ablatereg.dataset import (FeatureStats, SplitSpec, load_csv, split, standardize,
+                               synth_correlated)
 from ablatereg.linear import fit_ols
+from ablatereg.nn import MlpModel
 
 
 def write_data(path):
@@ -196,6 +199,27 @@ class TestAttributeCommand:
         gaps = [float(r.split(",")[-1]) for r in rows]
         assert max(gaps) < 1e-10
 
+    def test_means_baseline_is_the_standardized_column_means(self, csv_path, tmp_path):
+        ckpt = tmp_path / "ckpt.json"
+        out = tmp_path / "attr.csv"
+        assert run(["train", "--depth", "1", "--mode", "iid", "--lambda", "0.2",
+                    "--data", csv_path, "--response", "y", "--seed", "1", "--epochs", "3",
+                    "--hidden-width", "6", "--out", ckpt]) == 0
+        assert run(["attribute", "--model", ckpt, "--data", csv_path, "--response", "y",
+                    "--steps", "7", "--baseline", "means", "--out", out]) == 0
+        payload = json.loads(ckpt.read_text())
+        model = MlpModel(weights=[np.asarray(w) for w in payload["weights"]],
+                         biases=[np.asarray(b) for b in payload["biases"]], task="regression")
+        block = payload["standardization"]
+        d, _ = standardize(load_csv(csv_path, "y"), FeatureStats(
+            means=block["means"], variances=block["variances"],
+            response_mean=block["response_mean"]))
+        result = integrated_gradients(model, d.features, AttributionConfig(
+            baseline=d.features.mean(axis=0), steps=7))
+        expected = np.column_stack([result.attributions, result.avg_gradients,
+                                    result.completeness_gap])
+        assert out.read_text().split("\n", 1)[1] == harness._matrix_lines(expected)
+
 
 class TestConvergeCommand:
     def test_check_passes_at_moderate_n(self, csv_path, tmp_path):
@@ -204,7 +228,7 @@ class TestConvergeCommand:
         out = tmp_path / "conv.csv"
         code = run(["converge", "--theorem", "1", "--lambda", "0.3",
                     "--data", csv_path, "--response", "y",
-                    "--tolerance", "0.2", "--check", "--out", out])
+                    "--check", "0.2", "--out", out])
         assert code == 0
         assert out.read_text().startswith("kind,theorem,mode,lambda,N,seed")
 
@@ -213,7 +237,7 @@ class TestConvergeCommand:
         code = run(["converge", "--theorem", "2", "--lambda", "0.3",
                     "--n-schedule", "500,2000", "--seeds", "2",
                     "--data", csv_path, "--response", "y",
-                    "--tolerance", "1e-12", "--check", "--out", out])
+                    "--check", "1e-12", "--out", out])
         assert code == 1
 
 
@@ -232,6 +256,27 @@ class TestSweepAndCrossCheck:
         payload = json.loads(cross.read_text())
         assert payload["meta"]["type"] == "cross_trend"
         assert payload["meta"]["zero_contrast"] is False
+
+    def test_cross_check_flags_a_sweep_with_a_failed_cell_against_itself(self, tmp_path,
+                                                                          capsys):
+        # the levels' dummies sum to the intercept, so the depth-0 lambda = 0
+        # cell is singular and holds NaNs; identical reports are still identical
+        d = synth_correlated(120, 2, 0.5, (1.0, -1.0), 0.5, seed=61)
+        data = tmp_path / "levels.csv"
+        data.write_text("x0,x1,c,y\n" + "".join(
+            f"{row[0]!r},{row[1]!r},{'pqr'[i % 3]},{y!r}\n"
+            for i, (row, y) in enumerate(zip(d.features.tolist(), d.response.tolist()))))
+        sweep = tmp_path / "sweep.json"
+        assert run(["sweep", "--mode", "mean", "--data", data, "--response", "y",
+                    "--depths", "0", "--lambdas", "0.0,0.5", "--seeds", "1",
+                    "--format", "json", "--out", sweep]) == 0
+        assert json.loads(sweep.read_text())["rows"][0][-1].startswith("fit_ccp: ")
+        capsys.readouterr()
+        assert run(["cross-check", "--mada", sweep, "--iid", sweep, "--check",
+                    "--out", tmp_path / "cross.json"]) == 1
+        assert json.loads((tmp_path / "cross.json").read_text())["meta"]["zero_contrast"]
+        assert ("CHECK FAILED: zero contrast: the two sweeps are identical"
+                in capsys.readouterr().err.splitlines())
 
     def test_sweep_check_threshold(self, csv_path, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -402,15 +447,15 @@ class TestConfigStrictness:
 
     def test_config_check_takes_effect(self, csv_path, tmp_path):
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"check": True, "tolerance": 1e-9}))
+        config.write_text(json.dumps({"check": 1e-9}))
         base = self.CONVERGE + ["--data", csv_path]
-        assert run(base + ["--check", "--tolerance", "1e-9", "--out", tmp_path / "a.csv"]) == 1
+        assert run(base + ["--check", "1e-9", "--out", tmp_path / "a.csv"]) == 1
         assert run(base + ["--config", config, "--out", tmp_path / "b.csv"]) == 1
         assert run(base + ["--out", tmp_path / "c.csv"]) == 0
 
     def test_unknown_config_key_is_rejected_by_name(self, csv_path, tmp_path, capsys):
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"tolerance": 0.1, "lamda": 0.3}))
+        config.write_text(json.dumps({"check": 0.1, "lamda": 0.3}))
         with pytest.raises(SystemExit) as exc:
             run(self.CONVERGE + ["--data", csv_path, "--config", config,
                                  "--out", tmp_path / "out.csv"])
@@ -724,16 +769,11 @@ class TestInputFiles:
          "baseline {bad} must be a list of 3 finite numbers"),
         (["penalty", "--model", "{model}", *DATA, "--class", "3"], None,
          "--class 3 is out of range: {model} has 1 output(s)"),
-        (["penalty", "--model", "{model}", *DATA, "--class", "-1"], None,
-         "--class -1 is out of range: {model} has 1 output(s)"),
         (["attribute", "--model", "{model}", *DATA, "--class", "3"], None,
          "--class 3 is out of range: {model} has 1 output(s)"),
-        (["attribute", "--model", "{model}", *DATA, "--class", "-1"], None,
-         "--class -1 is out of range: {model} has 1 output(s)"),
     ], ids=["model-not-json", "linear-model-without-intercept", "model-is-a-list",
             "model-and-default-data-differ", "columns-reordered", "baseline-not-json",
-            "baseline-wrong-length", "penalty-class-3", "penalty-class--1",
-            "attribute-class-3", "attribute-class--1"])
+            "baseline-wrong-length", "penalty-class-3", "attribute-class-3"])
     def test_unusable_input_is_one_error_line(self, csv_path, tmp_path, capsys, command, bad,
                                               message):
         """A model or baseline file that is malformed or does not match the
@@ -770,10 +810,10 @@ class TestFlagValues:
         "converge --theorem 1 --n-schedule 1000,100",
         "converge --theorem 1 --check --seeds 0",
         "converge --theorem 1 --seeds 1,-2",
-        "converge --theorem 1 --check --tolerance nan",
-        "converge --theorem 1 --check --tolerance inf",
-        "converge --theorem 1 --check --tolerance -0.01",
-        "converge --theorem 1 --check --tolerance x",
+        "converge --theorem 1 --check nan",
+        "converge --theorem 1 --check inf",
+        "converge --theorem 1 --check -0.01",
+        "converge --theorem 1 --check x",
         "sweep --mode mean --seeds x",
         "sweep --mode mean --lambdas 0:0.5:0",
         "sweep --mode mean --lambdas 0.5:0:0.1",
@@ -785,9 +825,9 @@ class TestFlagValues:
         "converge --theorem 1 --seeds 4,4,4",
         "sweep --mode mean --depths 0,-1",
         "sweep --mode mean --steps 0",
-        "sweep --mode mean --check --spearman-threshold nan",
-        "sweep --mode mean --check --spearman-threshold -1.01",
-        "sweep --mode mean --check --spearman-threshold 1.5",
+        "sweep --mode mean --check nan",
+        "sweep --mode mean --check -1.01",
+        "sweep --mode mean --check 1.5",
         "train --epochs 0",
         "train --batch-size 0",
         "train --hidden-width 0",
@@ -797,6 +837,9 @@ class TestFlagValues:
         "train --learning-rate nan",
         "train --learning-rate inf",
         "fit --seed -1",
+        "augment --mode mean --n 0",
+        "penalty --class -1",
+        "attribute --class -1",
     ])
     def test_rejected_at_parse_time(self, csv_path, tmp_path, capsys, command):
         argv = command.split()
@@ -815,8 +858,9 @@ class TestFlagValues:
     @pytest.mark.parametrize("config_values, named", [
         ({"n_schedule": "1000,100"}, "'n_schedule'"),
         ({"lambda": 0.3, "lam": 0.4}, "'lam'"),
-        ({"tolerance": "nan"}, "'tolerance'"),
-        ({"tolerance": -1}, "'tolerance'"),
+        ({"check": "nan"}, "'check'"),
+        ({"check": -1}, "'check'"),
+        ({"check": True, "tolerance": 0.1}, "unknown key 'tolerance'"),
     ])
     def test_config_file_is_checked_as_the_flags(self, csv_path, tmp_path, capsys,
                                                  config_values, named):
@@ -828,6 +872,17 @@ class TestFlagValues:
         assert exc.value.code == 2
         assert named in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["false", 0, None])
+    def test_config_switch_takes_true_or_false(self, tmp_path, capsys, value):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"check": value}))
+        with pytest.raises(SystemExit) as exc:
+            run(["cross-check", "--mada", "m.json", "--iid", "i.json", "--config", config,
+                 "--out", tmp_path / "out"])
+        assert exc.value.code == 2
+        assert f"config key 'check' in {config}: {value!r} is not true or false" in (
+            capsys.readouterr().err)
 
 
 def subcommands():
@@ -856,6 +911,42 @@ class TestOptionDeclarations:
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage:")
 
+    @pytest.mark.parametrize("command, usage, default", [
+        ("converge", "--check [TOLERANCE]", harness.LINF_TOLERANCE),
+        ("sweep", "--check [THRESHOLD]", harness.SPEARMAN_THRESHOLD),
+    ])
+    def test_check_carries_its_threshold(self, capsys, command, usage, default):
+        with pytest.raises(SystemExit):
+            run([command, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert usage in text and f"(default {default})" in text
+        assert "--tolerance" not in text and "--spearman-threshold" not in text
+
+    @pytest.mark.parametrize("command", ["converge --theorem 1 --tolerance 0.001",
+                                         "sweep --mode mean --spearman-threshold 0.99"])
+    def test_removed_gate_flags_are_usage_errors(self, csv_path, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            run(command.split() + ["--data", csv_path, "--response", "y",
+                                   "--out", tmp_path / "out"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {command.split()[-2]}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_check_spellings_of_one_gate_agree(self, csv_path, tmp_path, capsys):
+        """``--check`` alone, ``--check`` with the default threshold and a
+        config ``true`` gate alike; ``--check 0`` gates at 0."""
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"check": True}))
+        base = TestConfigStrictness.CONVERGE + ["--data", csv_path, "--n-schedule", "50,100"]
+        outcomes = []
+        for extra in (["--check"], ["--check", str(harness.LINF_TOLERANCE)],
+                      ["--config", config], ["--check", "0"]):
+            code = run(base + extra + ["--out", tmp_path / "out.csv"])
+            outcomes.append((code, capsys.readouterr().err.splitlines()))
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+        assert outcomes[0][0] == 1 and outcomes[0][1][0].endswith(" exceeds 0.02")
+        assert outcomes[3][0] == 1 and outcomes[3][1][0].endswith(" exceeds 0.0")
+
     def test_config_list_equals_the_flag(self, csv_path, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"depths": "0,1"}))
@@ -869,10 +960,9 @@ class TestOptionDeclarations:
     def test_check_flag_overrides_a_config_false(self, csv_path, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"check": False}))
-        base = TestConfigStrictness.CONVERGE + ["--data", csv_path, "--tolerance", "1e-9",
-                                                "--config", config]
+        base = TestConfigStrictness.CONVERGE + ["--data", csv_path, "--config", config]
         assert run(base + ["--out", tmp_path / "a.csv"]) == 0
-        assert run(base + ["--check", "--out", tmp_path / "b.csv"]) == 1
+        assert run(base + ["--check", "1e-9", "--out", tmp_path / "b.csv"]) == 1
 
 
 @pytest.fixture(scope="module")

@@ -363,6 +363,12 @@ class TestOneHot:
         assert enc.n == d.n
         np.testing.assert_array_equal(enc.response, d.response)
 
+    def test_categorical_column_without_a_table_is_rejected(self):
+        # load_csv always records the table; without it the codes mean nothing
+        d = make_dataset([[0.0, 1.0], [1.5, 2.0]], [1, 2], kinds=["numeric", "categorical"])
+        with pytest.raises(DatasetError, match="categorical column 'c1' has no category table"):
+            one_hot_encode(d)
+
     def test_dummies_are_binary(self):
         d = make_dataset([[0.0], [2.0], [1.0]], [1, 2, 3],
                          kinds=["categorical"], categories={"c0": ("p", "q", "r")})

@@ -92,6 +92,23 @@ class TestConvergence:
         ok, problems = run.check(linf_tolerance=1e-9)
         assert not ok and problems
 
+    @pytest.mark.parametrize("converge", [converge_theorem1, converge_theorem2])
+    def test_singular_cells_are_recorded_and_the_run_goes_on(self, converge):
+        # two synthetic rows cannot span three columns: each seed's N = 2 fit
+        # is singular, and its N = 1000 fit is not
+        d = synth_correlated(200, 3, 0.8, (1.0, -2.0, 3.0), 1.0, seed=0)
+        run = converge(d, 0.3, (2, 1000), seeds=(0, 1))
+        assert [(f["seed"], f["N"]) for f in run.failures] == [(0, 2), (1, 2)]
+        assert all(f["error"].startswith("OLS on the synthetic set") for f in run.failures)
+        assert np.isnan(run.dist_l2[:, 0]).all() and np.isnan(run.dist_linf[:, 0]).all()
+        assert np.isfinite(run.dist_l2[:, 1]).all()
+        assert json.loads(render_report(run, "json"))["meta"]["failures"] == run.failures
+        cells = [line.split(",") for line in render_report(run, "csv").splitlines()[1:]
+                 if line.startswith("cell,") and line.split(",")[4] == "2"]
+        assert len(cells) == 2 and all(c[6] == c[7] == "nan" for c in cells)
+        ok, problems = converge(d, 0.3, (2, 3), seeds=(0, 1)).check()
+        assert not ok and "some final-N fits failed" in problems
+
     @staticmethod
     def _toy_run(median_l2, final_linf=None):
         """A two-seed run over N = 1e3..1e6 with the given median L2
@@ -810,6 +827,21 @@ class TestTrends:
             zero_contrast=False,
         )
         assert report.check()[0] == ok
+
+    def test_zero_contrast_survives_a_report_round_trip_with_a_failed_cell(self):
+        # each NaN read back is a new float object; the sweeps still match
+        sweep = self._toy_sweep("mean", [5, 3, 1, -2], [1, 2, 3, 4])
+        nan = float("nan")
+        sweep.cells[1] = replace(sweep.cells[1], metric=nan, ccp=nan, ml2p=nan,
+                                 error="fit_ccp: singular")
+
+        def read_back():
+            return sweep_from_payload(json.loads(render_report(sweep, "json")))
+
+        assert cross_trend_check(read_back(), read_back()).zero_contrast
+        other = read_back()
+        other.cells[1] = replace(other.cells[1], error="fit_ccp: another message")
+        assert not cross_trend_check(read_back(), other).zero_contrast
 
     def test_zero_contrast_pair_fails_the_gate(self):
         sweep = self._toy_sweep("mean", [5, 3, 1, -2], [1, 2, 3, 4])
