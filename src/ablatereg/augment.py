@@ -41,6 +41,7 @@ from .dataset import Dataset
 MEAN_ABLATION = "mean"
 INVERTED_DROPOUT = "iid"
 MODES = (MEAN_ABLATION, INVERTED_DROPOUT)
+VALIDATION_REPLICAS = 4  # rows of an ablated_copy per source row, each with its own mask
 
 
 class AugmentError(ValueError):
@@ -52,6 +53,12 @@ def check_lambda(lam: float) -> None:
     """The one range rule for an ablation rate ``lam``: it must lie in [0, 1)."""
     if not 0.0 <= lam < 1.0:
         raise AugmentError(f"lambda must be in [0, 1), got {lam}")
+
+
+def check_mode(mode) -> None:
+    """The one rule for an ablation mode: it must be one of :data:`MODES`."""
+    if mode not in MODES:
+        raise AugmentError(f"mode must be one of {MODES}, got {mode!r}")
 
 
 @dataclass(frozen=True)
@@ -69,8 +76,7 @@ class AugmentSpec:
     seed: int
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise AugmentError(f"mode must be one of {MODES}, got {self.mode!r}")
+        check_mode(self.mode)
         check_lambda(self.lam)
         if self.n_synthetic < 1:
             raise AugmentError("n_synthetic must be positive")
@@ -280,19 +286,20 @@ def build_augmented(d: Dataset, spec: AugmentSpec) -> Dataset:
     return replace(d, features=features, response=response, n_dropped=0)
 
 
-def ablated_copy(d: Dataset, spec: AugmentSpec, means=None, replicas: int = 1) -> Dataset:
+def ablated_copy(d: Dataset, spec: AugmentSpec, means=None) -> Dataset:
     """Fixed-mask ablated replication of a dataset (no bootstrap resampling).
 
     Estimates the augmented-population risk of a model on d: every row is
-    repeated ``replicas`` times and ablated once with a mask drawn from the
-    spec's validation stream, so repeated evaluations are stable.  Used for
-    early stopping when training on augmented batches.  ``means`` (frozen
-    from the training set) is required in mean-ablation mode.
+    repeated :data:`VALIDATION_REPLICAS` times and ablated once with a mask
+    drawn from the spec's VALMASK stream, so repeated evaluations are
+    stable.  :func:`~ablatereg.nn.train` uses it for early stopping when
+    training on augmented batches.  ``means`` (frozen from the training set)
+    is required in mean-ablation mode.
     """
-    X = np.tile(d.features, (replicas, 1))
+    X = np.tile(d.features, (VALIDATION_REPLICAS, 1))
     draws = _streams.stream(spec.seed, _streams.VALMASK).random(X.shape)
     return replace(d, features=ablate(X, draws, spec, means, out=X),
-                   response=np.tile(d.response, replicas), n_dropped=0)
+                   response=np.tile(d.response, VALIDATION_REPLICAS), n_dropped=0)
 
 
 def batch_masks(batch: np.ndarray, spec: AugmentSpec, step: int, means=None) -> np.ndarray:

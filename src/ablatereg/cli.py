@@ -9,16 +9,22 @@ options' long names or dests (dashes or underscores alike).  Its values
 become the command's defaults, so a flag given on the command line wins.
 
 Exit status 2 is a usage error: a bad flag or flag value, a bad config key or
-value, a config file that cannot be read, or a nonzero ``--lambda`` that
-``--method ols`` or ``--mode none`` ignores.  Exit status 1 with one
-``error:`` line on stderr is a data, model, report or file error: a
-numerically singular model, an unusable data file or split, an invalid
-augmentation or ablation rate, training that diverged (at an epoch and
-step, with numpy's message), sweep reports that cannot be compared (their
-depths, lambda grids, seeds or outputs differ), a malformed model,
-checkpoint or baseline file, one that does not match the data (its column
-names, width or output count for ``--class``) or whose model overflows on
-it, or a file that cannot be read or written.
+value, a config file that cannot be read, or a flag that would change
+nothing, from the command line or the config file: a nonzero ``--lambda``
+that ``--method ols`` or ``--mode none`` ignores, or ``--response`` or
+``--task classification`` without ``--data``.  ``--hidden-width``,
+``--epochs`` and ``--batch-size`` are settings of the whole sweep, so a
+sweep of depth 0 alone ignores them without an error.
+
+Exit status 1 with one ``error:`` line on stderr is a data, model, report
+or file error: a numerically singular model, an unusable data file or
+split, an invalid augmentation or ablation rate, training that diverged (at
+an epoch and step, with numpy's message), sweep reports that cannot be
+compared (their depths, lambda grids, seeds or outputs differ, or they sit
+in the wrong slots), a malformed model, checkpoint or baseline file, one
+that does not match the data (its column names, width or output count for
+``--class``) or whose model overflows on it, or a file that cannot be read
+or written.
 
 ``converge``, ``sweep`` and ``cross-check`` take ``--check``.  The report is
 written first; then each problem the gate finds is printed to stderr as a
@@ -39,7 +45,8 @@ are the library's ``check()`` methods, with the thresholds in
 - ``cross-check``: the two sweeps differ, Spearman(lambda, ML2P) under mean
   ablation is at least ``harness.ML2P_RISE_MIN``, and |CCP| under inverted
   dropout is no larger at the last lambda than at the first, at every depth
-  and output.
+  and output.  Its ``--mada`` report must be a mean-ablation sweep and its
+  ``--iid`` report an inverted-dropout sweep, or it exits 1 before writing.
 
 Outputs are deterministic given a seed and a BLAS thread count: a rerun
 writes the same bytes, but ``train``, ``attribute`` and ``sweep`` bytes can
@@ -410,9 +417,9 @@ def cmd_train(args) -> int:
     d = _load_dataset(args, lambda: _default_sweep_data(args.seed))
     d_train, d_val, d_test, stats = harness.standardized_splits(d, SplitSpec(
         test_fraction=args.test_frac, validation_fraction_of_train=args.val_frac, seed=args.seed))
-    augment = None if args.mode == "none" else AugmentSpec(args.mode, args.lam, 1, args.seed)
     cfg = TrainConfig(learning_rate=args.learning_rate, epochs=args.epochs,
-                      batch_size=args.batch_size, augment=augment, seed=args.seed)
+                      batch_size=args.batch_size, mode=None if args.mode == "none" else args.mode,
+                      lam=args.lam, seed=args.seed)
     trained, log = harness.train_cell(d_train, d_val, args.depth, args.hidden_width,
                                       harness.output_count(d), cfg, log_train_loss=True)
     metrics = evaluate(trained, d_test)
@@ -647,6 +654,9 @@ def main(argv=None) -> int:
     if inert and getattr(args, inert[0]) == inert[1] and args.lam != 0:
         parser.exit(2, f"ablatereg {args.command}: error: --lambda {args.lam} has no effect "
                        f"with --{inert[0]} {inert[1]}\n")
+    if "data" in args and not args.data and (args.response or args.task == "classification"):
+        flag = f"--response {args.response}" if args.response else "--task classification"
+        parser.exit(2, f"ablatereg {args.command}: error: {flag} has no effect without --data\n")
     try:
         return args.func(args)
     except (SingularModelError, DatasetError, AugmentError, harness.ReportError,

@@ -54,7 +54,7 @@ from .augment import (
     MEAN_ABLATION,
     AugmentSpec,
     augmented_chunks,
-    check_lambda,
+    check_mode,
     synthetic_values,
     weighted_blocks,
 )
@@ -456,20 +456,21 @@ def lambda_sweep(
 
     Per the experimental protocol, depth-0 regression models are the
     closed-form solution equivalent to the requested augmentation mode; every
-    other cell is trained by :func:`train_cell`.  Each seed drives the split,
-    and ``child_seed(seed, depth, lambda-index)`` the cell's initialization,
-    shuffling and ablation masks.  Failed cells are recorded with their error
-    instead of aborting the sweep.  A test split of fewer than 2 rows raises
-    :class:`~ablatereg.dataset.DatasetError` before any cell is fitted.
+    other cell is trained by :func:`train_cell` from ``cfg`` with the sweep's
+    mode, the cell's lambda and the cell's one seed, ``child_seed(seed, depth,
+    lambda-index)``; each seed drives the split.  Failed cells are recorded
+    with their error instead of aborting the sweep.  An unknown mode, or a
+    test split of fewer than 2 rows (:class:`~ablatereg.dataset.DatasetError`),
+    raises before any cell is fitted.
     """
     cfg = cfg or TrainConfig()
     depths = tuple(int(v) for v in depths)
     lambda_grid = tuple(float(v) for v in lambda_grid)
     seeds = tuple(int(s) for s in seeds)
-    for lam in lambda_grid:
-        check_lambda(lam)
+    lam_cfgs = [dc_replace(cfg, mode=mode, lam=lam) for lam in lambda_grid]  # checks each lambda
     check_increasing(lambda_grid, "lambda grid")
     check_distinct(seeds)
+    check_mode(mode)
     n_out = output_count(d)
 
     result = SweepResult(
@@ -489,9 +490,7 @@ def lambda_sweep(
         test_stats = feature_stats(d_test.features)
         for depth in depths:
             for lam_index, lam in enumerate(lambda_grid):
-                cell_seed = child_seed(seed, depth, lam_index)
-                cell_cfg = dc_replace(cfg, seed=cell_seed,
-                                      augment=AugmentSpec(mode, lam, 1, cell_seed))
+                cell_cfg = dc_replace(lam_cfgs[lam_index], seed=child_seed(seed, depth, lam_index))
                 try:
                     model = _fit_cell(d_train, d_val, depth, cell_cfg, hidden_width, n_out)
                 except (SingularModelError, TrainingDivergedError) as err:
@@ -516,9 +515,9 @@ def lambda_sweep(
 
 
 def _fit_cell(d_train, d_val, depth, cfg: TrainConfig, hidden_width, n_out) -> MlpModel:
-    """The closed form of ``cfg.augment`` for depth-0 regression, else :func:`train_cell`."""
+    """``cfg.mode``'s closed form at ``cfg.lam`` for depth-0 regression, else :func:`train_cell`."""
     if depth == 0 and d_train.task == REGRESSION:
-        fit = _mode_fit(d_train, cfg.augment.mode, cfg.augment.lam)
+        fit = _mode_fit(d_train, cfg.mode, cfg.lam)
         return linear_as_mlp(fit.model.beta, fit.model.intercept)
     return train_cell(d_train, d_val, depth, hidden_width, n_out, cfg, log_train_loss=False)[0]
 
@@ -641,7 +640,14 @@ class CrossTrendReport:
 
 
 def cross_trend_check(sweep_mada: SweepResult, sweep_iid: SweepResult) -> CrossTrendReport:
-    """Compare the two modes' sweeps on the same grid and outputs."""
+    """Compare the two modes' sweeps on the same grid and outputs: a
+    mean-ablation sweep first and an inverted-dropout sweep second, or
+    :class:`ReportError` names both modes."""
+    if (sweep_mada.mode, sweep_iid.mode) != (MEAN_ABLATION, INVERTED_DROPOUT):
+        raise ReportError(
+            f"cross-check needs a {MEAN_ABLATION!r} (mean-ablation) sweep and an "
+            f"{INVERTED_DROPOUT!r} (inverted-dropout) sweep, in that order; got "
+            f"{sweep_mada.mode!r} and {sweep_iid.mode!r}")
     same_shape = (
         sweep_mada.depths == sweep_iid.depths
         and sweep_mada.lambda_grid == sweep_iid.lambda_grid

@@ -3,9 +3,10 @@ serves prediction and exact backprop for parameters and inputs, Adam,
 MSE/softmax cross-entropy, early stopping, and minibatch training with
 optional fresh-mask ablation per step.
 
-Everything is seeded and single-threaded over the optimizer state, so a
-fixed seed reproduces training bit-for-bit on one platform.  Training
-diverges by one rule: an overflow or invalid value raises where it is made.
+A run's one seed (:class:`TrainConfig`) drives its shuffle and its batch and
+validation masks, and the optimizer state is single-threaded, so a fixed
+seed reproduces training bit-for-bit on one platform.  Training diverges by
+one rule: an overflow or invalid value raises where it is made.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _streams
-from .augment import AugmentSpec, ablated_copy, batch_masks
+from .augment import AugmentSpec, ablated_copy, batch_masks, check_lambda, check_mode
 from .dataset import CLASSIFICATION, REGRESSION, Dataset, DatasetError
 
 
@@ -63,17 +64,20 @@ class MlpModel:
         """Number of hidden layers."""
         return len(self.weights) - 1
 
-    def n_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
-
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """One training run: ``mode`` (None or one of augment's MODES) ablates each
+    batch at rate ``lam``, lam = 0 training without ablation, and ``seed`` is
+    the run's one seed.  An unknown mode, even at lam = 0, a lam outside
+    [0, 1) and a lam > 0 without a mode raise AugmentSpec's AugmentError."""
+
     learning_rate: float = 1e-3
     epochs: int = 200
     batch_size: int = 256
     early_stop_patience: int = 3
-    augment: AugmentSpec | None = None
+    mode: str | None = None
+    lam: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
@@ -83,6 +87,9 @@ class TrainConfig:
             raise ValueError("epochs and batch_size must be positive")
         if self.early_stop_patience < 1:
             raise ValueError("early_stop_patience must be >= 1")
+        if self.mode is not None or self.lam > 0:
+            check_mode(self.mode)
+        check_lambda(self.lam)
 
 
 @dataclass
@@ -280,11 +287,11 @@ def train(model: MlpModel, d_train: Dataset, d_val: Dataset, cfg: TrainConfig, *
     overflow raises ``TrainingDivergedError("diverged at epoch E, step S:
     <numpy's message>")``, S counting the steps before the failing one.
 
-    A spec augments only with lam > 0, so lam=0 trains exactly as no spec.
-    Masks come from the spec's stream keyed by the global step, and the
-    validation loss is taken on a fixed-mask ablated replication of the
-    validation set: best-epoch selection tracks the augmented risk that
-    training minimizes, instead of silently undoing the regularization.
+    With ``cfg.lam`` > 0 the one spec ``AugmentSpec(cfg.mode, cfg.lam, 1,
+    cfg.seed)`` ablates each batch with masks from its MASK stream keyed by
+    the global step, and a replicated validation set once with masks from its
+    VALMASK stream (:func:`ablated_copy`), so best-epoch selection tracks the
+    augmented risk that training minimizes.  lam = 0 draws no mask.
     """
     if d_train.n == 0 or d_val.n == 0:
         raise DatasetError(f"train and validation splits must be non-empty, got "
@@ -292,9 +299,9 @@ def train(model: MlpModel, d_train: Dataset, d_val: Dataset, cfg: TrainConfig, *
     X_tr, y_tr = d_train.features, d_train.response
     task = model.task
     train_means = X_tr.mean(axis=0)  # frozen for mean ablation
-    augment = cfg.augment if cfg.augment is not None and cfg.augment.lam > 0 else None
+    augment = AugmentSpec(cfg.mode, cfg.lam, 1, cfg.seed) if cfg.lam > 0 else None
     if augment is not None:
-        d_val = ablated_copy(d_val, augment, means=train_means, replicas=4)
+        d_val = ablated_copy(d_val, augment, means=train_means)
     X_val, y_val = d_val.features, d_val.response
 
     weights = [w.copy() for w in model.weights]

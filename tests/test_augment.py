@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from ablatereg import _streams, augment
 from ablatereg.augment import (
     BLOCK_ROWS,
+    VALIDATION_REPLICAS,
     AugmentError,
     AugmentSpec,
     ablate,
@@ -549,16 +550,16 @@ class TestBatchMasks:
 class TestAblatedCopy:
     def test_replicates_rows(self):
         d = synth_correlated(10, 2, 0.0, (1, 1), 1.0, seed=1)
-        out = ablated_copy(d, AugmentSpec("iid", 0.5, 1, seed=2), replicas=3)
-        assert out.n == 30
-        np.testing.assert_array_equal(out.response, np.tile(d.response, 3))
+        out = ablated_copy(d, AugmentSpec("iid", 0.5, 1, seed=2))
+        assert out.n == VALIDATION_REPLICAS * 10
+        np.testing.assert_array_equal(out.response, np.tile(d.response, VALIDATION_REPLICAS))
 
     def test_stable_across_calls(self):
         d = synth_correlated(10, 2, 0.0, (1, 1), 1.0, seed=1)
         spec = AugmentSpec("mean", 0.5, 1, seed=3)
         means = d.features.mean(axis=0)
-        a = ablated_copy(d, spec, means=means, replicas=2)
-        b = ablated_copy(d, spec, means=means, replicas=2)
+        a = ablated_copy(d, spec, means=means)
+        b = ablated_copy(d, spec, means=means)
         np.testing.assert_array_equal(a.features, b.features)
 
     def test_mean_mode_requires_means(self):

@@ -270,9 +270,13 @@ class TestSweepAndCrossCheck:
         assert run(["sweep", "--mode", "mean", "--data", data, "--response", "y",
                     "--depths", "0", "--lambdas", "0.0,0.5", "--seeds", "1",
                     "--format", "json", "--out", sweep]) == 0
-        assert json.loads(sweep.read_text())["rows"][0][-1].startswith("fit_ccp: ")
+        payload = json.loads(sweep.read_text())
+        assert payload["rows"][0][-1].startswith("fit_ccp: ")
+        payload["meta"]["mode"] = "iid"  # the same cells in the dropout slot
+        relabelled = tmp_path / "relabelled.json"
+        relabelled.write_text(json.dumps(payload))
         capsys.readouterr()
-        assert run(["cross-check", "--mada", sweep, "--iid", sweep, "--check",
+        assert run(["cross-check", "--mada", sweep, "--iid", relabelled, "--check",
                     "--out", tmp_path / "cross.json"]) == 1
         assert json.loads((tmp_path / "cross.json").read_text())["meta"]["zero_contrast"]
         assert ("CHECK FAILED: zero contrast: the two sweeps are identical"
@@ -371,6 +375,35 @@ class TestInertLambda:
         assert run([*base, "--out", tmp_path / "plain.json"]) == 0
         assert run([*base, "--lambda", "0", "--out", tmp_path / "zero.json"]) == 0
         assert (tmp_path / "zero.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+
+
+class TestDataFlagsWithoutData:
+    """``--response`` and ``--task classification`` change nothing without
+    ``--data``: the built-in data set has its own response and task."""
+
+    COMMANDS = [["fit"], ["augment", "--mode", "mean"], ["penalty", "--model", "m.json"],
+                ["train"], ["attribute", "--model", "m.json"], ["converge", "--theorem", "1"],
+                ["sweep", "--mode", "mean"]]
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("flag, value", [("response", "nosuch"), ("task", "classification")])
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda command: command[0])
+    def test_is_a_usage_error(self, tmp_path, capsys, command, flag, value, source):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({flag: value}))
+        given = [f"--{flag}", value] if source == "flag" else ["--config", config]
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run([*command, *given, "--out", out])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"ablatereg {command[0]}: error: --{flag} {value} has no effect without --data"]
+        assert not out.exists()
+
+    def test_regression_task_is_accepted(self, tmp_path):
+        assert run(["fit", "--out", tmp_path / "plain.json"]) == 0
+        assert run(["fit", "--task", "regression", "--out", tmp_path / "task.json"]) == 0
+        assert (tmp_path / "task.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
 
 
 class TestSplitFlags:
@@ -566,6 +599,21 @@ class TestErrorReporting:
         code = run(["cross-check", "--mada", tmp_path / "mean.json", "--iid",
                     tmp_path / "iid.json", "--out", tmp_path / "cross.json"])
         self.one_error_line(capsys, code, "sweeps must share depths, lambda grid and seeds")
+        assert not (tmp_path / "cross.json").exists()
+
+    @pytest.mark.parametrize("slots", [("iid", "mean"), ("mean", "mean"), ("iid", "iid")])
+    def test_cross_check_on_sweeps_in_the_wrong_slots(self, csv_path, tmp_path, capsys, slots):
+        for mode in ("mean", "iid"):
+            assert run(["sweep", "--mode", mode, "--depths", "0", "--lambdas", "0,0.5,0.9",
+                        "--seeds", "2", "--data", csv_path, "--response", "y",
+                        "--format", "json", "--out", tmp_path / f"{mode}.json"]) == 0
+        capsys.readouterr()
+        mada, iid = slots
+        code = run(["cross-check", "--mada", tmp_path / f"{mada}.json", "--iid",
+                    tmp_path / f"{iid}.json", "--check", "--out", tmp_path / "cross.json"])
+        self.one_error_line(capsys, code, f"cross-check needs a 'mean' (mean-ablation) sweep "
+                                          f"and an 'iid' (inverted-dropout) sweep, in that "
+                                          f"order; got {mada!r} and {iid!r}")
         assert not (tmp_path / "cross.json").exists()
 
     def test_cross_check_on_different_outputs(self, csv_path, tmp_path, capsys):
@@ -791,6 +839,36 @@ class TestInputFiles:
         assert code == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: " + message.format(**paths))
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["penalty", "attribute"])
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda p: p["biases"].pop(), "need one bias vector per weight matrix"),
+        (lambda p: p.update(weights=[], biases=[]), "model needs at least one layer"),
+        (lambda p: p["weights"][0][0].__setitem__(0, float("nan")),
+         "layer 0: non-finite parameters"),
+        (lambda p: p.update(task="ranking"), "unknown task 'ranking'"),
+        (lambda p: p["biases"][0].append(0.0), "layer 0: weight/bias shapes are inconsistent"),
+        (lambda p: p["weights"][1].pop(), "layer 1: input dim does not match previous layer"),
+    ], ids=["bias-short", "no-layers", "nan-weight", "task-ranking", "bias-too-long",
+            "input-width"])
+    def test_checkpoint_that_breaks_the_model_rules(self, csv_path, tmp_path, capsys, command,
+                                                    corrupt, message):
+        """Each rule of :class:`~ablatereg.nn.MlpModel` on a ``train``
+        checkpoint: one error line naming the file, exit 1, and no output."""
+        data = ["--data", csv_path, "--response", "y"]
+        checkpoint = tmp_path / "checkpoint.json"
+        assert run(["train", *data, "--epochs", "1", "--hidden-width", "3",
+                    "--out", checkpoint]) == 0
+        payload = json.loads(checkpoint.read_text())
+        corrupt(payload)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))  # a NaN goes out as JSON's NaN token
+        capsys.readouterr()
+        code = run([command, "--model", bad, *data, "--out", tmp_path / "out"])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {bad} is not a model file: {message}"]
         assert not (tmp_path / "out").exists()
 
     def test_missing_config_file_is_a_usage_error(self, tmp_path, capsys):

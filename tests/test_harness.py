@@ -645,7 +645,7 @@ class TestLambdaSweep:
 
         def recording(d_train, d_val, depth, cfg, *args):
             model = fit_cell(d_train, d_val, depth, cfg, *args)
-            cells.append((d_train, cfg.augment.lam, model))
+            cells.append((d_train, cfg.lam, model))
             return model
 
         monkeypatch.setattr(harness, "_fit_cell", recording)
@@ -701,7 +701,7 @@ class TestLambdaSweep:
         d_val, _ = standardize(d_val, stats)
         d_test, _ = standardize(d_test, stats)
         cell_seed = _streams.child_seed(0, 0, 0)
-        run_cfg = replace(cfg, seed=cell_seed, augment=AugmentSpec("mean", lam, 1, cell_seed))
+        run_cfg = replace(cfg, seed=cell_seed, mode="mean", lam=lam)
         sgd, _ = train(init([d.k, 1], seed=cell_seed), d_train, d_val, run_cfg)
         attr = integrated_gradients(sgd, d_test.features, AttributionConfig(steps=50))
         a = ccp_variance_form(attr.attributions)
@@ -765,8 +765,17 @@ class TestTrends:
 
     def test_zero_contrast_flagged(self):
         sweep = self._toy_sweep("mean", [5, 3, 1, -2], [1, 2, 3, 4])
-        report = cross_trend_check(sweep, sweep)
+        report = cross_trend_check(sweep, replace(sweep, mode="iid"))
         assert report.zero_contrast
+
+    @pytest.mark.parametrize("modes", [("iid", "mean"), ("mean", "mean"), ("iid", "iid")])
+    def test_sweeps_in_the_wrong_slots_are_rejected(self, modes):
+        mada, iid = (self._toy_sweep(mode, [5, 3, 1, -2], [1, 2, 3, 4]) for mode in modes)
+        with pytest.raises(ReportError) as err:
+            cross_trend_check(mada, iid)
+        assert str(err.value) == (
+            f"cross-check needs a 'mean' (mean-ablation) sweep and an 'iid' (inverted-dropout) "
+            f"sweep, in that order; got {modes[0]!r} and {modes[1]!r}")
 
     def test_sweep_check_uses_the_mode_s_own_penalty(self):
         # CCP falls and ML2P rises: a pass under mean ablation, a failure
@@ -835,17 +844,17 @@ class TestTrends:
         sweep.cells[1] = replace(sweep.cells[1], metric=nan, ccp=nan, ml2p=nan,
                                  error="fit_ccp: singular")
 
-        def read_back():
-            return sweep_from_payload(json.loads(render_report(sweep, "json")))
+        def read_back(mode="mean"):
+            return sweep_from_payload(json.loads(render_report(replace(sweep, mode=mode), "json")))
 
-        assert cross_trend_check(read_back(), read_back()).zero_contrast
-        other = read_back()
+        assert cross_trend_check(read_back(), read_back("iid")).zero_contrast
+        other = read_back("iid")
         other.cells[1] = replace(other.cells[1], error="fit_ccp: another message")
         assert not cross_trend_check(read_back(), other).zero_contrast
 
     def test_zero_contrast_pair_fails_the_gate(self):
         sweep = self._toy_sweep("mean", [5, 3, 1, -2], [1, 2, 3, 4])
-        ok, problems = cross_trend_check(sweep, sweep).check()
+        ok, problems = cross_trend_check(sweep, replace(sweep, mode="iid")).check()
         assert not ok
         assert problems[0] == "zero contrast: the two sweeps are identical"
 

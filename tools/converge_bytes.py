@@ -20,8 +20,13 @@ model, ``train --depth 1 --epochs 3`` then ``penalty`` on that checkpoint,
 ``attribute --steps 20`` on that checkpoint, and, on a 3-class CSV of the
 design's first 300 rows (the response's tertiles as labels), ``train --task
 classification --mode iid --lambda 0.3 --depth 2 --epochs 3`` then
-``attribute --class 2`` on that checkpoint.  Two trees whose digests for a
-design agree give the same bytes on all of its runs.
+``attribute --class 2`` on that checkpoint.  An ``other cli`` line per
+design digests, on the same CSV, ``augment --mode mean`` and ``augment
+--mode iid`` (``--lambda 0.3 --n 5000``), the ``sweep`` reports of both
+modes (``--depths 0,1 --lambdas 0,0.5 --epochs 2 --format json``), and
+``cross-check`` on them in JSON and in CSV, so that the two lines cover all
+eight commands.  Two trees whose digests for a design agree give the same
+bytes on all of its runs.
 BLAS and OpenMP are pinned to one thread before numpy loads, as the
 benchmark does.
 """
@@ -69,11 +74,26 @@ def write_csv(path, d, rows, response) -> None:
             fh.write(",".join(map(repr, [*row, y])) + "\n")
 
 
+def run_digest(cli, tmp, commands) -> str:
+    """sha256 over the files that ``cli.main`` writes in ``tmp`` for
+    ``commands``, each a (source CSV or None, file name, argv) triple; a
+    source is passed as ``--data`` with the response ``y``."""
+    digest = hashlib.sha256()
+    for source, name, command in commands:
+        out = os.path.join(tmp, name)
+        data = [] if source is None else ["--data", source, "--response", "y"]
+        code = cli.main([*command, *data, "--out", out])
+        if code != 0:
+            raise RuntimeError(f"{command[0]} exited {code}")
+        with open(out, "rb") as fh:
+            digest.update(fh.read())
+    return digest.hexdigest()
+
+
 def penalty_cli_digest(d, cli) -> str:
     """sha256 over the files the CLI writes for the fit, train, penalty,
     sweep and attribute commands on a CSV of ``d``, and for a 3-class train
     and attribute on a CSV of its first 300 rows."""
-    digest = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         data = os.path.join(tmp, "data.csv")
         write_csv(data, d, d.n, d.response.tolist())
@@ -101,14 +121,28 @@ def penalty_cli_digest(d, cli) -> str:
              ["attribute", "--task", "classification", "--model",
               os.path.join(tmp, "checkpoint_classes.json"), "--class", "2"]),
         ]
-        for source, name, command in commands:
-            out = os.path.join(tmp, name)
-            code = cli.main([*command, "--data", source, "--response", "y", "--out", out])
-            if code != 0:
-                raise RuntimeError(f"{command[0]} exited {code}")
-            with open(out, "rb") as fh:
-                digest.update(fh.read())
-    return digest.hexdigest()
+        return run_digest(cli, tmp, commands)
+
+
+def other_cli_digest(d, cli) -> str:
+    """sha256 over the files the CLI writes for the augment commands, the
+    sweeps of both modes and cross-check on a CSV of ``d``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        data = os.path.join(tmp, "data.csv")
+        write_csv(data, d, d.n, d.response.tolist())
+        sweep = ["--depths", "0,1", "--lambdas", "0,0.5", "--epochs", "2", "--format", "json"]
+        reports = ["--mada", os.path.join(tmp, "sweep_mean.json"),
+                   "--iid", os.path.join(tmp, "sweep_iid.json")]
+        commands = [
+            *((data, f"augment_{mode}.csv",
+               ["augment", "--mode", mode, "--lambda", "0.3", "--n", "5000"])
+              for mode in ("mean", "iid")),
+            *((data, f"sweep_{mode}.json", ["sweep", "--mode", mode, *sweep])
+              for mode in ("mean", "iid")),
+            *((None, f"cross.{fmt}", ["cross-check", *reports, "--format", fmt])
+              for fmt in ("json", "csv")),
+        ]
+        return run_digest(cli, tmp, commands)
 
 
 def main(argv) -> int:
@@ -143,6 +177,8 @@ def main(argv) -> int:
     logging.getLogger("ablatereg").setLevel(logging.WARNING)
     for name, d in designs.items():
         print(f"penalty cli, {name}: {penalty_cli_digest(d, cli)}")
+    for name, d in designs.items():
+        print(f"other cli, {name}: {other_cli_digest(d, cli)}")
     return 0
 
 
