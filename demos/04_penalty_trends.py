@@ -17,6 +17,7 @@ sweep the acceptance suite runs; it finishes in about a minute.
 import numpy as np
 
 import ablatereg as ar
+from ablatereg.files import write_text
 
 d = ar.synth_correlated(n=1200, k=6, correlation=0.6,
                         true_beta=np.linspace(0.5, 2.0, 6), noise_sd=1.0, seed=11)
@@ -58,6 +59,6 @@ print(f"cross-trend gate: {'pass' if ok else 'FAIL'}")
 for problem in problems:
     print(f"  - {problem}")
 
-ar.emit_report(mada, "csv", "demo_sweep_mada.csv")
-ar.emit_report(iid, "csv", "demo_sweep_iid.csv")
+write_text("demo_sweep_mada.csv", ar.render_report(mada, "csv"))
+write_text("demo_sweep_iid.csv", ar.render_report(iid, "csv"))
 print("\nwrote demo_sweep_mada.csv and demo_sweep_iid.csv (plot-ready)")

@@ -68,17 +68,16 @@ from .harness import (
     ConvergenceRun,
     CrossTrendReport,
     MomentCheck,
-    ReportError,
     SweepCell,
     SweepResult,
     check_moment_limits,
     converge_theorem1,
     converge_theorem2,
     cross_trend_check,
-    emit_report,
     lambda_sweep,
     penalty_trend,
     render_report,
 )
+from .files import ReportError
 
 __version__ = "0.1.0"

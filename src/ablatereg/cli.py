@@ -65,13 +65,12 @@ import sys
 
 import numpy as np
 
-from . import harness, nn, penalty as penalty_mod
+from . import files, harness, nn, penalty as penalty_mod
 from .attribution import AttributionConfig, integrated_gradients
 from .augment import AugmentError, AugmentSpec
 from .dataset import (
     Dataset,
     DatasetError,
-    FeatureStats,
     SplitSpec,
     feature_stats,
     load_csv,
@@ -79,8 +78,8 @@ from .dataset import (
     standardize,
     synth_correlated,
 )
-from .linear import LinearModel, SingularModelError, fit_ccp, fit_ml2p, fit_ols
-from .nn import TrainConfig, evaluate, linear_as_mlp
+from .linear import SingularModelError, fit_ccp, fit_ml2p, fit_ols
+from .nn import TrainConfig, evaluate
 
 logger = logging.getLogger("ablatereg")
 
@@ -258,10 +257,6 @@ def _default_sweep_data(seed: int) -> Dataset:
                             true_beta=np.linspace(0.5, 2.0, 8), noise_sd=1.0, seed=seed)
 
 
-def _write_json(obj, path) -> None:
-    harness.write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
-
-
 def _check_exit(outcome: tuple[bool, list[str]]) -> int:
     """Print a ``--check`` gate's problems to stderr; the exit status."""
     ok, problems = outcome
@@ -270,49 +265,10 @@ def _check_exit(outcome: tuple[bool, list[str]]) -> int:
     return 0 if ok else 1
 
 
-def _read_json(path, what: str):
-    """The JSON value in ``path``; a file that is not JSON raises
-    :class:`~ablatereg.harness.ReportError` naming it."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except ValueError as err:
-            raise harness.ReportError(f"{path} is not a JSON {what}: {err}") from None
-
-
-def _read_model(path):
-    """A ``fit`` model or ``train`` checkpoint file as (network, linear model
-    or None, standardization or None, recorded lambda, recorded column names
-    or None): the one reader of the files' keys.  A file that is not one
-    raises :class:`~ablatereg.harness.ReportError` naming it."""
-    payload = _read_json(path, "model")
-    try:
-        linear = None
-        if "beta" in payload:
-            linear = LinearModel(beta=payload["beta"], intercept=payload["intercept"])
-            model = linear_as_mlp(linear.beta, linear.intercept, payload.get("task", "regression"))
-        else:
-            weights, biases = ([np.asarray(a, dtype=np.float64) for a in payload[key]]
-                               for key in ("weights", "biases"))
-            model = nn.MlpModel(weights=weights, biases=biases, task=payload["task"])
-        block = payload.get("standardization")
-        stats = None
-        if block:
-            stats = FeatureStats(means=block["means"], variances=block["variances"],
-                                 response_mean=block.get("response_mean"))
-        columns = (block or payload).get("columns")
-        return (model, linear, stats, payload.get("lambda"),
-                None if columns is None else list(columns))
-    except KeyError as err:
-        raise harness.ReportError(f"model file {path} lacks the key {err}") from None
-    except (TypeError, ValueError, AttributeError) as err:
-        raise harness.ReportError(f"{path} is not a model file: {err}") from None
-
-
 def _evaluating(path):
     """Training's overflow rule for evaluating the model file ``path``."""
     return nn.float_errors_as(
-        lambda message: harness.ReportError(f"model file {path} overflows on the data: {message}"))
+        lambda message: files.ReportError(f"model file {path} overflows on the data: {message}"))
 
 
 def _check_inputs(args, model: nn.MlpModel, columns, d: Dataset, baseline=None) -> None:
@@ -320,11 +276,11 @@ def _check_inputs(args, model: nn.MlpModel, columns, d: Dataset, baseline=None) 
     ``--baseline`` file's vector and ``--class`` against the data ``d``."""
     width, n_out = model.layer_dims[0], model.layer_dims[-1]
     if columns is not None and columns != list(d.column_names):
-        raise harness.ReportError(f"{args.model} was fitted on the columns {columns}, "
-                                  f"but the data has {list(d.column_names)}")
+        raise files.ReportError(f"{args.model} was fitted on the columns {columns}, "
+                                f"but the data has {list(d.column_names)}")
     if width != d.k:
-        raise harness.ReportError(f"{args.model} takes {width} columns, "
-                                  f"but the data has {d.k}: {list(d.column_names)}")
+        raise files.ReportError(f"{args.model} takes {width} columns, "
+                                f"but the data has {d.k}: {list(d.column_names)}")
     if baseline is not None:
         try:
             vector = np.asarray(baseline, dtype=np.float64)
@@ -332,11 +288,11 @@ def _check_inputs(args, model: nn.MlpModel, columns, d: Dataset, baseline=None) 
         except (TypeError, ValueError):
             usable = False
         if not usable:
-            raise harness.ReportError(f"baseline {args.baseline} must be a list of "
-                                      f"{width} finite numbers, one per model input")
+            raise files.ReportError(f"baseline {args.baseline} must be a list of "
+                                    f"{width} finite numbers, one per model input")
     if args.class_index >= n_out:
-        raise harness.ReportError(f"--class {args.class_index} is out of range: "
-                                  f"{args.model} has {n_out} output(s)")
+        raise files.ReportError(f"--class {args.class_index} is out of range: "
+                                f"{args.model} has {n_out} output(s)")
 
 
 # --------------------------------------------------------------------------
@@ -352,15 +308,7 @@ def cmd_fit(args) -> int:
     else:
         fit = (fit_ccp if args.method == "ccp" else fit_ml2p)(d, args.lam)
         model, lam, kind, objective = fit.model, fit.lam, fit.penalty_kind, fit.objective_value
-    _write_json({
-        "beta": model.beta.tolist(),
-        "intercept": model.intercept,
-        "lambda": lam,
-        "penalty_kind": kind,
-        "objective_value": objective,
-        "columns": list(d.column_names),
-        "task": d.task,
-    }, args.out)
+    files.write_model(args.out, model, lam, kind, objective, d.column_names, d.task)
     logger.info("wrote model to %s", args.out)
     return 0
 
@@ -368,16 +316,16 @@ def cmd_fit(args) -> int:
 def cmd_augment(args) -> int:
     d = _load_dataset(args, lambda: _default_theorem_data(args.seed))
     spec = AugmentSpec(mode=args.mode, lam=args.lam, n_synthetic=args.n, seed=args.seed)
-    header = ",".join(list(d.column_names) + [args.response or "y"]) + "\n"
+    header = files.csv_text([*d.column_names, args.response or "y"])
     # One block of draws in memory at a time, each value formatted once per
     # run, and the rows written a chunk at a time as they are formatted.
-    harness.write_text(args.out, itertools.chain([header], harness.augmented_lines(d, spec)))
+    files.write_text(args.out, itertools.chain([header], files.augmented_lines(d, spec)))
     logger.info("wrote %d augmented rows to %s", spec.n_synthetic, args.out)
     return 0
 
 
 def cmd_penalty(args) -> int:
-    model, linear, stats_from_model, lam, columns = _read_model(args.model)
+    model, linear, stats_from_model, lam, columns = files.read_model(args.model)
     d = _load_dataset(args, lambda: _default_theorem_data(args.seed))
     _check_inputs(args, model, columns, d)
     if stats_from_model is not None:
@@ -402,13 +350,13 @@ def cmd_penalty(args) -> int:
         ccp_value = (penalty_mod.ccp_variance_form(contributions)
                      if args.kind in ("ccp", "both") else None)
 
-    _write_json({
+    files.write_text(args.out, files.json_text({
         "ccp": ccp_value,
         "ml2p": ml2p_value,
         "n": d.n,
         "k": d.k,
         "lambda_context": lam,
-    }, args.out)
+    }))
     logger.info("wrote penalty report to %s", args.out)
     return 0
 
@@ -424,36 +372,17 @@ def cmd_train(args) -> int:
                                       harness.output_count(d), cfg, log_train_loss=True)
     metrics = evaluate(trained, d_test)
 
-    _write_json({
-        "dims": list(trained.layer_dims),
-        "weights": [w.tolist() for w in trained.weights],   # row-major per layer
-        "biases": [b.tolist() for b in trained.biases],
-        "task": trained.task,
-        "training_log": {
-            "epochs": log.epochs,
-            "best_epoch": log.best_epoch,
-            "best_val_loss": log.best_val_loss,
-            "stopped_early": log.stopped_early,
-        },
-        "test_metrics": metrics,
-        "mode": args.mode,
-        "lambda": args.lam if args.mode != "none" else None,
-        "standardization": {
-            "means": stats.means.tolist(),
-            "variances": stats.variances.tolist(),
-            "response_mean": stats.response_mean,
-            "columns": list(d.column_names),
-        },
-    }, args.out)
+    files.write_checkpoint(args.out, trained, log, metrics, args.mode,
+                           args.lam if args.mode != "none" else None, stats, d.column_names)
     logger.info("wrote checkpoint to %s (best epoch %d)", args.out, log.best_epoch)
     return 0
 
 
 def cmd_attribute(args) -> int:
-    model, _, stats, _, columns = _read_model(args.model)
+    model, _, stats, _, columns = files.read_model(args.model)
     baseline = None
     if args.baseline not in ("zeros", "means"):
-        baseline = _read_json(args.baseline, "baseline")
+        baseline = files.read_json(args.baseline, "baseline")
     d = _load_dataset(args, lambda: _default_sweep_data(args.seed))
     _check_inputs(args, model, columns, d, baseline)
     if stats is not None:
@@ -472,7 +401,7 @@ def cmd_attribute(args) -> int:
               + [f"avggrad_{c}" for c in d.column_names] + ["completeness_gap"])
     matrix = np.column_stack([result.attributions, result.avg_gradients,
                               result.completeness_gap])
-    harness.write_text(args.out, [",".join(header) + "\n", harness._matrix_lines(matrix)])
+    files.write_text(args.out, [files.csv_text(header), files.matrix_lines(matrix)])
     logger.info("wrote attributions for %d rows to %s", d.n, args.out)
     return 0
 
@@ -481,7 +410,7 @@ def cmd_converge(args) -> int:
     d = _load_dataset(args, lambda: _default_theorem_data(args.seed))
     run_fn = harness.converge_theorem1 if args.theorem == 1 else harness.converge_theorem2
     run = run_fn(d, args.lam, args.n_schedule, args.seeds)
-    harness.emit_report(run, args.fmt, args.out)
+    files.write_text(args.out, harness.render_report(run, args.fmt))
     logger.info("wrote convergence report to %s", args.out)
     return _check_exit(run.check(args.check)) if args.check is not False else 0
 
@@ -500,16 +429,16 @@ def cmd_sweep(args) -> int:
         hidden_width=args.hidden_width,
         attribution_steps=args.steps,
     )
-    harness.emit_report(sweep, args.fmt, args.out)
+    files.write_text(args.out, harness.render_report(sweep, args.fmt))
     logger.info("wrote sweep report to %s", args.out)
     return _check_exit(sweep.check(args.check)) if args.check is not False else 0
 
 
 def cmd_cross_check(args) -> int:
-    mada, iid = (harness.sweep_from_payload(_read_json(path, "report"))
+    mada, iid = (harness.sweep_from_payload(files.read_json(path, "report"))
                  for path in (args.mada, args.iid))
     report = harness.cross_trend_check(mada, iid)
-    harness.emit_report(report, args.fmt, args.out)
+    files.write_text(args.out, harness.render_report(report, args.fmt))
     logger.info("wrote cross-trend report to %s", args.out)
     return _check_exit(report.check()) if args.check else 0
 
@@ -659,7 +588,7 @@ def main(argv=None) -> int:
         parser.exit(2, f"ablatereg {args.command}: error: {flag} has no effect without --data\n")
     try:
         return args.func(args)
-    except (SingularModelError, DatasetError, AugmentError, harness.ReportError,
+    except (SingularModelError, DatasetError, AugmentError, files.ReportError,
             nn.TrainingDivergedError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -1,7 +1,8 @@
 """Experiment harness: Monte-Carlo verification that OLS on the synthetic
 ablated datasets converges to the closed-form penalized solutions, lambda
 sweeps that trace how the two penalties respond to each augmentation mode,
-and deterministic CSV/JSON report emission.
+and the tables of their reports, rendered by the text rules of
+:mod:`ablatereg.files`.
 
 The Monte-Carlo checks never hold a synthetic set in memory, and they
 solve OLS from centered sufficient statistics of ``[X | y]``.  Each set is
@@ -18,46 +19,18 @@ rows of :func:`~ablatereg.augment.augmented_chunks`, is decided in
 :mod:`ablatereg.augment` alone; only in the second case are the draws those
 of :func:`~ablatereg.augment.build_augmented`.  Everything runs on the
 calling thread and the sums are added in a fixed order, so the reports are
-the same bytes on every run.  The ``augment`` command streams the draws of
-:func:`~ablatereg.augment.augmented_chunks` to disk through
-:func:`augmented_lines` and :func:`write_text`, so nothing here
-materializes a synthetic set.
-
-Every file the package writes goes through :func:`write_text`, which writes
-atomically.  Numeric CSV bodies that repeat values come from one text
-table (:class:`_TextTable`): each distinct value is formatted once, and the
-cells are looked up by bit pattern, about a thousand rows at a time.
-:func:`_matrix_lines` builds the table from its own matrix, or formats a
-matrix of mostly distinct values cell by cell; :func:`augmented_lines`
-builds one table for a whole synthetic set from the values its cells can
-hold.  The small mixed-type reports use :func:`_csv_lines`.  All of them
-write each float as its ``repr``.
+the same bytes on every run.
 """
 
 from __future__ import annotations
 
-import contextlib
-import itertools
-import json
 import math
-import os
-import secrets
-import stat
 from dataclasses import dataclass, field, replace as dc_replace
 
 import numpy as np
 
 from .attribution import AttributionConfig, integrated_gradients
-from .augment import (
-    BLOCK_ROWS,
-    INVERTED_DROPOUT,
-    MEAN_ABLATION,
-    AugmentSpec,
-    augmented_chunks,
-    check_mode,
-    synthetic_values,
-    weighted_blocks,
-)
+from .augment import INVERTED_DROPOUT, MEAN_ABLATION, AugmentSpec, check_mode, weighted_blocks
 from .dataset import (
     CLASSIFICATION,
     REGRESSION,
@@ -80,6 +53,7 @@ from .nn import (
     linear_as_mlp,
     train,
 )
+from .files import ReportError, csv_text, json_text
 from .penalty import ccp_variance_form, ml2p_from_avg_gradients
 from ._streams import child_seed
 
@@ -369,12 +343,6 @@ def check_moment_limits(d: Dataset, mode: str, lam: float, n_synthetic: int,
 # ---------------------------------------------------------------------------
 # Lambda sweeps
 # ---------------------------------------------------------------------------
-
-
-class ReportError(ValueError):
-    """An input file that is not what it should be (a sweep report, model,
-    checkpoint or baseline file), or inputs that do not fit together: two
-    sweeps that cannot be compared, or a model and the data it is run on."""
 
 
 @dataclass(frozen=True)
@@ -676,130 +644,13 @@ def _cell_bits(sweep: SweepResult) -> list[tuple]:
 
 
 # ---------------------------------------------------------------------------
-# Report emission
+# Report tables
 # ---------------------------------------------------------------------------
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(float(value))  # plain-float repr even for numpy scalars
-    return str(value)
-
-
-def _csv_lines(header, rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
-
-
-# Rows of CSV text made at a time, and table values formatted at a time.  A
-# chunk's temporaries take about 8 bytes per byte of its text, so 1024 rows
-# of a few dozen cells stay near a megabyte.
-CHUNK_ROWS = 1024
-
-
-class _TextTable:
-    """The CSV text of a set of distinct float64 values, each formatted once
-    as its ``repr``, looked up by bit pattern; keying on bits keeps ``0.0``
-    and ``-0.0`` apart.
-
-    The texts sit back to back in one byte buffer, each followed by a comma,
-    so a table of many values is a few arrays, not a Python string each.  A
-    chunk of rows is one gather from the buffer, with each row's last comma
-    then turned into a newline."""
-
-    def __init__(self, bits: np.ndarray):
-        """``bits``: the values' sorted, distinct bit patterns, as int64."""
-        self.bits = bits
-        values = bits.view(np.float64)
-        self.lengths = np.empty(bits.size, dtype=np.int64)
-        parts = []
-        for start in range(0, bits.size, CHUNK_ROWS):
-            text = [repr(v) + "," for v in values[start:start + CHUNK_ROWS].tolist()]
-            self.lengths[start:start + len(text)] = [len(t) for t in text]
-            parts.append("".join(text))
-        # a float's repr is ASCII
-        self.text = np.frombuffer("".join(parts).encode("ascii"), dtype=np.uint8)
-        self.starts = np.cumsum(self.lengths) - self.lengths
-
-    def chunks(self, matrix: np.ndarray):
-        """Yield the CSV body lines of the float64 matrix, one line per row,
-        ``CHUNK_ROWS`` rows at a time.  A value missing from the table raises
-        ``ValueError``; it is never formatted on the side."""
-        matrix = np.ascontiguousarray(matrix, dtype=np.float64)
-        n = self.bits.size
-        width = matrix.shape[1]
-        for start in range(0, matrix.shape[0], CHUNK_ROWS):
-            bits = matrix[start:start + CHUNK_ROWS].view(np.int64).ravel()
-            # sorted keys search about twice as fast: each search starts near
-            # the last, in memory still cached
-            order = np.argsort(bits)
-            bits = bits[order]
-            found = np.searchsorted(self.bits, bits)
-            if n == 0 or not np.array_equal(self.bits[np.minimum(found, n - 1)], bits):
-                raise ValueError("matrix holds a value missing from its text table")
-            index = np.empty_like(found)
-            index[order] = found
-            lengths = self.lengths[index]
-            ends = np.cumsum(lengths)  # where each cell's text ends in the chunk
-            # byte i of the chunk is byte i - (its cell's start in the chunk)
-            # of its value's text in the buffer
-            offsets = np.repeat(self.starts[index] - (ends - lengths), lengths)
-            offsets += np.arange(offsets.size)
-            chunk = self.text[offsets]
-            chunk[ends[width - 1::width] - 1] = ord("\n")
-            yield chunk.tobytes().decode("ascii")
-
-
-def _distinct_bits(values) -> np.ndarray:
-    """The sorted, distinct float64 bit patterns of ``values``, as int64.
-
-    A sort, not ``np.unique``: from numpy 2.3 that finds distinct values
-    with a hash table, which took 0.2-0.3 s where this takes 0.01 s on the
-    368,600 mostly distinct cells of an ``attribute`` output."""
-    bits = np.sort(np.ascontiguousarray(values, dtype=np.float64).view(np.int64), axis=None)
-    first = np.ones(bits.size, dtype=bool)
-    np.not_equal(bits[1:], bits[:-1], out=first[1:])
-    return bits[first]
-
-
-def _matrix_lines(matrix: np.ndarray) -> str:
-    """CSV body lines of a float matrix, one per row: the bytes
-    :func:`_csv_lines` writes for ``matrix.tolist()``, without its header.
-
-    When at most half the cells hold distinct float64 bit patterns (a
-    bootstrap resample holds at most n*(k+1)+k), the lines come from a
-    :class:`_TextTable` of the matrix's own values.  A matrix of mostly
-    distinct values is formatted cell by cell, converting one row to Python
-    floats at a time.  The sort that decides costs little next to the
-    formatting: on the 19400x19 matrix of an ``attribute`` output it takes
-    0.01 s of about 0.5 s.
-    """
-    matrix = np.ascontiguousarray(matrix, dtype=np.float64)
-    bits = _distinct_bits(matrix)
-    if 2 * bits.size > matrix.size:
-        return "".join([",".join(map(repr, row.tolist())) + "\n" for row in matrix])
-    return "".join(_TextTable(bits).chunks(matrix))
-
-
-def augmented_lines(d: Dataset, spec: AugmentSpec):
-    """The CSV body of the synthetic set of d, ``[X | y]`` row by row, as an
-    iterator of text chunks; the draws are those of
-    :func:`~ablatereg.augment.augmented_chunks`, one block in memory at a time.
-
-    Every value a cell can hold (:func:`~ablatereg.augment.synthetic_values`)
-    is formatted once for the whole run, into one :class:`_TextTable`, when
-    there are at most as many of them as :func:`_matrix_lines` would share
-    in one block: half of the first block's cells.  A larger source is
-    formatted block by block by :func:`_matrix_lines`, which bounds the
-    table's memory by one block's.  Both give the same bytes.
-    """
-    blocks = (np.column_stack(block) for block in augmented_chunks(d, spec))
-    bits = _distinct_bits(synthetic_values(d, spec))
-    if 2 * bits.size > min(BLOCK_ROWS, spec.n_synthetic) * (d.k + 1):
-        return map(_matrix_lines, blocks)
-    return itertools.chain.from_iterable(map(_TextTable(bits).chunks, blocks))
+# The columns of a sweep report, which :func:`sweep_from_payload` reads back.
+SWEEP_HEADER = ("kind", "dataset", "task", "mode", "depth", "lambda", "seed", "output_index",
+                "metric", "ccp", "ml2p", "metric_stderr", "ccp_stderr", "ml2p_stderr", "error")
 
 
 def _stderr(values: np.ndarray) -> float:
@@ -810,9 +661,6 @@ def _stderr(values: np.ndarray) -> float:
 
 
 def _sweep_rows(result: SweepResult):
-    header = ["kind", "dataset", "task", "mode", "depth", "lambda", "seed",
-              "output_index", "metric", "ccp", "ml2p",
-              "metric_stderr", "ccp_stderr", "ml2p_stderr", "error"]
     rows = []
     for c in result.cells:
         rows.append(["cell", result.dataset_id, result.task, result.mode, c.depth,
@@ -830,7 +678,7 @@ def _sweep_rows(result: SweepResult):
                 rows.append(["aggregate", result.dataset_id, result.task, result.mode,
                              depth, lam, "", oi, means[0], means[1], means[2],
                              stderrs[0], stderrs[1], stderrs[2], ""])
-    return header, rows
+    return SWEEP_HEADER, rows
 
 
 def _convergence_rows(run: ConvergenceRun):
@@ -895,75 +743,18 @@ def render_report(result, fmt: str = "csv") -> str:
         raise TypeError(f"cannot render a report for {type(result).__name__}")
 
     if fmt == "csv":
-        return _csv_lines(header, rows)
+        return csv_text(header, rows)
     if fmt == "json":
-        payload = {
+        return json_text({
             "meta": meta,
             "columns": header,
             "rows": [[None if (isinstance(v, float) and math.isnan(v)) else v for v in row]
                      for row in rows],
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        })
     raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
 
 
-def emit_report(result, fmt: str, path):
-    """Write the rendered report to ``path`` and return the path."""
-    write_text(path, render_report(result, fmt))
-    return path
-
-
-def write_text(path, text) -> None:
-    """Write ``text``, a string or an iterable of string chunks, to ``path``
-    as UTF-8, newlines as given.  Every report, model and checkpoint file the
-    package writes goes through here.
-
-    A regular file is written atomically: the chunks go to a new file in the
-    target's directory, which then replaces ``path`` and takes over the old
-    file's permission bits.  If anything fails on the way, the new file is
-    removed and ``path`` is left as it was; an ``OSError`` on the new file
-    names ``path`` instead.  Replacing makes a new inode, so the old file's
-    owner is not kept and a hard link to it keeps the old contents.  A
-    symbolic link is followed, so the file it names is replaced and the link
-    kept.
-
-    Two kinds of target are opened and written in place instead, as a plain
-    ``open`` would: one that exists and is no regular file (a pipe, a socket
-    or a terminal), and any path under ``/dev`` or ``/proc``, such as
-    ``/dev/stdout``, which names a descriptor the caller already holds even
-    when that is a regular file.
-    """
-    if isinstance(text, str):
-        text = (text,)
-    try:
-        mode = os.stat(path).st_mode  # follows links, /proc's included
-    except FileNotFoundError:
-        mode = None
-    in_place = os.path.abspath(path).startswith(("/dev/", "/proc/"))
-    if in_place or (mode is not None and not stat.S_ISREG(mode)):
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(text)
-        return
-    real = os.path.realpath(path)
-    directory, name = os.path.split(real)
-    tmp = os.path.join(directory, f".{name}.{secrets.token_hex(6)}.tmp")
-    try:
-        with open(tmp, "x", encoding="utf-8", newline="") as fh:
-            fh.writelines(text)
-            if mode is not None:
-                os.fchmod(fh.fileno(), stat.S_IMODE(mode))
-        os.replace(tmp, real)
-    except BaseException as err:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        if isinstance(err, OSError) and err.filename == tmp:
-            raise type(err)(err.errno, err.strerror, os.fspath(path)) from None
-        raise
-
-
 _SWEEP_META = ("dataset", "task", "mode", "depths", "lambda_grid", "seeds", "hidden_width")
-_SWEEP_COLUMNS = ("kind", "depth", "lambda", "seed", "output_index", "metric", "ccp", "ml2p",
-                  "error")
 
 
 def sweep_from_payload(payload) -> SweepResult:
@@ -976,7 +767,7 @@ def sweep_from_payload(payload) -> SweepResult:
     if not isinstance(columns, list) or not isinstance(rows, list):
         raise ReportError("sweep report needs a 'columns' list and a 'rows' list")
     missing = ([f"meta {key!r}" for key in _SWEEP_META if key not in meta]
-               + [f"column {name!r}" for name in _SWEEP_COLUMNS if name not in columns])
+               + [f"column {name!r}" for name in SWEEP_HEADER if name not in columns])
     if missing:
         raise ReportError(f"sweep report lacks {', '.join(missing)}")
     col = {name: i for i, name in enumerate(columns)}

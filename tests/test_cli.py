@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ablatereg import harness
+from ablatereg import files, harness
 from ablatereg.attribution import AttributionConfig, integrated_gradients
 from ablatereg.augment import BLOCK_ROWS, AugmentSpec, build_augmented
 from ablatereg.cli import build_parser, main
@@ -107,7 +107,7 @@ class TestAugmentCommand:
                     "--data", csv_path, "--response", "y", "--out", out]) == 0
         aug = build_augmented(load_csv(csv_path, "y"), AugmentSpec(mode, 0.4, n, 5))
         rows = np.column_stack([aug.features, aug.response]).tolist()
-        expected = harness._csv_lines(list(aug.column_names) + ["y"], rows)
+        expected = files.csv_text(list(aug.column_names) + ["y"], rows)
         assert out.read_text() == expected
 
     def test_augmented_file_loads_back(self, csv_path, tmp_path):
@@ -218,7 +218,7 @@ class TestAttributeCommand:
             baseline=d.features.mean(axis=0), steps=7))
         expected = np.column_stack([result.attributions, result.avg_gradients,
                                     result.completeness_gap])
-        assert out.read_text().split("\n", 1)[1] == harness._matrix_lines(expected)
+        assert out.read_text().split("\n", 1)[1] == files.matrix_lines(expected)
 
 
 class TestConvergeCommand:

@@ -11,31 +11,32 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ablatereg import _streams, augment, harness
+from ablatereg import _streams, augment, files, harness
 from ablatereg.augment import BLOCK_ROWS, AugmentError, AugmentSpec, augmented_chunks, build_augmented
 from ablatereg.attribution import AttributionConfig, integrated_gradients
 from ablatereg.dataset import DatasetError, SplitSpec, split, standardize, synth_correlated
-from ablatereg.harness import (
+from ablatereg.files import (
+    CHUNK_ROWS,
     ReportError,
+    _TextTable,
+    _distinct_bits,
+    augmented_lines,
+    csv_text,
+    matrix_lines,
+    write_text,
+)
+from ablatereg.harness import (
     SweepCell,
     SweepResult,
     check_moment_limits,
     converge_theorem1,
     converge_theorem2,
     cross_trend_check,
-    emit_report,
     lambda_sweep,
     penalty_trend,
     render_report,
     sweep_from_payload,
-    write_text,
-    CHUNK_ROWS,
-    _TextTable,
-    _csv_lines,
-    _distinct_bits,
     _spearman,
-    _matrix_lines,
-    augmented_lines,
     _moment_limits,
     _moments,
     _streamed_moments,
@@ -940,8 +941,8 @@ class TestEmitReport:
         run = converge_theorem1(small_data, 0.2, (500, 2000), seeds=(0, 1))
         p1 = tmp_path / "a.csv"
         p2 = tmp_path / "b.csv"
-        emit_report(run, "csv", p1)
-        emit_report(run, "csv", p2)
+        write_text(p1, render_report(run, "csv"))
+        write_text(p2, render_report(run, "csv"))
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_json_roundtrip_restores_sweep(self, small_data):
@@ -1011,7 +1012,7 @@ class TestEmitReport:
 class TestMatrixLines:
     def reference(self, matrix):
         header = [f"c{j}" for j in range(matrix.shape[1])]
-        return _csv_lines(header, matrix.tolist()), ",".join(header) + "\n"
+        return csv_text(header, matrix.tolist()), ",".join(header) + "\n"
 
     @pytest.mark.parametrize("matrix", [
         np.array([[0.0, -0.0, 5e-324, 1e16], [1e-5, 1 / 3, -0.0, 0.0],
@@ -1024,21 +1025,21 @@ class TestMatrixLines:
         np.empty((0, 3)),
     ], ids=["special-values-shared-text", "one-row-cell-by-cell", "nonfinite-cell-by-cell",
             "bootstrap-shared-text", "transposed-cell-by-cell", "empty"])
-    def test_bytes_equal_csv_lines(self, matrix):
+    def test_bytes_equalcsv_text(self, matrix):
         expected, header = self.reference(matrix)
-        assert header + _matrix_lines(matrix) == expected
+        assert header + matrix_lines(matrix) == expected
 
     def test_signed_zeros_stay_apart(self):
-        assert _matrix_lines(np.array([[0.0, -0.0], [-0.0, 0.0]])) == "0.0,-0.0\n-0.0,0.0\n"
+        assert matrix_lines(np.array([[0.0, -0.0], [-0.0, 0.0]])) == "0.0,-0.0\n-0.0,0.0\n"
 
 
 class TestTextTable:
-    def test_chunks_join_to_the_matrix_lines(self):
+    def test_chunks_join_to_thematrix_lines(self):
         rng = np.random.default_rng(6)
         matrix = rng.standard_normal((10, 4))[rng.integers(0, 10, 2 * CHUNK_ROWS + 5)]
         chunks = list(_TextTable(_distinct_bits(matrix)).chunks(matrix))
         assert [chunk.count("\n") for chunk in chunks] == [CHUNK_ROWS, CHUNK_ROWS, 5]
-        assert "".join(chunks) == _csv_lines(["h"], matrix.tolist())[2:]
+        assert "".join(chunks) == csv_text(["h"], matrix.tolist())[2:]
 
     def test_distinct_bits_equal_np_unique(self):
         matrix = np.array([[0.0, -0.0, np.nan, -np.nan], [1.0, 1.0, 5e-324, -0.0]])
@@ -1062,15 +1063,15 @@ class TestAugmentedLines:
     cell, one ``repr`` each."""
 
     def block_by_block(self, d, spec):
-        return "".join(_csv_lines(["h"], np.column_stack(block).tolist())[2:]
+        return "".join(csv_text(["h"], np.column_stack(block).tolist())[2:]
                        for block in augmented_chunks(d, spec))
 
     @pytest.fixture
     def block_calls(self, monkeypatch):
-        """The shapes of the blocks formatted one by one by ``_matrix_lines``."""
+        """The shapes of the blocks formatted one by one by ``matrix_lines``."""
         calls = []
-        monkeypatch.setattr(harness, "_matrix_lines",
-                            lambda m: calls.append(m.shape) or _matrix_lines(m))
+        monkeypatch.setattr(files, "matrix_lines",
+                            lambda m: calls.append(m.shape) or matrix_lines(m))
         return calls
 
     @pytest.mark.parametrize("mode", ["mean", "iid"])
