@@ -9,12 +9,12 @@ options' long names or dests (dashes or underscores alike).  Its values
 become the command's defaults, so a flag given on the command line wins.
 
 Exit status 2 is a usage error: a bad flag or flag value, a bad config key or
-value, a config file that cannot be read, or a flag that would change
-nothing, from the command line or the config file: a nonzero ``--lambda``
-that ``--method ols`` or ``--mode none`` ignores, or ``--response`` or
-``--task classification`` without ``--data``.  ``--hidden-width``,
-``--epochs`` and ``--batch-size`` are settings of the whole sweep, so a
-sweep of depth 0 alone ignores them without an error.
+value, a config file that cannot be read, ``--data`` without ``--response``,
+or a flag that would change nothing, from the command line or the config
+file: a nonzero ``--lambda`` that ``--method ols`` or ``--mode none``
+ignores, or ``--response`` or ``--task classification`` without ``--data``.
+``--hidden-width``, ``--epochs`` and ``--batch-size`` are settings of the
+whole sweep, so a sweep of depth 0 alone ignores them without an error.
 
 Exit status 1 with one ``error:`` line on stderr is a data, model, report
 or file error: a numerically singular model, an unusable data file or
@@ -46,7 +46,9 @@ are the library's ``check()`` methods, with the thresholds in
   ablation is at least ``harness.ML2P_RISE_MIN``, and |CCP| under inverted
   dropout is no larger at the last lambda than at the first, at every depth
   and output.  Its ``--mada`` report must be a mean-ablation sweep and its
-  ``--iid`` report an inverted-dropout sweep, or it exits 1 before writing.
+  ``--iid`` report an inverted-dropout sweep, each written by ``sweep
+  --format json``, or it exits 1 before writing; the CSV report that
+  ``sweep`` writes by default is named as such.
 
 Outputs are deterministic given a seed and a BLAS thread count: a rerun
 writes the same bytes, but ``train``, ``attribute`` and ``sweep`` bytes can
@@ -265,6 +267,18 @@ def _check_exit(outcome: tuple[bool, list[str]]) -> int:
     return 0 if ok else 1
 
 
+def _read_sweep(path) -> harness.SweepResult:
+    """The sweep of the JSON report ``path``.  The CSV report that ``sweep``
+    writes by default is named as such, with the flag that writes JSON."""
+    try:
+        return harness.sweep_from_payload(files.read_json(path, "report"))
+    except files.ReportError:
+        if files.first_line(path) != files.csv_text(harness.SWEEP_HEADER):
+            raise
+    raise files.ReportError(f"{path} is a CSV sweep report; cross-check reads the report of "
+                            "sweep --format json")
+
+
 def _evaluating(path):
     """Training's overflow rule for evaluating the model file ``path``."""
     return nn.float_errors_as(
@@ -435,8 +449,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_cross_check(args) -> int:
-    mada, iid = (harness.sweep_from_payload(files.read_json(path, "report"))
-                 for path in (args.mada, args.iid))
+    mada, iid = (_read_sweep(path) for path in (args.mada, args.iid))
     report = harness.cross_trend_check(mada, iid)
     files.write_text(args.out, harness.render_report(report, args.fmt))
     logger.info("wrote cross-trend report to %s", args.out)
@@ -552,8 +565,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cross-check", help="compare a mean-ablation sweep with a dropout sweep")
     p.add_argument("--config", help="JSON file of flag values (flags override it)")
-    p.add_argument("--mada", required=True, help="JSON sweep report for mean ablation")
-    p.add_argument("--iid", required=True, help="JSON sweep report for inverted dropout")
+    p.add_argument("--mada", required=True, help="report of sweep --mode mean --format json")
+    p.add_argument("--iid", required=True, help="report of sweep --mode iid --format json")
     p.add_argument("--format", dest="fmt", choices=["csv", "json"], default="json")
     p.add_argument("--check", action="store_true",
                    help="exit 1 if the two sweeps are identical, or if at some depth and "
@@ -578,7 +591,7 @@ def main(argv=None) -> int:
         command.set_defaults(**_config_defaults(args.config, command, parser))
         args = parser.parse_args(argv)
     if getattr(args, "data", None) and not args.response:
-        parser.error("--response is required with --data")
+        parser.exit(2, f"ablatereg {args.command}: error: --response is required with --data\n")
     inert = {"fit": ("method", "ols"), "train": ("mode", "none")}.get(args.command)
     if inert and getattr(args, inert[0]) == inert[1] and args.lam != 0:
         parser.exit(2, f"ablatereg {args.command}: error: --lambda {args.lam} has no effect "

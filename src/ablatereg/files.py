@@ -85,11 +85,19 @@ def write_text(path, text) -> None:
         raise
 
 
+_QUOTED = frozenset(',"\r\n')
+
+
 def _field(value) -> str:
-    """One CSV field: a float as its ``repr``, anything else as its ``str``."""
+    """One CSV field: a float as its ``repr``, anything else as its ``str``,
+    quoted with its double quotes doubled when it holds a comma, a double
+    quote or a line break."""
     if isinstance(value, float):
         return repr(float(value))  # plain-float repr even for numpy scalars
-    return str(value)
+    text = str(value)
+    if _QUOTED.isdisjoint(text):
+        return text
+    return '"' + text.replace('"', '""') + '"'
 
 
 def csv_text(header, rows=()) -> str:
@@ -111,6 +119,13 @@ def read_json(path, what: str):
             return json.load(fh)
         except ValueError as err:
             raise ReportError(f"{path} is not a JSON {what}: {err}") from None
+
+
+def first_line(path) -> str:
+    """The first line of ``path`` with its line end, bytes that are no UTF-8
+    replaced."""
+    with open(path, encoding="utf-8", errors="replace", newline="") as fh:
+        return fh.readline()
 
 
 # Rows of CSV text made at a time, and table values formatted at a time.  A

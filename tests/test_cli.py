@@ -1,4 +1,5 @@
 import argparse
+import csv
 import json
 import os
 import subprocess
@@ -282,6 +283,22 @@ class TestSweepAndCrossCheck:
         assert ("CHECK FAILED: zero contrast: the two sweeps are identical"
                 in capsys.readouterr().err.splitlines())
 
+    def test_cross_check_on_the_csv_report_of_sweep_says_to_write_json(
+            self, csv_path, tmp_path, capsys):
+        reports = {}
+        for mode in ("mean", "iid"):
+            reports[mode] = tmp_path / f"{mode}.csv"
+            assert run(["sweep", "--mode", mode, "--data", csv_path, "--response", "y",
+                        "--depths", "0", "--lambdas", "0.0,0.5", "--seeds", "1",
+                        "--out", reports[mode]]) == 0
+        capsys.readouterr()
+        assert run(["cross-check", "--mada", reports["mean"], "--iid", reports["iid"],
+                    "--out", tmp_path / "cross.json"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {reports['mean']} is a CSV sweep report; cross-check reads the report "
+            "of sweep --format json"]
+        assert not (tmp_path / "cross.json").exists()
+
     def test_sweep_check_threshold(self, csv_path, tmp_path):
         out = tmp_path / "sweep.csv"
         code = run(["sweep", "--mode", "mean", "--data", csv_path,
@@ -303,6 +320,71 @@ class TestSweepAndCrossCheck:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
         assert json.loads(outs[0])["meta"]["dataset"] == "data.csv"
+
+
+class TestCsvFields:
+    """A field that holds a comma, a double quote or a line break is quoted,
+    so every CSV file the CLI writes reads back under its header, each
+    field as it was."""
+
+    @staticmethod
+    def read_rows(path):
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert all(len(row) == len(rows[0]) for row in rows)
+        return rows
+
+    def test_a_failed_sweep_cell_and_a_data_name_with_commas(self, tmp_path):
+        # the levels' dummies sum to the intercept, so the depth-0 lambda = 0
+        # cell fails with an error that lists the suspect columns
+        d = synth_correlated(120, 2, 0.5, (1.0, -1.0), 0.5, seed=61)
+        data = tmp_path / "levels, v1.csv"
+        data.write_text("x0,x1,c,y\n" + "".join(
+            f"{row[0]!r},{row[1]!r},{'pqr'[i % 3]},{y!r}\n"
+            for i, (row, y) in enumerate(zip(d.features.tolist(), d.response.tolist()))))
+        sweep = ["sweep", "--mode", "mean", "--data", data, "--response", "y", "--depths", "0",
+                 "--seeds", "1", "--lambdas", "0,0.5"]
+        assert run([*sweep, "--out", tmp_path / "sweep.csv"]) == 0
+        assert run([*sweep, "--format", "json", "--out", tmp_path / "sweep.json"]) == 0
+        header, *rows = self.read_rows(tmp_path / "sweep.csv")
+        payload = json.loads((tmp_path / "sweep.json").read_text())
+        assert header == payload["columns"] and len(rows) == len(payload["rows"])
+        error = payload["rows"][0][-1]
+        assert error.endswith("(suspect columns: c=p, c=q, c=r)")
+        assert rows[0][-1] == error
+        assert {row[1] for row in rows} == {"levels, v1.csv"}
+
+    @pytest.fixture()
+    def quoted_levels(self, tmp_path):
+        d = synth_correlated(90, 2, 0.5, (1.0, -1.0), 0.5, seed=62)
+        levels = ['"red, dark"', "blue", '"say ""hi"""']
+        path = tmp_path / "levels.csv"
+        path.write_text("x0,x1,colour,y\n" + "".join(
+            f"{row[0]!r},{row[1]!r},{levels[i % 3]},{y!r}\n"
+            for i, (row, y) in enumerate(zip(d.features.tolist(), d.response.tolist()))))
+        return path
+
+    def test_augment_header_with_a_quoted_category(self, quoted_levels, tmp_path):
+        out = tmp_path / "aug.csv"
+        assert run(["augment", "--mode", "mean", "--lambda", "0.3", "--n", "3",
+                    "--data", quoted_levels, "--response", "y", "--out", out]) == 0
+        header, *rows = self.read_rows(out)
+        assert header == ["x0", "x1", "colour=blue", "colour=red, dark", 'colour=say "hi"', "y"]
+        assert len(rows) == 3
+
+    def test_attribute_header_with_a_quoted_category(self, quoted_levels, tmp_path):
+        data = ["--data", quoted_levels, "--response", "y"]
+        checkpoint = tmp_path / "checkpoint.json"
+        assert run(["train", *data, "--epochs", "1", "--hidden-width", "3",
+                    "--out", checkpoint]) == 0
+        out = tmp_path / "attributions.csv"
+        assert run(["attribute", "--model", checkpoint, "--steps", "3", *data,
+                    "--out", out]) == 0
+        header, *rows = self.read_rows(out)
+        names = ["x0", "x1", "colour=blue", "colour=red, dark", 'colour=say "hi"']
+        assert header == ([f"attr_{c}" for c in names] + [f"avggrad_{c}" for c in names]
+                          + ["completeness_gap"])
+        assert len(rows) == 90
 
 
 class TestOutputCount:
@@ -931,7 +1013,8 @@ class TestFlagValues:
         with pytest.raises(SystemExit) as exc:
             run(["fit", "--data", csv_path, "--out", tmp_path / "model.json"])
         assert exc.value.code == 2
-        assert "--response is required with --data" in capsys.readouterr().err
+        assert capsys.readouterr().err == ("ablatereg fit: error: --response is required "
+                                           "with --data\n")
 
     @pytest.mark.parametrize("config_values, named", [
         ({"n_schedule": "1000,100"}, "'n_schedule'"),

@@ -1008,6 +1008,11 @@ class TestEmitReport:
         with pytest.raises(ValueError):
             render_report(run, "yaml")
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_unknown_result_rejected(self, fmt):
+        with pytest.raises(TypeError, match="cannot render a report for dict"):
+            render_report({"type": "sweep"}, fmt)
+
 
 class TestMatrixLines:
     def reference(self, matrix):

@@ -1,6 +1,6 @@
 """One digest per path over the Monte-Carlo, solve and CLI outputs of a tree.
 
-    python3 tools/converge_bytes.py SRC
+    python3 tools/converge_bytes.py SRC [--expect FILE]
 
 Imports ``ablatereg`` from the directory SRC (a checkout's ``src``) and
 prints, for a counted design (200x3) and a rows design (10,000x9), one
@@ -23,12 +23,20 @@ classification --mode iid --lambda 0.3 --depth 2 --epochs 3`` then
 ``attribute --class 2`` on that checkpoint.  An ``other cli`` line per
 design digests, on the same CSV, ``augment --mode mean`` and ``augment
 --mode iid`` (``--lambda 0.3 --n 5000``), the ``sweep`` reports of both
-modes (``--depths 0,1 --lambdas 0,0.5 --epochs 2 --format json``), and
-``cross-check`` on them in JSON and in CSV, so that the two lines cover all
-eight commands.  Two trees whose digests for a design agree give the same
-bytes on all of its runs.
+modes (``--depths 0,1 --lambdas 0,0.5 --epochs 2``) in JSON and in the
+default CSV, and ``cross-check`` on the JSON ones in JSON and in CSV, so
+that the two lines cover all eight commands.  Two trees whose digests for a
+design agree give the same bytes on all of its runs.
 BLAS and OpenMP are pinned to one thread before numpy loads, as the
 benchmark does.
+
+The first line is the environment the digests depend on: numpy's version,
+its BLAS library and version, and the core type and thread count that the
+library reports at run time.  ``--expect FILE`` compares the output with
+FILE, a saved output of this tool (``tools/converge_bytes.expected``): it
+exits 2 before running anything when FILE holds another environment, and
+exits 1 after a ``DIFFERS:`` line on stderr for each line name whose digest
+differs from FILE's.
 """
 
 import os
@@ -37,13 +45,38 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import ctypes  # noqa: E402
 import dataclasses  # noqa: E402
+import glob  # noqa: E402
 import hashlib  # noqa: E402
 import logging  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 
 import numpy as np  # noqa: E402
+
+
+def environment() -> str:
+    """numpy's version, its BLAS build, and the core type and thread count
+    that the OpenBLAS bundled with numpy reports, as one line."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    found = {"core": "unknown", "threads": "unknown"}
+    libdir = os.path.join(os.path.dirname(os.path.dirname(os.path.realpath(np.__file__))),
+                          "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libdir, "*openblas*"))):
+        lib = ctypes.CDLL(path)
+        for key, restype, name in (("core", ctypes.c_char_p, "get_corename"),
+                                   ("threads", ctypes.c_int, "get_num_threads")):
+            for symbol in (f"scipy_openblas_{name}64_", f"openblas_{name}64_",
+                           f"openblas_{name}"):
+                getter = getattr(lib, symbol, None)
+                if getter is not None:
+                    getter.restype, getter.argtypes = restype, []
+                    value = getter()
+                    found[key] = value.decode() if isinstance(value, bytes) else value
+                    break
+    return (f"environment: numpy {np.__version__}, {blas.get('name')} {blas.get('version')}, "
+            f"core {found['core']}, {found['threads']} BLAS thread(s)")
 
 
 def closed_forms_digest(d, linear) -> str:
@@ -130,14 +163,16 @@ def other_cli_digest(d, cli) -> str:
     with tempfile.TemporaryDirectory() as tmp:
         data = os.path.join(tmp, "data.csv")
         write_csv(data, d, d.n, d.response.tolist())
-        sweep = ["--depths", "0,1", "--lambdas", "0,0.5", "--epochs", "2", "--format", "json"]
+        sweep = ["--depths", "0,1", "--lambdas", "0,0.5", "--epochs", "2"]
         reports = ["--mada", os.path.join(tmp, "sweep_mean.json"),
                    "--iid", os.path.join(tmp, "sweep_iid.json")]
         commands = [
             *((data, f"augment_{mode}.csv",
                ["augment", "--mode", mode, "--lambda", "0.3", "--n", "5000"])
               for mode in ("mean", "iid")),
-            *((data, f"sweep_{mode}.json", ["sweep", "--mode", mode, *sweep])
+            *((data, f"sweep_{mode}.json", ["sweep", "--mode", mode, *sweep, "--format", "json"])
+              for mode in ("mean", "iid")),
+            *((data, f"sweep_{mode}.csv", ["sweep", "--mode", mode, *sweep])
               for mode in ("mean", "iid")),
             *((None, f"cross.{fmt}", ["cross-check", *reports, "--format", fmt])
               for fmt in ("json", "csv")),
@@ -145,11 +180,9 @@ def other_cli_digest(d, cli) -> str:
         return run_digest(cli, tmp, commands)
 
 
-def main(argv) -> int:
-    if len(argv) != 1:
-        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
-        return 2
-    sys.path.insert(0, os.path.abspath(argv[0]))
+def digest_lines(src):
+    """Yield the output lines for the ``ablatereg`` in the directory ``src``."""
+    sys.path.insert(0, os.path.abspath(src))
     from ablatereg import cli, harness, linear
     from ablatereg.augment import BLOCK_ROWS
     from ablatereg.dataset import synth_correlated
@@ -171,15 +204,41 @@ def main(argv) -> int:
                 check = harness.check_moment_limits(shifted, mode, 0.5, schedule[-1], seed=2)
                 digest.update(check.gram_sigmas.tobytes() + check.cross_sigmas.tobytes())
             print(f"{name}, shift {shift:g}: done", file=sys.stderr)
-        print(f"{name}: {digest.hexdigest()}")
+        yield f"{name}: {digest.hexdigest()}"
     for name, d in designs.items():
-        print(f"closed forms, {name}: {closed_forms_digest(d, linear)}")
+        yield f"closed forms, {name}: {closed_forms_digest(d, linear)}"
     logging.getLogger("ablatereg").setLevel(logging.WARNING)
     for name, d in designs.items():
-        print(f"penalty cli, {name}: {penalty_cli_digest(d, cli)}")
+        yield f"penalty cli, {name}: {penalty_cli_digest(d, cli)}"
     for name, d in designs.items():
-        print(f"other cli, {name}: {other_cli_digest(d, cli)}")
-    return 0
+        yield f"other cli, {name}: {other_cli_digest(d, cli)}"
+
+
+def main(argv) -> int:
+    if len(argv) not in (1, 3) or (len(argv) == 3 and argv[1] != "--expect"):
+        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        return 2
+    expected = None
+    if len(argv) == 3:
+        with open(argv[2], encoding="utf-8") as fh:
+            expected = fh.read().splitlines()
+    lines = [environment()]
+    print(lines[0], flush=True)
+    if expected is not None and expected[:1] != lines:
+        print(f"{argv[2]} holds another environment; the digests are not comparable",
+              file=sys.stderr)
+        return 2
+    for line in digest_lines(argv[0]):
+        print(line, flush=True)
+        lines.append(line)
+    if expected is None:
+        return 0
+    want, got = (dict(line.rpartition(": ")[::2] for line in text) for text in (expected, lines))
+    differ = [name for name in {**want, **got} if want.get(name) != got.get(name)]
+    for name in differ:
+        print(f"DIFFERS: {name}: {argv[2]} holds {want.get(name)}, this tree gives "
+              f"{got.get(name)}", file=sys.stderr)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
