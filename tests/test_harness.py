@@ -1030,7 +1030,7 @@ class TestMatrixLines:
         np.empty((0, 3)),
     ], ids=["special-values-shared-text", "one-row-cell-by-cell", "nonfinite-cell-by-cell",
             "bootstrap-shared-text", "transposed-cell-by-cell", "empty"])
-    def test_bytes_equalcsv_text(self, matrix):
+    def test_bytes_equal_csv_lines(self, matrix):
         expected, header = self.reference(matrix)
         assert header + matrix_lines(matrix) == expected
 
@@ -1039,7 +1039,7 @@ class TestMatrixLines:
 
 
 class TestTextTable:
-    def test_chunks_join_to_thematrix_lines(self):
+    def test_chunks_join_to_the_matrix_lines(self):
         rng = np.random.default_rng(6)
         matrix = rng.standard_normal((10, 4))[rng.integers(0, 10, 2 * CHUNK_ROWS + 5)]
         chunks = list(_TextTable(_distinct_bits(matrix)).chunks(matrix))
