@@ -1,4 +1,5 @@
-"""Integrated gradients along the straight-line path from a baseline.
+"""Integrated gradients along the straight-line path from a baseline,
+integrated by the midpoint rule.
 
 :class:`AttributionResult` holds everything one evaluation yields: the
 attributions, the path-averaged gradients (the network analogue of
@@ -21,24 +22,20 @@ import numpy as np
 
 from .nn import MlpModel, _as_rows, input_gradients, predict
 
-QUADRATURES = ("midpoint", "left", "right", "trapezoid")
-
 
 @dataclass(frozen=True)
 class AttributionConfig:
     """Baseline defaults to the all-zero vector, which on standardized data
-    is the feature-mean point; ``steps`` is the Riemann-sum resolution."""
+    is the feature-mean point; ``steps`` is the number of midpoint nodes."""
 
     baseline: np.ndarray | None = None
     steps: int = 100
-    quadrature: str = "midpoint"
     output_index: int = 0
+    quadrature = "midpoint"  # not a field: bench/spans.py reads it to count path points
 
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        if self.quadrature not in QUADRATURES:
-            raise ValueError(f"quadrature must be one of {QUADRATURES}")
         if self.baseline is not None:
             baseline = np.asarray(self.baseline, dtype=np.float64).ravel()
             if not np.all(np.isfinite(baseline)):
@@ -58,24 +55,10 @@ class AttributionResult:
     baseline_output: float
 
 
-def _path_nodes(steps: int, quadrature: str) -> tuple[np.ndarray, np.ndarray]:
-    m = steps
-    if quadrature == "midpoint":
-        return (np.arange(m) + 0.5) / m, np.full(m, 1.0 / m)
-    if quadrature == "left":
-        return np.arange(m) / m, np.full(m, 1.0 / m)
-    if quadrature == "right":
-        return (np.arange(m) + 1.0) / m, np.full(m, 1.0 / m)
-    alphas = np.linspace(0.0, 1.0, m + 1)
-    weights = np.full(m + 1, 1.0 / m)
-    weights[0] = weights[-1] = 0.5 / m
-    return alphas, weights
-
-
 def integrated_gradients(m: MlpModel, X, cfg: AttributionConfig | None = None) -> AttributionResult:
     """Per-row attributions for the configured output component.
 
-    ``avg_gradients[i, j]`` is the weighted mean of dF/dx_j along the
+    ``avg_gradients[i, j]`` is the midpoint-rule mean of dF/dx_j along the
     interpolation path from the baseline to row i; attributions multiply
     that by the displacement.  On an affine model the integrand is constant,
     so any step count reproduces the exact contributions.
@@ -88,9 +71,9 @@ def integrated_gradients(m: MlpModel, X, cfg: AttributionConfig | None = None) -
         raise ValueError(f"baseline has length {baseline.shape[0]}, expected {k}")
 
     displacement = X - baseline
-    alphas, weights = _path_nodes(cfg.steps, cfg.quadrature)
+    weight = 1.0 / cfg.steps
     avg_grads = np.zeros_like(X)
-    for alpha, weight in zip(alphas, weights):
+    for alpha in (np.arange(cfg.steps) + 0.5) / cfg.steps:
         point = baseline + alpha * displacement
         avg_grads += weight * input_gradients(m, point, cfg.output_index)
     if not np.all(np.isfinite(avg_grads)):
