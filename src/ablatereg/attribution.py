@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import MlpModel, _as_rows, input_gradients, predict
+from .nn import MlpModel, as_rows, input_gradients, predict
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,7 @@ def integrated_gradients(m: MlpModel, X, cfg: AttributionConfig | None = None) -
     so any step count reproduces the exact contributions.
     """
     cfg = cfg or AttributionConfig()
-    X = _as_rows(m, X)
+    X = as_rows(m, X)
     k = X.shape[1]
     baseline = cfg.baseline if cfg.baseline is not None else np.zeros(k)
     if baseline.shape[0] != k:

@@ -41,8 +41,8 @@ from .dataset import (
     split,
     standardize,
 )
-from .linear import (CCP, ML2P, SingularModelError, _solve_system, fit_ccp, fit_ml2p,
-                     normal_equations)
+from .linear import (CCP, ML2P, SingularModelError, fit_ccp, fit_ml2p, normal_equations,
+                     solve_system)
 from .nn import (
     MlpModel,
     TrainConfig,
@@ -200,8 +200,9 @@ def _streamed_moments(d: Dataset, spec: AugmentSpec) -> tuple[np.ndarray, np.nda
 
 def _converge(d: Dataset, theorem: int, lam: float, n_schedule, seeds) -> ConvergenceRun:
     """Reduces each (seed, N) synthetic set through :func:`_streamed_moments`
-    and solves OLS from its centered Gram system through the one gated
-    solve of :func:`~ablatereg.linear.fit_ols`.  On a rows-path
+    and solves OLS from its centered Gram system through
+    :func:`~ablatereg.linear.solve_system`, the gated solve that
+    :func:`~ablatereg.linear.fit_ols` also uses.  On a rows-path
     design the draws are those of :func:`~ablatereg.augment.build_augmented`,
     and only the summation order differs from fitting the materialized set;
     a counted set is drawn as its pattern counts, with the same law."""
@@ -227,7 +228,7 @@ def _converge(d: Dataset, theorem: int, lam: float, n_schedule, seeds) -> Conver
             gram_resid[i, j] = np.abs(gram - gram_limit).max()
             cross_resid[i, j] = np.abs(cross - cross_limit).max()
             try:
-                beta = _solve_system(gram, cross, d.column_names, "OLS on the synthetic set")
+                beta = solve_system(gram, cross, d.column_names, "OLS on the synthetic set")
             except SingularModelError as err:
                 failures.append({"seed": seed, "N": n_syn, "error": str(err)})
                 continue
@@ -656,7 +657,7 @@ SWEEP_HEADER = ("kind", "dataset", "task", "mode", "depth", "lambda", "seed", "o
 def _stderr(values: np.ndarray) -> float:
     values = values[np.isfinite(values)]
     if values.size <= 1:
-        return 0.0
+        return 0.0 if values.size else float("nan")
     return float(values.std(ddof=1) / math.sqrt(values.size))
 
 

@@ -113,7 +113,7 @@ def _check_condition(A: np.ndarray, names, what: str) -> None:
     )
 
 
-def _solve_system(A: np.ndarray, rhs: np.ndarray, names, context: str) -> np.ndarray:
+def solve_system(A: np.ndarray, rhs: np.ndarray, names, context: str) -> np.ndarray:
     """Solve the symmetric k x k system, Jacobi scaled, via SVD behind the
     condition gate; a zero diagonal (a constant column) stays unscaled."""
     A = 0.5 * (A + A.T)
@@ -155,7 +155,7 @@ def normal_equations(d: Dataset, lam: float, kind: str):
 def _closed_form(d: Dataset, lam: float, kind: str) -> RegularizedFit:
     """The one solve of every fit, of the system :func:`normal_equations` builds."""
     A, rhs, penalty, (Xc, yc, mu, ybar) = normal_equations(d, lam, kind)
-    beta = _solve_system(A, rhs, d.column_names, f"fit_{kind}")
+    beta = solve_system(A, rhs, d.column_names, f"fit_{kind}")
     resid = yc - Xc @ beta
     objective = float(resid @ resid + penalty(beta))
     model = LinearModel(beta=beta, intercept=ybar - mu @ beta)

@@ -117,7 +117,7 @@ def init(layer_dims, seed: int, task: str = REGRESSION) -> MlpModel:
     return MlpModel(weights=weights, biases=biases, task=task)
 
 
-def _as_rows(m: MlpModel, X) -> np.ndarray:
+def as_rows(m: MlpModel, X) -> np.ndarray:
     """``X`` as a float64 matrix of rows, checked against the input width."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim == 1:
@@ -147,7 +147,7 @@ def _hidden(m: MlpModel, act: np.ndarray, masks: list | None = None,
 
 def predict(m: MlpModel, X) -> np.ndarray:
     """The network's outputs for the rows ``X`` (one row may be a vector)."""
-    outputs = _hidden(m, _as_rows(m, X)) @ m.weights[-1]
+    outputs = _hidden(m, as_rows(m, X)) @ m.weights[-1]
     outputs += m.biases[-1]
     return outputs
 
@@ -189,7 +189,7 @@ def param_gradients(m: MlpModel, X, targets, task: str):
     mask; the backward pass masks ``g = g @ W.T`` in place, which gives the
     bits of ``(g @ W.T) * mask``."""
     inputs, masks = [], []
-    inputs.append(_hidden(m, _as_rows(m, X), masks, inputs))  # the output layer's input
+    inputs.append(_hidden(m, as_rows(m, X), masks, inputs))  # the output layer's input
     outputs = inputs[-1] @ m.weights[-1]
     outputs += m.biases[-1]
     value = loss(outputs, targets, task)
@@ -218,7 +218,7 @@ def input_gradients(m: MlpModel, X, output_index: int = 0) -> np.ndarray:
     of ``(g @ W.T) * mask`` with at most two n-by-width float arrays and the
     masks alive at once.  At depth 0 every row is the output's weight row.
     """
-    X = _as_rows(m, X)
+    X = as_rows(m, X)
     if not 0 <= output_index < m.weights[-1].shape[1]:
         raise ValueError(f"output_index {output_index} out of range")
     masks = []

@@ -36,8 +36,32 @@ def csv_path(tmp_path):
     return write_data(tmp_path / "data.csv")
 
 
+def write_levels_data(path):
+    """A 120-row CSV whose 3-level column ``c`` has dummies that sum to the
+    intercept, so every depth-0 lambda = 0 (OLS) fit on it is singular."""
+    d = synth_correlated(120, 2, 0.5, (1.0, -1.0), 0.5, seed=61)
+    path.write_text("x0,x1,c,y\n" + "".join(
+        f"{row[0]!r},{row[1]!r},{'pqr'[i % 3]},{y!r}\n"
+        for i, (row, y) in enumerate(zip(d.features.tolist(), d.response.tolist()))))
+    return path
+
+
 def run(args):
     return main([str(a) for a in args])
+
+
+# How a NaN report cell reads back from each format.
+NO_VALUE = {"csv": "nan", "json": None}
+
+
+def read_report(path, fmt):
+    """The header and the rows of a CSV or JSON report, as read back."""
+    if fmt == "json":
+        payload = json.loads(path.read_text())
+        return payload["columns"], payload["rows"]
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    return header, rows
 
 
 def head_csv(csv_path, path, n_rows):
@@ -241,6 +265,48 @@ class TestConvergeCommand:
                     "--check", "1e-12", "--out", out])
         assert code == 1
 
+    @staticmethod
+    def run_singular(tmp_path, capsys, fmt):
+        """``converge --check`` at N = 1 and 2, where every synthetic OLS is
+        singular; the exit status, the stderr lines and the report's path."""
+        out = tmp_path / f"conv.{fmt}"
+        capsys.readouterr()
+        code = run(["converge", "--theorem", "1", "--lambda", "0.3", "--n-schedule", "1,2",
+                    "--seeds", "2", "--check", "--format", fmt, "--out", out])
+        return code, capsys.readouterr().err.splitlines(), out
+
+    def test_failed_fits_are_listed_and_fail_the_check(self, tmp_path, capsys):
+        code, err, out = self.run_singular(tmp_path, capsys, "json")
+        assert code == 1
+        assert [line for line in err if line.startswith("CHECK FAILED:")] == [
+            "CHECK FAILED: some final-N fits failed",
+            "CHECK FAILED: log-log slope is undefined: fewer than two finite, positive "
+            "median L2 distances"]
+        failures = json.loads(out.read_text())["meta"]["failures"]
+        assert [(f["N"], f["seed"]) for f in failures] == [(1, 0), (2, 0), (1, 1), (2, 1)]
+        for f in failures:
+            assert f["error"].startswith("OLS on the synthetic set: system matrix is singular")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_failed_fit_distances_have_no_value(self, tmp_path, capsys, fmt):
+        _, _, out = self.run_singular(tmp_path, capsys, fmt)
+        header, rows = read_report(out, fmt)
+        assert len(rows) == 6
+        for row in rows:
+            assert [row[header.index(name)] for name in ("dist_l2", "dist_linf")
+                    ] == [NO_VALUE[fmt]] * 2
+            assert float(row[header.index("gram_resid")]) > 0.0
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_an_aggregate_with_no_finite_distance_has_no_stderr(self, tmp_path, capsys, fmt):
+        _, _, out = self.run_singular(tmp_path, capsys, fmt)
+        header, rows = read_report(out, fmt)
+        aggregates = [row for row in rows if row[0] == "aggregate"]
+        assert len(aggregates) == 2
+        for row in aggregates:
+            assert [row[header.index(name)] for name in ("dist_l2_stderr", "dist_linf_stderr")
+                    ] == [NO_VALUE[fmt]] * 2
+
 
 class TestSweepAndCrossCheck:
     def test_sweep_and_cross_check_pipeline(self, csv_path, tmp_path):
@@ -260,13 +326,9 @@ class TestSweepAndCrossCheck:
 
     def test_cross_check_flags_a_sweep_with_a_failed_cell_against_itself(self, tmp_path,
                                                                           capsys):
-        # the levels' dummies sum to the intercept, so the depth-0 lambda = 0
-        # cell is singular and holds NaNs; identical reports are still identical
-        d = synth_correlated(120, 2, 0.5, (1.0, -1.0), 0.5, seed=61)
-        data = tmp_path / "levels.csv"
-        data.write_text("x0,x1,c,y\n" + "".join(
-            f"{row[0]!r},{row[1]!r},{'pqr'[i % 3]},{y!r}\n"
-            for i, (row, y) in enumerate(zip(d.features.tolist(), d.response.tolist()))))
+        # the depth-0 lambda = 0 cell is singular and holds NaNs; identical
+        # reports are still identical
+        data = write_levels_data(tmp_path / "levels.csv")
         sweep = tmp_path / "sweep.json"
         assert run(["sweep", "--mode", "mean", "--data", data, "--response", "y",
                     "--depths", "0", "--lambdas", "0.0,0.5", "--seeds", "1",
@@ -298,6 +360,21 @@ class TestSweepAndCrossCheck:
             f"error: {reports['mean']} is a CSV sweep report; cross-check reads the report "
             "of sweep --format json"]
         assert not (tmp_path / "cross.json").exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_an_aggregate_with_no_finite_value_has_no_stderr(self, tmp_path, fmt):
+        # both lambda = 0 cells fail; both lambda = 0.5 cells succeed
+        data = write_levels_data(tmp_path / "levels.csv")
+        out = tmp_path / f"sweep.{fmt}"
+        assert run(["sweep", "--mode", "mean", "--data", data, "--response", "y",
+                    "--depths", "0", "--lambdas", "0,0.5", "--seeds", "2",
+                    "--format", fmt, "--out", out]) == 0
+        header, rows = read_report(out, fmt)
+        failed, fitted = [row for row in rows if row[0] == "aggregate"]
+        stats = ["metric", "ccp", "ml2p", "metric_stderr", "ccp_stderr", "ml2p_stderr"]
+        assert [failed[header.index(name)] for name in stats] == [NO_VALUE[fmt]] * 6
+        for name in stats[3:]:
+            assert float(fitted[header.index(name)]) > 0.0
 
     def test_sweep_check_threshold(self, csv_path, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -335,13 +412,9 @@ class TestCsvFields:
         return rows
 
     def test_a_failed_sweep_cell_and_a_data_name_with_commas(self, tmp_path):
-        # the levels' dummies sum to the intercept, so the depth-0 lambda = 0
-        # cell fails with an error that lists the suspect columns
-        d = synth_correlated(120, 2, 0.5, (1.0, -1.0), 0.5, seed=61)
-        data = tmp_path / "levels, v1.csv"
-        data.write_text("x0,x1,c,y\n" + "".join(
-            f"{row[0]!r},{row[1]!r},{'pqr'[i % 3]},{y!r}\n"
-            for i, (row, y) in enumerate(zip(d.features.tolist(), d.response.tolist()))))
+        # the depth-0 lambda = 0 cell fails with an error that lists the
+        # suspect columns
+        data = write_levels_data(tmp_path / "levels, v1.csv")
         sweep = ["sweep", "--mode", "mean", "--data", data, "--response", "y", "--depths", "0",
                  "--seeds", "1", "--lambdas", "0,0.5"]
         assert run([*sweep, "--out", tmp_path / "sweep.csv"]) == 0
@@ -897,13 +970,20 @@ class TestInputFiles:
          "{bad} is not a JSON baseline: "),
         (["attribute", "--model", "{model}", *DATA, "--baseline", "{bad}"], [0.0, 0.0],
          "baseline {bad} must be a list of 3 finite numbers"),
+        (["attribute", "--model", "{model}", *DATA, "--baseline", "{bad}"], ["a", "b", "c"],
+         "baseline {bad} must be a list of 3 finite numbers, one per model input"),
+        (["attribute", "--model", "{model}", *DATA, "--baseline", "{bad}"], [[1, 2], [3, 4]],
+         "baseline {bad} must be a list of 3 finite numbers, one per model input"),
+        (["attribute", "--model", "{bad}"], {"beta": [1.0, 2.0, 3.0], "intercept": 0.0},
+         "{bad} takes 3 columns, but the data has 8: " + str([f"x{j}" for j in range(8)])),
         (["penalty", "--model", "{model}", *DATA, "--class", "3"], None,
          "--class 3 is out of range: {model} has 1 output(s)"),
         (["attribute", "--model", "{model}", *DATA, "--class", "3"], None,
          "--class 3 is out of range: {model} has 1 output(s)"),
     ], ids=["model-not-json", "linear-model-without-intercept", "model-is-a-list",
             "model-and-default-data-differ", "columns-reordered", "baseline-not-json",
-            "baseline-wrong-length", "penalty-class-3", "attribute-class-3"])
+            "baseline-wrong-length", "baseline-of-strings", "baseline-of-rows",
+            "model-without-columns", "penalty-class-3", "attribute-class-3"])
     def test_unusable_input_is_one_error_line(self, csv_path, tmp_path, capsys, command, bad,
                                               message):
         """A model or baseline file that is malformed or does not match the

@@ -41,7 +41,7 @@ from ablatereg.harness import (
     _moments,
     _streamed_moments,
 )
-from ablatereg.linear import _solve_system, fit_ccp, fit_ml2p, fit_ols
+from ablatereg.linear import fit_ccp, fit_ml2p, fit_ols, solve_system
 from ablatereg.nn import TrainConfig, init, linear_as_mlp, train
 from ablatereg.penalty import ccp_pairwise, ccp_variance_form, contributions_linear
 
@@ -211,7 +211,7 @@ class TestStreamedMoments:
     def test_streamed_beta_matches_materialized_ols(self, wide_data, mode):
         spec = AugmentSpec(mode, 0.4, self.N, seed=7)
         _, moments = _streamed_moments(wide_data, spec)
-        beta = _solve_system(moments[:-1, :-1], moments[:-1, -1], wide_data.column_names, "t")
+        beta = solve_system(moments[:-1, :-1], moments[:-1, -1], wide_data.column_names, "t")
         reference = fit_ols(build_augmented(wide_data, spec)).beta
         np.testing.assert_allclose(beta, reference, rtol=0, atol=1e-10)
 
@@ -583,7 +583,7 @@ def exact_law(d, mode, lam):
     p = augment.pattern_probabilities(d, spec)
     _, moments = _moments(d, spec, lambda: iter([(rows.copy(order="F"), p)]))
     k = d.k
-    return moments, _solve_system(moments[:k, :k], moments[:k, k], d.column_names, "exact")
+    return moments, solve_system(moments[:k, :k], moments[:k, k], d.column_names, "exact")
 
 
 def relative_gap(got, reference):
@@ -915,6 +915,12 @@ class TestSpearman:
 
 
 class TestEmitReport:
+    def test_stderr_is_undefined_without_a_finite_value(self):
+        # NaN with no finite value; one finite value keeps 0.0
+        assert math.isnan(harness._stderr(np.array([np.nan, np.inf])))
+        assert harness._stderr(np.array([np.nan, 2.0])) == 0.0
+        assert harness._stderr(np.array([1.0, np.nan, 3.0])) == 1.0
+
     def test_empty_grid_header_only_csv(self):
         sweep = SweepResult(dataset_id="empty", task="regression", mode="mean",
                             depths=(), lambda_grid=(), seeds=(), hidden_width=4)

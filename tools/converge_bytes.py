@@ -24,8 +24,13 @@ classification --mode iid --lambda 0.3 --depth 2 --epochs 3`` then
 design digests, on the same CSV, ``augment --mode mean`` and ``augment
 --mode iid`` (``--lambda 0.3 --n 5000``), the ``sweep`` reports of both
 modes (``--depths 0,1 --lambdas 0,0.5 --epochs 2``) in JSON and in the
-default CSV, and ``cross-check`` on the JSON ones in JSON and in CSV, so
-that the two lines cover all eight commands.  Two trees whose digests for a
+default CSV, ``cross-check`` on the JSON ones in JSON and in CSV,
+``converge --theorem 1 --lambda 0.3 --n-schedule 1,2 --seeds 2``, whose
+synthetic OLS fits are all singular, and ``sweep --mode mean --depths 0
+--seeds 2 --lambdas 0,0.5`` on a CSV of the first 120 rows with a 3-level
+column ``c``, whose lambda = 0 cells fail (the last two in JSON and in CSV,
+so that NaN cells and a quoted error field are digested), so that the two
+lines cover all eight commands.  Two trees whose digests for a
 design agree give the same bytes on all of its runs.
 BLAS and OpenMP are pinned to one thread before numpy loads, as the
 benchmark does.
@@ -98,13 +103,16 @@ def closed_forms_digest(d, linear) -> str:
     return digest.hexdigest()
 
 
-def write_csv(path, d, rows, response) -> None:
-    """Write the features of ``d``'s first ``rows`` rows and ``response`` as
-    a CSV whose response column is ``y``."""
+def write_csv(path, d, rows, response, levels=None) -> None:
+    """Write the features of ``d``'s first ``rows`` rows, then, when
+    ``levels`` is given, a column ``c`` that cycles through its characters,
+    and ``response`` as a CSV whose response column is ``y``."""
+    extra = [] if levels is None else ["c"]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join([*d.column_names, "y"]) + "\n")
-        for row, y in zip(d.features[:rows].tolist(), response):
-            fh.write(",".join(map(repr, [*row, y])) + "\n")
+        fh.write(",".join([*d.column_names, *extra, "y"]) + "\n")
+        for i, (row, y) in enumerate(zip(d.features[:rows].tolist(), response)):
+            level = [] if levels is None else [levels[i % len(levels)]]
+            fh.write(",".join([*map(repr, row), *level, repr(y)]) + "\n")
 
 
 def run_digest(cli, tmp, commands) -> str:
@@ -159,10 +167,13 @@ def penalty_cli_digest(d, cli) -> str:
 
 def other_cli_digest(d, cli) -> str:
     """sha256 over the files the CLI writes for the augment commands, the
-    sweeps of both modes and cross-check on a CSV of ``d``."""
+    sweeps of both modes and cross-check on a CSV of ``d``, a converge run
+    whose fits all fail, and a sweep whose lambda = 0 cells fail."""
     with tempfile.TemporaryDirectory() as tmp:
         data = os.path.join(tmp, "data.csv")
         write_csv(data, d, d.n, d.response.tolist())
+        levels = os.path.join(tmp, "levels.csv")
+        write_csv(levels, d, 120, d.response[:120].tolist(), levels="pqr")
         sweep = ["--depths", "0,1", "--lambdas", "0,0.5", "--epochs", "2"]
         reports = ["--mada", os.path.join(tmp, "sweep_mean.json"),
                    "--iid", os.path.join(tmp, "sweep_iid.json")]
@@ -175,6 +186,14 @@ def other_cli_digest(d, cli) -> str:
             *((data, f"sweep_{mode}.csv", ["sweep", "--mode", mode, *sweep])
               for mode in ("mean", "iid")),
             *((None, f"cross.{fmt}", ["cross-check", *reports, "--format", fmt])
+              for fmt in ("json", "csv")),
+            *((data, f"converge_singular.{fmt}",
+               ["converge", "--theorem", "1", "--lambda", "0.3", "--n-schedule", "1,2",
+                "--seeds", "2", "--format", fmt])
+              for fmt in ("json", "csv")),
+            *((levels, f"sweep_levels.{fmt}",
+               ["sweep", "--mode", "mean", "--depths", "0", "--seeds", "2", "--lambdas",
+                "0,0.5", "--format", fmt])
               for fmt in ("json", "csv")),
         ]
         return run_digest(cli, tmp, commands)
