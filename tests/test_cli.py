@@ -976,6 +976,8 @@ class TestInputFiles:
          "baseline {bad} must be a list of 3 finite numbers, one per model input"),
         (["attribute", "--model", "{bad}"], {"beta": [1.0, 2.0, 3.0], "intercept": 0.0},
          "{bad} takes 3 columns, but the data has 8: " + str([f"x{j}" for j in range(8)])),
+        (["penalty", "--model", "{bad}", *DATA], {"beta": [1.0, 2.0], "intercept": 0.0},
+         "{bad} takes 2 columns, but the data has 3: ['x0', 'x1', 'x2']"),
         (["penalty", "--model", "{model}", *DATA, "--class", "3"], None,
          "--class 3 is out of range: {model} has 1 output(s)"),
         (["attribute", "--model", "{model}", *DATA, "--class", "3"], None,
@@ -983,7 +985,8 @@ class TestInputFiles:
     ], ids=["model-not-json", "linear-model-without-intercept", "model-is-a-list",
             "model-and-default-data-differ", "columns-reordered", "baseline-not-json",
             "baseline-wrong-length", "baseline-of-strings", "baseline-of-rows",
-            "model-without-columns", "penalty-class-3", "attribute-class-3"])
+            "attribute-model-without-columns",
+            "penalty-model-without-columns", "penalty-class-3", "attribute-class-3"])
     def test_unusable_input_is_one_error_line(self, csv_path, tmp_path, capsys, command, bad,
                                               message):
         """A model or baseline file that is malformed or does not match the
