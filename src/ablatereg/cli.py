@@ -8,11 +8,18 @@ Every command accepts ``--config file.json``, a JSON object keyed by the
 options' long names or dests (dashes or underscores alike).  Its values
 become the command's defaults, so a flag given on the command line wins.
 
+Without ``--data`` a command runs on a built-in set drawn from ``--seed``, of
+3 columns for ``fit``, ``augment``, ``penalty`` and ``converge`` and of 8 for
+``train``, ``attribute`` and ``sweep``, so a model file made on one family's
+set does not fit the other's.  ``--seed`` also draws ``augment``'s set and
+seeds ``train``; with ``--data`` the other commands accept it and ignore it.
+
 Exit status 2 is a usage error: a bad flag or flag value, a bad config key or
 value, a config file that cannot be read, ``--data`` without ``--response``,
-or a flag that would change nothing, from the command line or the config
-file: a nonzero ``--lambda`` that ``--method ols`` or ``--mode none``
-ignores, or ``--response`` or ``--task classification`` without ``--data``.
+``--task classification`` for the least-squares ``fit`` and ``converge``, or
+a flag that would change nothing, from the command line or the config file:
+a nonzero ``--lambda`` that ``--method ols`` or ``--mode none`` ignores, or
+``--response`` or ``--task classification`` without ``--data``.
 ``--hidden-width``, ``--epochs`` and ``--batch-size`` are settings of the
 whole sweep, so a sweep of depth 0 alone ignores them without an error.
 
@@ -69,7 +76,7 @@ import numpy as np
 
 from . import files, harness, nn, penalty as penalty_mod
 from .attribution import AttributionConfig, integrated_gradients
-from .augment import AugmentError, AugmentSpec
+from .augment import MODES, AugmentError, AugmentSpec
 from .dataset import (
     Dataset,
     DatasetError,
@@ -89,12 +96,6 @@ logger = logging.getLogger("ablatereg")
 # --------------------------------------------------------------------------
 # Shared helpers
 # --------------------------------------------------------------------------
-
-
-def _add_data_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--data", help="CSV file with a header row (default: built-in synthetic set)")
-    sub.add_argument("--response", help="name of the response column")
-    sub.add_argument("--task", choices=["regression", "classification"], default="regression")
 
 
 def _config_defaults(path, command: argparse.ArgumentParser, parser) -> dict:
@@ -469,68 +470,74 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    # Each option that several commands take is declared once, here.
+    def command(name, func, help, data=True):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
         p.add_argument("--config", help="JSON file of flag values (flags override it)")
-        p.add_argument("--seed", type=_non_negative, default=0)
-        _add_data_flags(p)
+        if data:
+            p.add_argument("--seed", type=_non_negative, default=0)
+            p.add_argument("--data",
+                           help="CSV file with a header row (default: built-in synthetic set)")
+            p.add_argument("--response", help="name of the response column")
+            p.add_argument("--task", choices=["regression", "classification"],
+                           default="regression")
+        return p
 
-    p = sub.add_parser("fit", help="closed-form linear fit")
-    common(p)
+    def lam(p, default=0.0):
+        p.add_argument("--lambda", type=float, dest="lam", default=default)
+
+    def steps(p):
+        p.add_argument("--steps", type=_count, default=AttributionConfig.steps)
+
+    def model(p):
+        p.add_argument("--model", required=True, help="model.json or checkpoint.json")
+        p.add_argument("--class", type=_non_negative, dest="class_index", default=0)
+        steps(p)
+
+    def training(p):
+        p.add_argument("--epochs", type=_count, default=TrainConfig.epochs)
+        p.add_argument("--batch-size", type=_count, default=TrainConfig.batch_size)
+        p.add_argument("--hidden-width", type=_count, default=harness.HIDDEN_WIDTH)
+
+    def report_format(p, default="csv"):
+        p.add_argument("--format", dest="fmt", choices=["csv", "json"], default=default)
+
+    p = command("fit", cmd_fit, "closed-form linear fit")
     p.add_argument("--method", choices=["ols", "ccp", "ml2p"], default="ols")
-    p.add_argument("--lambda", type=float, dest="lam", default=0.0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_fit)
+    lam(p)
 
-    p = sub.add_parser("augment", help="write a bootstrap-ablated synthetic CSV")
-    common(p)
-    p.add_argument("--mode", choices=["mean", "iid"], required=True)
-    p.add_argument("--lambda", type=float, dest="lam", default=0.0)
+    p = command("augment", cmd_augment, "write a bootstrap-ablated synthetic CSV")
+    p.add_argument("--mode", choices=MODES, required=True)
+    lam(p)
     p.add_argument("--n", type=_count, default=10000)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_augment)
 
-    p = sub.add_parser("penalty", help="penalty report for a model on a dataset")
-    common(p)
-    p.add_argument("--model", required=True, help="model.json or checkpoint.json")
+    p = command("penalty", cmd_penalty, "penalty report for a model on a dataset")
+    model(p)
     p.add_argument("--kind", choices=["ccp", "ml2p", "both"], default="both")
-    p.add_argument("--class", type=_non_negative, dest="class_index", default=0)
-    p.add_argument("--steps", type=_count, default=AttributionConfig.steps)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_penalty)
 
-    p = sub.add_parser("train", help="train a feed-forward network")
-    common(p)
+    p = command("train", cmd_train, "train a feed-forward network")
     p.add_argument("--test-frac", type=float, default=SplitSpec.test_fraction,
                    help="share of rows held out for testing (default %(default)s)")
     p.add_argument("--val-frac", type=float, default=SplitSpec.validation_fraction_of_train,
                    help="share of the other rows held out for validation (default %(default)s)")
     p.add_argument("--depth", type=_non_negative, default=1)
-    p.add_argument("--mode", choices=["none", "mean", "iid"], default="none")
-    p.add_argument("--lambda", type=float, dest="lam", default=0.0)
-    p.add_argument("--epochs", type=_count, default=TrainConfig.epochs)
-    p.add_argument("--batch-size", type=_count, default=TrainConfig.batch_size)
-    p.add_argument("--hidden-width", type=_count, default=100)
+    p.add_argument("--mode", choices=["none", *MODES], default="none")
+    lam(p)
+    training(p)
     p.add_argument("--learning-rate", type=_positive, default=TrainConfig.learning_rate)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("attribute", help="integrated-gradients attributions to CSV")
-    common(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--steps", type=_count, default=AttributionConfig.steps)
+    p = command("attribute", cmd_attribute, "integrated-gradients attributions to CSV")
+    model(p)
     p.add_argument("--baseline", default="zeros", help="zeros | means | path to a JSON vector")
-    p.add_argument("--class", type=_non_negative, dest="class_index", default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_attribute)
 
-    p = sub.add_parser("converge", help="Monte-Carlo equivalence check")
-    common(p)
+    p = command("converge", cmd_converge, "Monte-Carlo equivalence check")
     p.add_argument("--theorem", type=int, choices=[1, 2], required=True)
-    p.add_argument("--lambda", type=float, dest="lam", default=0.5)
+    lam(p, 0.5)
     p.add_argument("--n-schedule", type=_parse_schedule, default="1000,10000,100000,1000000",
                    help="increasing comma list of synthetic sizes")
     p.add_argument("--seeds", type=_parse_seeds, default="3", help="count or comma list")
-    p.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv")
+    report_format(p)
     low, high = harness.SLOPE_BAND
     p.add_argument("--check", nargs="?", type=_tolerance, const=harness.LINF_TOLERANCE,
                    default=False, metavar="TOLERANCE",
@@ -539,43 +546,37 @@ def build_parser() -> argparse.ArgumentParser:
                         f"never grows with N, and its log-log slope against N lies in [{low}, "
                         f"{high}]; the band is set for at least 4 N values and 3 seeds, and a "
                         "2-point schedule can fail on the slope alone")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_converge)
 
-    p = sub.add_parser("sweep", help="lambda sweep of penalties on trained models")
-    common(p)
-    p.add_argument("--mode", choices=["mean", "iid"], required=True)
+    p = command("sweep", cmd_sweep, "lambda sweep of penalties on trained models")
+    p.add_argument("--mode", choices=MODES, required=True)
     p.add_argument("--depths", type=_parse_ints, default="0,1,3",
                    help="comma list of hidden-layer counts")
     p.add_argument("--lambdas", type=_parse_lambdas, default="0:0.9:0.1",
                    help="start:stop:step or comma list")
     p.add_argument("--seeds", type=_parse_seeds, default="5", help="count or comma list")
-    p.add_argument("--epochs", type=_count, default=TrainConfig.epochs)
-    p.add_argument("--batch-size", type=_count, default=TrainConfig.batch_size)
-    p.add_argument("--hidden-width", type=_count, default=100)
-    p.add_argument("--steps", type=_count, default=AttributionConfig.steps)
-    p.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv")
+    training(p)
+    steps(p)
+    report_format(p)
     p.add_argument("--check", nargs="?", type=_correlation, const=harness.SPEARMAN_THRESHOLD,
                    default=False, metavar="THRESHOLD",
                    help="exit 1 if any cell failed, or if Spearman(lambda, the mode's own "
                         "penalty: CCP for mean, ML2P for iid) exceeds THRESHOLD (default "
                         "%(const)s) at some depth")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("cross-check", help="compare a mean-ablation sweep with a dropout sweep")
-    p.add_argument("--config", help="JSON file of flag values (flags override it)")
+    p = command("cross-check", cmd_cross_check,
+                "compare a mean-ablation sweep with a dropout sweep", data=False)
     p.add_argument("--mada", required=True, help="report of sweep --mode mean --format json")
     p.add_argument("--iid", required=True, help="report of sweep --mode iid --format json")
-    p.add_argument("--format", dest="fmt", choices=["csv", "json"], default="json")
+    report_format(p, "json")
     p.add_argument("--check", action="store_true",
                    help="exit 1 if the two sweeps are identical, or if at some depth and "
                         "output Spearman(lambda, ML2P) under mean ablation is below "
                         f"{harness.ML2P_RISE_MIN} or |CCP| under dropout is larger at the "
                         "last lambda than at the first")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_cross_check)
 
+    # last, so that a usage error lists the missing required flags in order
+    for p in sub.choices.values():
+        p.add_argument("--out", required=True)
     return parser
 
 
@@ -599,6 +600,9 @@ def main(argv=None) -> int:
     if "data" in args and not args.data and (args.response or args.task == "classification"):
         flag = f"--response {args.response}" if args.response else "--task classification"
         parser.exit(2, f"ablatereg {args.command}: error: {flag} has no effect without --data\n")
+    if args.command in ("fit", "converge") and args.task == "classification":
+        parser.exit(2, f"ablatereg {args.command}: error: --task classification does not apply: "
+                       f"{args.command} fits least squares to the response\n")
     try:
         return args.func(args)
     except (SingularModelError, DatasetError, AugmentError, files.ReportError,

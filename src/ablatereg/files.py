@@ -4,14 +4,12 @@ attributions, and model and checkpoint files.
 Every file goes out through :func:`write_text`, which writes atomically, as
 the text of one rule per format, each float written as its ``repr``: CSV
 headers and mixed-type rows by :func:`csv_text`, JSON by :func:`json_text`.
-Numeric CSV bodies that repeat values come from one text table
-(:class:`_TextTable`): each distinct value is formatted once, and the cells
-are looked up by bit pattern, about a thousand rows at a time.
-:func:`matrix_lines` builds the table from its own matrix, or formats a
-matrix of mostly distinct values cell by cell; :func:`augmented_lines`
-builds one table for a whole synthetic set from the values its cells can
-hold.  The model file of ``fit`` and the checkpoint of ``train`` are read
-back by :func:`read_model` alone.
+:func:`matrix_lines` formats a numeric CSV body cell by cell.  A synthetic
+set, whose cells repeat a bounded set of values, comes from one text table
+(:class:`_TextTable`) when :func:`augmented_lines` finds that set small: each
+value is formatted once, and the cells are looked up by bit pattern, about a
+thousand rows at a time.  The model file of ``fit`` and the checkpoint of
+``train`` are read back by :func:`read_model` alone.
 """
 
 from __future__ import annotations
@@ -191,8 +189,8 @@ def _distinct_bits(values) -> np.ndarray:
     """The sorted, distinct float64 bit patterns of ``values``, as int64.
 
     A sort, not ``np.unique``: from numpy 2.3 that finds distinct values
-    with a hash table, which took 0.2-0.3 s where this takes 0.01 s on the
-    368,600 mostly distinct cells of an ``attribute`` output."""
+    with a hash table, which took 0.2-0.3 s where this takes 0.01 s on
+    368,600 mostly distinct values."""
     bits = np.sort(np.ascontiguousarray(values, dtype=np.float64).view(np.int64), axis=None)
     first = np.ones(bits.size, dtype=bool)
     np.not_equal(bits[1:], bits[:-1], out=first[1:])
@@ -201,21 +199,10 @@ def _distinct_bits(values) -> np.ndarray:
 
 def matrix_lines(matrix: np.ndarray) -> str:
     """CSV body lines of a float matrix, one per row: the bytes
-    :func:`csv_text` writes for ``matrix.tolist()``, without its header.
-
-    When at most half the cells hold distinct float64 bit patterns (a
-    bootstrap resample holds at most n*(k+1)+k), the lines come from a
-    :class:`_TextTable` of the matrix's own values.  A matrix of mostly
-    distinct values is formatted cell by cell, converting one row to Python
-    floats at a time.  The sort that decides costs little next to the
-    formatting: on the 19400x19 matrix of an ``attribute`` output it takes
-    0.01 s of about 0.5 s.
-    """
-    matrix = np.ascontiguousarray(matrix, dtype=np.float64)
-    bits = _distinct_bits(matrix)
-    if 2 * bits.size > matrix.size:
-        return "".join([",".join(map(repr, row.tolist())) + "\n" for row in matrix])
-    return "".join(_TextTable(bits).chunks(matrix))
+    :func:`csv_text` writes for ``matrix.tolist()``, without its header,
+    formatted cell by cell, one row converted to Python floats at a time."""
+    matrix = np.asarray(matrix, dtype=np.float64)
+    return "".join([",".join(map(repr, row.tolist())) + "\n" for row in matrix])
 
 
 def augmented_lines(d: Dataset, spec: AugmentSpec):
@@ -225,10 +212,10 @@ def augmented_lines(d: Dataset, spec: AugmentSpec):
 
     Every value a cell can hold (:func:`~ablatereg.augment.synthetic_values`)
     is formatted once for the whole run, into one :class:`_TextTable`, when
-    there are at most as many of them as :func:`matrix_lines` would share
-    in one block: half of the first block's cells.  A larger source is
-    formatted block by block by :func:`matrix_lines`, which bounds the
-    table's memory by one block's.  Both give the same bytes.
+    there are at most half as many of them as the first block has cells.  A
+    larger source is formatted block by block, cell by cell, by
+    :func:`matrix_lines`, rather than into a table larger than a block.
+    Both give the same bytes.
     """
     blocks = (np.column_stack(block) for block in augmented_chunks(d, spec))
     bits = _distinct_bits(synthetic_values(d, spec))

@@ -67,6 +67,8 @@ MOMENT_SIGMAS = 3.0  # elementwise moment error in Monte-Carlo standard errors, 
 SPEARMAN_THRESHOLD = -0.8  # Spearman(lambda, own penalty), at most
 ML2P_RISE_MIN = 0.5  # Spearman(lambda, ML2P) under mean ablation, at least
 
+HIDDEN_WIDTH = 100  # default units per hidden layer of a sweep, and of the CLI's train
+
 
 def check_increasing(values, what: str) -> None:
     """The one order rule for an N schedule and a lambda grid: strictly
@@ -416,7 +418,7 @@ def lambda_sweep(
     cfg: TrainConfig | None = None,
     *,
     dataset_id: str = "dataset",
-    hidden_width: int = 100,
+    hidden_width: int = HIDDEN_WIDTH,
     attribution_steps: int = 100,
 ) -> SweepResult:
     """Train one model per (depth, lambda, seed), then score the test split:
@@ -428,11 +430,18 @@ def lambda_sweep(
     other cell is trained by :func:`train_cell` from ``cfg`` with the sweep's
     mode, the cell's lambda and the cell's one seed, ``child_seed(seed, depth,
     lambda-index)``; each seed drives the split.  Failed cells are recorded
-    with their error instead of aborting the sweep.  An unknown mode, or a
-    test split of fewer than 2 rows (:class:`~ablatereg.dataset.DatasetError`),
-    raises before any cell is fitted.
+    with their error instead of aborting the sweep.  An unknown mode, a
+    ``cfg`` whose mode, lam or seed is not :class:`TrainConfig`'s default
+    (``ValueError``: the sweep sets them per cell), or a test split of fewer
+    than 2 rows (:class:`~ablatereg.dataset.DatasetError`), raises before any
+    cell is fitted.
     """
     cfg = cfg or TrainConfig()
+    overwritten = [f"{name}={getattr(cfg, name)!r}" for name in ("mode", "lam", "seed")
+                   if getattr(cfg, name) != getattr(TrainConfig, name)]
+    if overwritten:
+        raise ValueError(f"the sweep sets each cell's mode, lam and seed, but cfg sets "
+                         f"{', '.join(overwritten)}")
     depths = tuple(int(v) for v in depths)
     lambda_grid = tuple(float(v) for v in lambda_grid)
     seeds = tuple(int(s) for s in seeds)
@@ -670,15 +679,11 @@ def _sweep_rows(result: SweepResult):
     for depth in result.depths:
         for lam in result.lambda_grid:
             for oi in result.output_indices():
-                means = []
-                stderrs = []
-                for fld in ("metric", "ccp", "ml2p"):
-                    vals = result.seed_values(fld, depth, lam, oi)
-                    means.append(float(vals.mean()) if vals.size else float("nan"))
-                    stderrs.append(_stderr(vals))
+                fields = ("metric", "ccp", "ml2p")
+                means = [result.mean_over_seeds(fld, depth, lam, oi) for fld in fields]
+                stderrs = [_stderr(result.seed_values(fld, depth, lam, oi)) for fld in fields]
                 rows.append(["aggregate", result.dataset_id, result.task, result.mode,
-                             depth, lam, "", oi, means[0], means[1], means[2],
-                             stderrs[0], stderrs[1], stderrs[2], ""])
+                             depth, lam, "", oi, *means, *stderrs, ""])
     return SWEEP_HEADER, rows
 
 

@@ -561,6 +561,36 @@ class TestDataFlagsWithoutData:
         assert (tmp_path / "task.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
 
 
+class TestLeastSquaresTask:
+    """``fit`` and ``converge`` fit least squares, which would treat the
+    codes of a classification response as numbers."""
+
+    @pytest.fixture()
+    def labels_csv(self, tmp_path):
+        d = synth_correlated(60, 2, 0.3, (1.0, -1.0), 0.5, seed=62)
+        path = tmp_path / "labels.csv"
+        path.write_text("x0,x1,label\n" + "".join(
+            f"{x0!r},{x1!r},{'abc'[i % 3]}\n" for i, (x0, x1) in enumerate(d.features.tolist())))
+        return path
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command", [["fit"], ["converge", "--theorem", "1"]],
+                             ids=lambda command: command[0])
+    def test_classification_is_a_usage_error(self, labels_csv, tmp_path, capsys, command,
+                                             source):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"task": "classification"}))
+        given = ["--task", "classification"] if source == "flag" else ["--config", config]
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run([*command, "--data", labels_csv, "--response", "label", *given, "--out", out])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"ablatereg {command[0]}: error: --task classification does not apply: "
+            f"{command[0]} fits least squares to the response"]
+        assert not out.exists()
+
+
 class TestSplitFlags:
     def train(self, csv_path, out, *extra):
         assert run(["train", "--data", csv_path, "--response", "y", "--epochs", "2",
@@ -1138,6 +1168,81 @@ def subcommands():
 class TestOptionDeclarations:
     """Each option's default is declared on its flag, and a config file's
     values act as the flags' defaults."""
+
+    # (dest, type name, default, const, choices, nargs, required) of each
+    # command's options: what the command line and config files rely on,
+    # however build_parser declares them
+    COMMON = {
+        "--config": ("config", None, None, None, None, None, False),
+        "--seed": ("seed", "_non_negative", 0, None, None, None, False),
+        "--data": ("data", None, None, None, None, None, False),
+        "--response": ("response", None, None, None, None, None, False),
+        "--task": ("task", None, "regression", None, ("regression", "classification"), None,
+                   False),
+        "--out": ("out", None, None, None, None, None, True),
+    }
+    LAMBDA = ("lam", "float", 0.0, None, None, None, False)
+    MODEL = ("model", None, None, None, None, None, True)
+    CLASS = ("class_index", "_non_negative", 0, None, None, None, False)
+    STEPS = ("steps", "_count", 100, None, None, None, False)
+    EPOCHS = ("epochs", "_count", 200, None, None, None, False)
+    BATCH_SIZE = ("batch_size", "_count", 256, None, None, None, False)
+    HIDDEN_WIDTH = ("hidden_width", "_count", 100, None, None, None, False)
+    CSV_FORMAT = ("fmt", None, "csv", None, ("csv", "json"), None, False)
+    OPTIONS = {
+        "fit": {**COMMON, "--lambda": LAMBDA,
+                "--method": ("method", None, "ols", None, ("ols", "ccp", "ml2p"), None, False)},
+        "augment": {**COMMON, "--lambda": LAMBDA,
+                    "--mode": ("mode", None, None, None, ("mean", "iid"), None, True),
+                    "--n": ("n", "_count", 10000, None, None, None, False)},
+        "penalty": {**COMMON, "--model": MODEL, "--class": CLASS, "--steps": STEPS,
+                    "--kind": ("kind", None, "both", None, ("ccp", "ml2p", "both"), None,
+                               False)},
+        "train": {**COMMON, "--lambda": LAMBDA, "--epochs": EPOCHS, "--batch-size": BATCH_SIZE,
+                  "--hidden-width": HIDDEN_WIDTH,
+                  "--test-frac": ("test_frac", "float", 0.2, None, None, None, False),
+                  "--val-frac": ("val_frac", "float", 0.25, None, None, None, False),
+                  "--depth": ("depth", "_non_negative", 1, None, None, None, False),
+                  "--mode": ("mode", None, "none", None, ("none", "mean", "iid"), None, False),
+                  "--learning-rate": ("learning_rate", "_positive", 0.001, None, None, None,
+                                      False)},
+        "attribute": {**COMMON, "--model": MODEL, "--class": CLASS, "--steps": STEPS,
+                      "--baseline": ("baseline", None, "zeros", None, None, None, False)},
+        "converge": {**COMMON, "--format": CSV_FORMAT,
+                     "--lambda": ("lam", "float", 0.5, None, None, None, False),
+                     "--theorem": ("theorem", "int", None, None, (1, 2), None, True),
+                     "--n-schedule": ("n_schedule", "_parse_schedule", "1000,10000,100000,1000000",
+                                      None, None, None, False),
+                     "--seeds": ("seeds", "_parse_seeds", "3", None, None, None, False),
+                     "--check": ("check", "_tolerance", False, 0.02, None, "?", False)},
+        "sweep": {**COMMON, "--epochs": EPOCHS, "--batch-size": BATCH_SIZE,
+                  "--hidden-width": HIDDEN_WIDTH, "--steps": STEPS, "--format": CSV_FORMAT,
+                  "--mode": ("mode", None, None, None, ("mean", "iid"), None, True),
+                  "--depths": ("depths", "_parse_ints", "0,1,3", None, None, None, False),
+                  "--lambdas": ("lambdas", "_parse_lambdas", "0:0.9:0.1", None, None, None,
+                                False),
+                  "--seeds": ("seeds", "_parse_seeds", "5", None, None, None, False),
+                  "--check": ("check", "_correlation", False, -0.8, None, "?", False)},
+        "cross-check": {"--config": COMMON["--config"], "--out": COMMON["--out"],
+                        "--mada": ("mada", None, None, None, None, None, True),
+                        "--iid": ("iid", None, None, None, None, None, True),
+                        "--format": ("fmt", None, "json", None, ("csv", "json"), None, False),
+                        "--check": ("check", None, False, True, None, 0, False)},
+    }
+
+    def test_each_command_declares_its_pinned_options(self):
+        # compared by repr, so that a default of 0 no longer equals False
+        declared = {
+            name: {option: repr((action.dest, action.type and action.type.__name__,
+                                 action.default, action.const,
+                                 None if action.choices is None else tuple(action.choices),
+                                 action.nargs, action.required))
+                   for option, action in parser._option_string_actions.items()
+                   if action.dest != "help"}
+            for name, parser in subcommands().items()
+        }
+        assert declared == {name: {option: repr(value) for option, value in options.items()}
+                            for name, options in self.OPTIONS.items()}
 
     def test_every_optional_flag_has_a_default(self):
         commands = subcommands()

@@ -670,6 +670,15 @@ class TestLambdaSweep:
         with pytest.raises(ValueError, match=message):
             lambda_sweep(small_data, [0], "mean", grid, seeds=seeds)
 
+    @pytest.mark.parametrize("given, named", [
+        ({"mode": "iid", "lam": 0.3}, "mode='iid', lam=0.3"),
+        ({"seed": 7}, "seed=7"),
+    ])
+    def test_a_cfg_setting_what_the_sweep_sets_is_rejected(self, small_data, given, named):
+        with pytest.raises(ValueError, match=f"but cfg sets {named}$"):
+            lambda_sweep(small_data, [0], "mean", (0.0, 0.5), seeds=(0,),
+                         cfg=TrainConfig(**given))
+
     def test_unknown_mode_is_rejected(self, small_data):
         # a depth-0 regression cell solves a closed form and draws no masks,
         # yet its mode must still name one
@@ -1034,8 +1043,8 @@ class TestMatrixLines:
             np.random.default_rng(4).integers(0, 40, 500)],
         np.random.default_rng(5).standard_normal((7, 6)).T,  # not C-contiguous
         np.empty((0, 3)),
-    ], ids=["special-values-shared-text", "one-row-cell-by-cell", "nonfinite-cell-by-cell",
-            "bootstrap-shared-text", "transposed-cell-by-cell", "empty"])
+    ], ids=["special-values", "one-row-cell-by-cell", "nonfinite-cell-by-cell",
+            "bootstrap", "transposed-cell-by-cell", "empty"])
     def test_bytes_equal_csv_lines(self, matrix):
         expected, header = self.reference(matrix)
         assert header + matrix_lines(matrix) == expected
